@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import random
 import sys
+import warnings
 from pathlib import Path
 
 from . import bigmod, classical, dh, ecc, envelope, numtheory, rsa, sha1
@@ -402,11 +403,15 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     rng = _make_rng(getattr(args, "seed", None))
-    try:
-        return _HANDLERS[args.command](args, stdin, stdout, rng)
-    except (ValueError, OSError) as exc:
-        stderr.write(f"toycrypt {args.command}: {exc}\n")
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, *_: stderr.write(
+            f"toycrypt {args.command}: {category.__name__}: {message}\n"
+        )
+        try:
+            return _HANDLERS[args.command](args, stdin, stdout, rng)
+        except (ValueError, OSError) as exc:
+            stderr.write(f"toycrypt {args.command}: {exc}\n")
+            return 1
 
 
 def main() -> None:

@@ -75,10 +75,6 @@ class PrimalityVerdict:
         return self.kind != COMPOSITE
 
 
-def _default_rng():
-    return random.SystemRandom()
-
-
 def sieve_primes(limit: int) -> list[int]:
     """All primes strictly below limit, by the sieve of Eratosthenes."""
     if limit < 2:
@@ -133,7 +129,7 @@ def is_prime(n: int, rounds: int = 40, rng=None) -> PrimalityVerdict:
         return PrimalityVerdict(PROVEN_PRIME)
     if n % 2 == 0:
         return PrimalityVerdict(COMPOSITE, witness=2)
-    rng = rng or _default_rng()
+    rng = rng or random.SystemRandom()
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -192,23 +188,18 @@ def random_prime(bits: int, rng=None) -> int:
     """A probable prime with exactly `bits` bits (top bit set, odd)."""
     if bits < 4:
         raise ValueError(f"need at least 4 bits, got {bits}")
-    rng = rng or _default_rng()
+    rng = rng or random.SystemRandom()
     while True:
         candidate = (1 << (bits - 1)) | rng.getrandbits(bits - 1) | 1
         if is_prime(candidate, rounds=40, rng=rng).is_prime:
             return candidate
 
 
-def _ln(x: int) -> float:
-    # math.log takes arbitrary ints without overflowing through float(x)
-    return math.log(x)
-
-
 def pnt_estimate(x: int) -> float:
     """Approximate count of primes up to x as x/ln(x)."""
     if x < 3:
         raise ValueError(f"estimate needs x >= 3, got {x}")
-    ln_x = _ln(x)
+    ln_x = math.log(x)  # takes ints of any size; float(x) would overflow
     if x.bit_length() < 1024:
         return x / ln_x
     try:

@@ -30,11 +30,22 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
+    """n = p*q for distinct p, q > 1, and 0 < d < n; phi follows from p and q."""
+
     n: int
     d: int
     p: int
     q: int
-    phi: int
+
+    def __post_init__(self):
+        if self.p < 2 or self.q < 2 or self.p == self.q or self.n != self.p * self.q:
+            raise ValueError(f"n = {self.n} is not p*q for distinct p = {self.p}, q = {self.q} > 1")
+        if not 0 < self.d < self.n:
+            raise ValueError(f"private exponent {self.d} out of range for modulus {self.n}")
+
+    @property
+    def phi(self) -> int:
+        return (self.p - 1) * (self.q - 1)
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,14 @@ class BlockStream:
             raise ValueError("blocks must be non-negative")
 
 
+def _key_pair(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
+    # mod_inv raises NotInvertibleError, a ValueError, when gcd(e, phi) != 1
+    n, phi = p * q, (p - 1) * (q - 1)
+    if not 1 < e < phi:
+        raise ValueError(f"public exponent must satisfy 1 < e < {phi}, got {e}")
+    return RsaPublicKey(n, e), RsaPrivateKey(n, bigmod.mod_inv(e, phi).value, p, q)
+
+
 def keygen_from_primes(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
     """Build a key pair from two distinct primes and a public exponent."""
     if p == q:
@@ -68,15 +87,7 @@ def keygen_from_primes(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivate
     for name, value in (("p", p), ("q", q)):
         if not numtheory.is_prime(value).is_prime:
             raise ValueError(f"{name} = {value} is not prime")
-    n = p * q
-    phi = (p - 1) * (q - 1)
-    if not 1 < e < phi:
-        raise ValueError(f"public exponent must satisfy 1 < e < {phi}, got {e}")
-    g = bigmod.gcd(e, phi)
-    if g != 1:
-        raise ValueError(f"e = {e} not coprime to phi = {phi} (gcd {g})")
-    d = bigmod.mod_inv(e, phi).value
-    return RsaPublicKey(n, e), RsaPrivateKey(n, d, p, q, phi)
+    return _key_pair(p, q, e)
 
 
 def keygen_random(
@@ -86,52 +97,43 @@ def keygen_random(
 
     Primes carry only their top bit forced, so the product sometimes falls
     one bit short; generation retries until the length and gcd(e, phi) = 1
-    both hold.
+    both hold.  e must be odd (phi is even), at least 3 and below
+    2**(modulus_bits-1); above that, few or no keys of this size fit it.
     """
     if modulus_bits < 16:
         raise ValueError(f"modulus must be at least 16 bits, got {modulus_bits}")
-    if e >= 1 << modulus_bits:
-        raise ValueError(f"exponent {e} cannot be below phi of a {modulus_bits}-bit modulus")
+    if e < 3 or e % 2 == 0 or e >= 1 << (modulus_bits - 1):
+        raise ValueError(f"exponent {e} must be odd and in [3, 2**{modulus_bits - 1})")
     rng = rng or random.SystemRandom()
     p_bits = modulus_bits // 2
     q_bits = modulus_bits - p_bits
     while True:
         p = numtheory.random_prime(p_bits, rng)
         q = numtheory.random_prime(q_bits, rng)
-        if p == q:
-            continue
         if (p * q).bit_length() != modulus_bits:
             continue
-        phi = (p - 1) * (q - 1)
-        if not 1 < e < phi or bigmod.gcd(e, phi) != 1:
+        try:
+            return _key_pair(p, q, e)
+        except ValueError:
             continue
-        return keygen_from_primes(p, q, e)
-
-
-def _raw_op(x: int, n: int, exponent: int, what: str) -> int:
-    if not 0 <= x < n:
-        raise ValueError(f"{what} {x} not in [0, modulus {n})")
-    return bigmod.mod_pow(x, exponent, n).value
-
-
-def encrypt_block(m: int, pub: RsaPublicKey) -> int:
-    """C = M**e mod N for a single block M < N."""
-    return _raw_op(m, pub.n, pub.e, "plaintext block")
-
-
-def decrypt_block(c: int, priv: RsaPrivateKey) -> int:
-    """M = C**d mod N for a single block C < N."""
-    return _raw_op(c, priv.n, priv.d, "ciphertext block")
 
 
 def public_op(x: int, pub: RsaPublicKey) -> int:
-    """Raw x**e mod N; verification side of the signature workflow."""
-    return _raw_op(x, pub.n, pub.e, "value")
+    """Raw x**e mod N for 0 <= x < N: encryption and signature verification."""
+    if not 0 <= x < pub.n:
+        raise ValueError(f"block {x} not in [0, modulus {pub.n})")
+    return bigmod.mod_pow(x, pub.e, pub.n).value
 
 
 def private_op(x: int, priv: RsaPrivateKey) -> int:
-    """Raw x**d mod N; signing side of the signature workflow."""
-    return _raw_op(x, priv.n, priv.d, "value")
+    """Raw x**d mod N for 0 <= x < N: decryption and signing."""
+    if not 0 <= x < priv.n:
+        raise ValueError(f"block {x} not in [0, modulus {priv.n})")
+    return bigmod.mod_pow(x, priv.d, priv.n).value
+
+
+encrypt_block = public_op
+decrypt_block = private_op
 
 
 def block_width(n: int) -> int:
@@ -160,11 +162,11 @@ def decode_message(stream: BlockStream, n: int) -> bytes:
         )
     out = bytearray()
     for b in stream.blocks:
-        if b >= n:
-            raise ValueError(f"corrupted stream: block {b} >= modulus {n}")
         if b.bit_length() > 8 * stream.width:
             raise ValueError(f"corrupted stream: block {b} wider than {stream.width} bytes")
         out += b.to_bytes(stream.width, "big")
+    if stream.blocks and stream.blocks[-1] % (1 << 8 * stream.pad):
+        raise ValueError(f"corrupted stream: nonzero pad in final block {stream.blocks[-1]}")
     return bytes(out[: len(out) - stream.pad] if stream.pad else out)
 
 
@@ -177,9 +179,6 @@ def encrypt_message(data: bytes, pub: RsaPublicKey) -> BlockStream:
 
 def decrypt_message(stream: BlockStream, priv: RsaPrivateKey) -> bytes:
     """The private operation on every block, then decode_message."""
-    for b in stream.blocks:
-        if b >= priv.n:
-            raise ValueError(f"corrupted stream: block {b} >= modulus {priv.n}")
     plain = tuple(decrypt_block(b, priv) for b in stream.blocks)
     return decode_message(
         BlockStream(width=stream.width, pad=stream.pad, blocks=plain), priv.n
@@ -246,7 +245,7 @@ def read_public_key(text: str) -> RsaPublicKey:
 
 def read_private_key(text: str) -> RsaPrivateKey:
     f = _parse_fields(text, ("n", "d", "p", "q"))
-    return RsaPrivateKey(f["n"], f["d"], f["p"], f["q"], (f["p"] - 1) * (f["q"] - 1))
+    return RsaPrivateKey(f["n"], f["d"], f["p"], f["q"])
 
 
 def write_block_stream(stream: BlockStream) -> str:

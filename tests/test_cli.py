@@ -188,6 +188,11 @@ class TestDemos:
         assert fields["alice-shared"] == fields["bob-shared"] == fields["eve-shared"]
         assert int(fields["eve-steps"]) >= 1
 
+    def test_dh_demo_weak_value_warning_goes_to_stderr(self):
+        code, _, err = invoke(["dh-demo", "--seed", "4"])
+        assert code == 0
+        assert "WeakPublicValueWarning" in err
+
     def test_dh_demo_larger_params(self):
         _, out, _ = invoke(["dh-demo", "--p", "1009", "--g", "11", "--seed", "3"])
         fields = dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -259,6 +264,13 @@ class TestRsaPipelines:
         assert code == 0
         assert opened.read_bytes() == message.read_bytes()
 
+    def test_open_with_inconsistent_key_exits_one(self, tmp_path):
+        key = tmp_path / "bad.key"
+        key.write_text("n=5\nd=3\np=11\nq=13\n")
+        code, out, err = invoke(["open", "--key", str(key)], stdin=b"envelope v1\n")
+        assert (code, out) == (1, "")
+        assert err.startswith("toycrypt open: ")
+
     def test_seal_seeded_deterministic(self, tmp_path):
         prefix = tmp_path / "bob"
         invoke(["keygen", "--bits", "256", "--out", str(prefix), "--seed", "13"])
@@ -314,6 +326,12 @@ class TestFreshProcesses:
     def test_hash_stdin_in_fresh_process(self):
         result = self.run_cli("hash", stdin=b"Italia-Germania 4-3")
         assert result.stdout.decode() == DIGEST_ITALIA_4_3 + "\n"
+
+    def test_keygen_unusable_exponent_exits_one(self, tmp_path):
+        result = self.run_cli("keygen", "--bits", "64", "--exponent", "4",
+                              "--out", str(tmp_path / "k"))
+        assert result.returncode == 1
+        assert not (tmp_path / "k.key").exists()
 
     def test_usage_error_exit_code(self):
         assert self.run_cli("no-such-command").returncode == 2

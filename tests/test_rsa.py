@@ -8,6 +8,18 @@ from toycrypt import numtheory, rsa
 from toycrypt.rsa import BlockStream
 
 
+def key_file(p, q, n_offset, d, e, tail):
+    return f"n={p * q + n_offset:#x}\nd={d:#x}\np={p:#x}\nq={q:#x}\ne={e:#x}\n{tail}"
+
+
+# arbitrary text, and key files with small fields, some inconsistent, plus trailing junk
+SMALL = st.integers(0, 60)
+KEY_TEXT = st.text() | st.builds(
+    key_file, SMALL, SMALL, st.sampled_from([0, 0, 1]), st.integers(0, 4000), SMALL,
+    st.text(max_size=8),
+)
+
+
 @pytest.fixture(scope="module")
 def paper_keys():
     return rsa.keygen_from_primes(19, 17, 17)
@@ -111,6 +123,14 @@ class TestKeygenRandom:
         with pytest.raises(ValueError):
             rsa.keygen_random(8, rng=random.Random(0))
 
+    @pytest.mark.parametrize(
+        "bits, e", [(64, 1), (64, 2), (64, 4), (64, 65536), (64, -3), (16, 65535), (64, 1 << 63)]
+    )
+    def test_unusable_exponent_rejected_before_search(self, bits, e):
+        # an rng that cannot draw: reaching the prime search fails, it cannot hang
+        with pytest.raises(ValueError):
+            rsa.keygen_random(bits, e=e, rng=object())
+
 
 class TestBlockOps:
     def test_paper_encryption(self, paper_keys):
@@ -213,6 +233,12 @@ class TestMessageFraming:
         with pytest.raises(ValueError):
             rsa.decode_message(stream, 323)
 
+    def test_nonzero_pad_rejected(self):
+        stream = BlockStream(width=2, pad=1, blocks=(0x4142,))
+        with pytest.raises(ValueError):
+            rsa.decode_message(stream, 1 << 20)
+        assert rsa.decode_message(BlockStream(width=2, pad=1, blocks=(0x4100,)), 1 << 20) == b"A"
+
     def test_width_mismatch_rejected(self):
         stream = rsa.encode_message(b"abc", 1 << 32)
         with pytest.raises(ValueError):
@@ -261,6 +287,37 @@ class TestTextFormats:
         assert rsa.write_public_key(pub) == "n=0x143\ne=0x11\n"
         text = rsa.write_private_key(priv)
         assert text.splitlines() == ["n=0x143", "d=0x11", "p=0x13", "q=0x11"]
+
+    @pytest.mark.parametrize(
+        "n, d, p, q",
+        [(5, 3, 11, 13), (143, 0, 11, 13), (143, 143, 11, 13), (121, 3, 11, 11), (13, 5, 1, 13)],
+    )
+    def test_inconsistent_private_key_rejected(self, n, d, p, q):
+        with pytest.raises(ValueError):
+            rsa.RsaPrivateKey(n, d, p, q)
+
+    def test_inconsistent_private_key_file_rejected(self):
+        with pytest.raises(ValueError):
+            rsa.read_private_key("n=5\nd=3\np=11\nq=13\n")
+
+    @given(text=KEY_TEXT)
+    @settings(max_examples=300)
+    def test_read_private_key_fuzz(self, text):
+        try:
+            key = rsa.read_private_key(text)
+        except ValueError:
+            return
+        assert key.n == key.p * key.q
+        assert rsa.read_private_key(rsa.write_private_key(key)) == key
+
+    @given(text=KEY_TEXT)
+    @settings(max_examples=300)
+    def test_read_public_key_fuzz(self, text):
+        try:
+            key = rsa.read_public_key(text)
+        except ValueError:
+            return
+        assert rsa.read_public_key(rsa.write_public_key(key)) == key
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
