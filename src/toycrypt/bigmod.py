@@ -10,6 +10,7 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -176,12 +177,21 @@ def cancel_factor(a: int, b: int, k: int, n: int) -> int:
     return n // gcd(k, n)
 
 
+# ASCII only: int() alone would also take signs, "_" separators and
+# non-ASCII digits, none of which render_natural ever writes.
+_NATURAL = re.compile(r"0[xX][0-9a-fA-F]+|[0-9]+")
+
+
 def parse_natural(text: str) -> int:
-    """Parse a natural from decimal or 0x-prefixed lowercase hex."""
+    """Parse a natural from ASCII decimal or 0x-prefixed hex digits.
+
+    Surrounding whitespace is ignored; anything else that is not a digit of
+    the chosen base is refused with ValueError.
+    """
     s = text.strip()
-    value = int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
-    _check_natural(value)
-    return value
+    if not _NATURAL.fullmatch(s):
+        raise ValueError(f"not a natural number: {text!r}")
+    return int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
 
 
 def render_natural(n: int, hexadecimal: bool = False) -> str:

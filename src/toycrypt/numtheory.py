@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import bigmod
 
 SIEVE_LIMIT_CAP = 10**8
-TRIAL_DIVISION_BOUND = 1 << 16
 DEFAULT_DIVISOR_CAP = 1 << 32
 
 COMPOSITE = "composite"
@@ -89,6 +88,13 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
+# About 85% of random odd candidates have a prime factor below 2**11, and
+# dividing by all of them costs a small fraction of the modular
+# exponentiation each such candidate would otherwise take.
+_SMALL_PRIME_BOUND = 1 << 11
+_SMALL_PRIMES = tuple(sieve_primes(_SMALL_PRIME_BOUND))
+
+
 def fermat_probable_prime(n: int, base: int) -> bool:
     """Fermat test: base**(n-1) = 1 (mod n)?
 
@@ -115,20 +121,26 @@ def _is_witness(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int, rounds: int = 40, rng=None) -> PrimalityVerdict:
-    """Primality verdict: trial division below 2**16, Miller-Rabin above.
+    """Primality verdict: trial division by the primes below 2**11, then Miller-Rabin.
 
-    The Miller-Rabin branch uses `rounds` random bases; a composite slips
-    through with probability at most 4**-rounds.
+    Trial division settles every n below 2**22 (PROVEN_PRIME, or COMPOSITE
+    with the smallest prime factor as witness) and rejects most larger
+    composites without drawing from the rng.  A larger n with no factor
+    below 2**11 gets `rounds` Miller-Rabin rounds with random bases; a
+    composite slips through with probability at most 4**-rounds.
     """
+    if rounds < 1:
+        raise ValueError(f"need at least one Miller-Rabin round, got {rounds}")
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
-    if n < TRIAL_DIVISION_BOUND:
-        for d in range(2, math.isqrt(n) + 1):
-            if n % d == 0:
-                return PrimalityVerdict(COMPOSITE, witness=d)
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return PrimalityVerdict(PROVEN_PRIME)
+        if n % p == 0:
+            return PrimalityVerdict(COMPOSITE, witness=p)
+    if n < _SMALL_PRIME_BOUND**2:
+        # a composite below 2**22 has a prime factor below 2**11
         return PrimalityVerdict(PROVEN_PRIME)
-    if n % 2 == 0:
-        return PrimalityVerdict(COMPOSITE, witness=2)
     rng = rng or random.SystemRandom()
     d, s = n - 1, 0
     while d % 2 == 0:

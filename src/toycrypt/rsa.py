@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 
 from . import bigmod, numtheory
@@ -212,6 +213,9 @@ def recover_primes(n: int, phi: int) -> tuple[int, int]:
 #   rsa-blocks v1 width=W pad=P count=K
 
 _STREAM_MAGIC = "rsa-blocks v1"
+_STREAM_HEADER = re.compile(
+    re.escape(_STREAM_MAGIC) + r" width=([0-9]+) pad=([0-9]+) count=([0-9]+)"
+)
 
 
 def write_public_key(key: RsaPublicKey) -> str:
@@ -258,15 +262,10 @@ def read_block_stream(text: str) -> BlockStream:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty block stream")
-    header = lines[0].split()
-    if " ".join(header[:2]) != _STREAM_MAGIC or len(header) != 5:
+    header = _STREAM_HEADER.fullmatch(" ".join(lines[0].split()))
+    if header is None:
         raise ValueError(f"not a block stream header: {lines[0]!r}")
-    try:
-        width = int(header[2].removeprefix("width="))
-        pad = int(header[3].removeprefix("pad="))
-        count = int(header[4].removeprefix("count="))
-    except ValueError:
-        raise ValueError(f"malformed block stream header: {lines[0]!r}") from None
+    width, pad, count = map(int, header.groups())
     if len(lines) - 1 != count:
         raise ValueError(f"block stream claims {count} blocks, found {len(lines) - 1}")
     return BlockStream(

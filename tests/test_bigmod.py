@@ -288,6 +288,23 @@ class TestTextForms:
         with pytest.raises(ValueError):
             bigmod.parse_natural("-3")
 
+    @pytest.mark.parametrize(
+        "text", ["3_23", "0x_ff", "0xf_f", "+3", "٣٢٣", "0x", "", "0b101", "1e3"]
+    )
+    def test_parse_rejects_non_digits(self, text):
+        with pytest.raises(ValueError):
+            bigmod.parse_natural(text)
+
+    @given(text=st.text() | st.text(alphabet="0123456789abcdefxX_+- ٣"))
+    def test_parse_fuzz(self, text):
+        try:
+            n = bigmod.parse_natural(text)
+        except ValueError:
+            return
+        assert text.strip().isascii()
+        assert bigmod.parse_natural(bigmod.render_natural(n)) == n
+        assert bigmod.parse_natural(bigmod.render_natural(n, hexadecimal=True)) == n
+
     @pytest.mark.parametrize("n", [0, 1, 42, 171371, 1 << 200])
     def test_round_trip_both_bases(self, n):
         assert bigmod.parse_natural(bigmod.render_natural(n)) == n

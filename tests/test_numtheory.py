@@ -104,6 +104,29 @@ class TestIsPrime:
         for n in range(2, 10**5):
             assert numtheory.is_prime(n, rounds=12, rng=rng).is_prime == (n in members), n
 
+    def test_agrees_with_sieve_around_2_22(self):
+        # trial division by the primes below 2**11 proves exactly the n below
+        # 2**22; the window just under 2**22 lies above 2039**2, the square
+        # of the largest such prime
+        members = set(numtheory.sieve_primes(1 << 23))
+        rng = random.Random(708)
+        sample = [*range((1 << 22) - 2000, (1 << 22) + 2000)]
+        sample += [rng.randrange(1 << 16, 1 << 23) for _ in range(3000)]
+        for n in sample:
+            verdict = numtheory.is_prime(n, rounds=12, rng=rng)
+            assert verdict.is_prime == (n in members), n
+            if verdict.is_prime:
+                assert verdict.kind == (PROVEN_PRIME if n < 1 << 22 else PROBABLY_PRIME), n
+
+    def test_small_factor_found_without_rng(self):
+        verdict = numtheory.is_prime(3 * (2**89 - 1), rng=object())
+        assert verdict == numtheory.PrimalityVerdict(COMPOSITE, witness=3, rounds=0)
+
+    @pytest.mark.parametrize("rounds", [0, -2])
+    def test_rounds_below_one_rejected(self, rounds):
+        with pytest.raises(ValueError):
+            numtheory.is_prime((2**89 - 1) * (2**61 - 1), rounds=rounds)
+
 
 class TestFactorTrial:
     def test_hard_looking_product(self):

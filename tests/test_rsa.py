@@ -19,6 +19,21 @@ KEY_TEXT = st.text() | st.builds(
     st.text(max_size=8),
 )
 
+FIELD = st.text("0123456789_+-x٣", max_size=3)
+
+
+@st.composite
+def stream_file(draw):
+    blocks = draw(st.lists(st.integers(0, 300).map(hex) | st.text(max_size=4), max_size=3))
+    width = draw(st.sampled_from(["1", "2"]) | FIELD)
+    pad = draw(st.just("0") | FIELD)
+    count = draw(st.just(str(len(blocks))) | FIELD)
+    return f"rsa-blocks v1 width={width} pad={pad} count={count}\n" + "\n".join(blocks)
+
+
+# arbitrary text, and block streams with small, sometimes malformed fields and blocks
+STREAM_TEXT = st.text() | stream_file()
+
 
 @pytest.fixture(scope="module")
 def paper_keys():
@@ -341,3 +356,23 @@ class TestTextFormats:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             rsa.read_block_stream("not a stream\n")
+
+    @pytest.mark.parametrize("text", ["n=3_23\ne=1_7\n", "n=٣٢٣\ne=١٧\n", "n=0x_143\ne=0x11\n"])
+    def test_key_numbers_must_be_ascii_digits(self, text):
+        with pytest.raises(ValueError):
+            rsa.read_public_key(text)
+
+    @pytest.mark.parametrize("header", ["width=1 pad=0 count=0_1", "width=+1 pad=0 count=1",
+                                        "1 0 1", "width=١ pad=0 count=1"])
+    def test_header_numbers_must_be_ascii_digits(self, header):
+        with pytest.raises(ValueError):
+            rsa.read_block_stream(f"rsa-blocks v1 {header}\n0x3\n")
+
+    @given(text=STREAM_TEXT)
+    @settings(max_examples=300)
+    def test_read_block_stream_fuzz(self, text):
+        try:
+            stream = rsa.read_block_stream(text)
+        except ValueError:
+            return
+        assert rsa.read_block_stream(rsa.write_block_stream(stream)) == stream
