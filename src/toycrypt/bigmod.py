@@ -134,13 +134,12 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
         raise ValueError("extended_gcd(0, 0) is undefined")
     r0, r1 = a, b
     s0, s1 = 1, 0
-    t0, t1 = 0, 1
     while r1:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
+    # a*s0 + b*y = r0 holds exactly, so y follows by one division
+    return r0, s0, (r0 - a * s0) // b if b else 0
 
 
 def mod_inv(a: int, m: int) -> Residue:

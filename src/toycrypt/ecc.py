@@ -8,7 +8,9 @@ inverting it (given P and kP, find k) is the discrete-log problem that
 makes these groups cryptographically interesting.
 
 Clarity over speed: one modular inversion per addition, no projective
-coordinates, no named curves.
+coordinates, no named curves.  The public functions check that every point
+they are given lies on the curve; scalar_mul checks its point once and then
+adds without re-checking, since sums of points on the curve stay on it.
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ def point_add(curve: EccCurve, p1: EccPoint, p2: EccPoint) -> EccPoint:
     """Chord-and-tangent addition with modular slopes."""
     _require_on_curve(curve, p1, "first point")
     _require_on_curve(curve, p2, "second point")
+    return _add(curve, p1, p2)
+
+
+def _add(curve: EccCurve, p1: EccPoint, p2: EccPoint) -> EccPoint:
+    # the group law for points already known to lie on the curve
     if p1.is_infinity:
         return p2
     if p2.is_infinity:
@@ -115,9 +122,9 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     _require_on_curve(curve, point, "point")
     acc = INFINITY
     for i in range(k.bit_length() - 1, -1, -1):
-        acc = point_add(curve, acc, acc)
+        acc = _add(curve, acc, acc)
         if (k >> i) & 1:
-            acc = point_add(curve, acc, point)
+            acc = _add(curve, acc, point)
     return acc
 
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from toycrypt import bigmod, numtheory
@@ -15,6 +15,19 @@ from toycrypt.bigmod import (
 
 naturals = st.integers(min_value=0, max_value=1 << 256)
 moduli = st.integers(min_value=2, max_value=1 << 64)
+
+
+def three_sequence_extended_gcd(a, b):
+    """Extended Euclid carrying both Bezout sequences, as bigmod once did."""
+    r0, r1 = a, b
+    s0, s1 = 1, 0
+    t0, t1 = 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return r0, s0, t0
 
 
 class TestModReduce:
@@ -155,6 +168,15 @@ class TestGcdFamily:
             g, x, y = bigmod.extended_gcd(a, b)
             assert a * x + b * y == g
             assert g == math.gcd(a, b)
+
+    @given(a=naturals | st.integers(0, 3), b=naturals | st.integers(0, 3))
+    @example(a=0, b=7)
+    @example(a=7, b=0)
+    @example(a=1 << 200, b=0)
+    def test_extended_gcd_matches_three_sequence_loop(self, a, b):
+        if a == 0 and b == 0:
+            return
+        assert bigmod.extended_gcd(a, b) == three_sequence_extended_gcd(a, b)
 
     @given(a=naturals, b=naturals)
     def test_gcd_matches_math_gcd(self, a, b):

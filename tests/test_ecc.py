@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toycrypt import ecc
 from toycrypt.ecc import INFINITY, EccPoint
@@ -14,6 +16,32 @@ def enumerate_affine_points(a, b, p):
         for y in range(p)
         if (y * y - (x * x * x + a * x + b)) % p == 0
     ]
+
+
+def affine_scalar_mul(a, p, k, point):
+    """Independent oracle: double-and-add on (x, y) tuples with the built-in
+    modular inverse; None is the point at infinity."""
+
+    def add(p1, p2):
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        if p1[0] == p2[0] and (p1[1] + p2[1]) % p == 0:
+            return None
+        if p1 == p2:
+            slope = (3 * p1[0] * p1[0] + a) * pow(2 * p1[1], -1, p) % p
+        else:
+            slope = (p2[1] - p1[1]) * pow(p2[0] - p1[0], -1, p) % p
+        x3 = (slope * slope - p1[0] - p2[0]) % p
+        return x3, (slope * (p1[0] - x3) - p1[1]) % p
+
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, point)
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +194,25 @@ class TestScalarMul:
                 curve97, ecc.scalar_mul(curve97, m, pt), ecc.scalar_mul(curve97, n, pt)
             )
             assert lhs == rhs
+
+    @given(p=st.sampled_from([97, 10007, 2**61 - 1, 2**127 - 1]), a=st.integers(0, 2**127),
+           x=st.integers(0, 2**127), y=st.integers(0, 2**127), k=st.integers(0, 2**130))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_affine_oracle(self, p, a, x, y, k):
+        # choose b so that (x, y) lies on the curve
+        x, y = x % p, y % p
+        try:
+            curve = ecc.make_curve(a, y * y - x * x * x - a * x, p)
+        except ValueError:
+            return  # singular
+        result = ecc.scalar_mul(curve, k, EccPoint(x, y))
+        assert ecc.on_curve(curve, result)
+        expected = affine_scalar_mul(curve.a, p, k, (x, y))
+        assert result == (INFINITY if expected is None else EccPoint(*expected))
+
+    def test_off_curve_point_rejected(self, curve97):
+        with pytest.raises(ValueError):
+            ecc.scalar_mul(curve97, 5, EccPoint(0, 1))
 
     def test_negative_scalar_rejected(self, curve97, points97):
         with pytest.raises(ValueError):

@@ -1,0 +1,59 @@
+"""Nothing on a shipping path hides behind a library call.
+
+Built-in pow and hashlib may serve as test oracles only: every module of
+the package is parsed, and any use of the name `pow` or any import of
+hashlib fails the test.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import toycrypt
+
+MODULES = sorted(Path(toycrypt.__file__).parent.glob("*.py"))
+
+
+def shortcuts(source: str) -> list[str]:
+    """Line-numbered uses of built-in pow and imports of hashlib."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "pow":
+            found.append(f"line {node.lineno}: pow")
+        elif isinstance(node, ast.Attribute) and node.attr == "pow":
+            if isinstance(node.value, ast.Name) and node.value.id == "builtins":
+                found.append(f"line {node.lineno}: builtins.pow")
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "hashlib" for alias in node.names):
+                found.append(f"line {node.lineno}: import hashlib")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hashlib":
+            found.append(f"line {node.lineno}: from hashlib import")
+    return found
+
+
+def test_every_module_is_scanned():
+    names = {path.stem for path in MODULES}
+    assert {"bigmod", "numtheory", "rsa", "sha1", "envelope", "ecc", "dh", "cli"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_builtin_pow_or_hashlib(path):
+    assert shortcuts(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "q_inv = pow(q, -1, p)",
+    "f = pow\nf(3, 5, 7)",
+    "import builtins\nbuiltins.pow(3, 5, 7)",
+    "import hashlib",
+    "import os, hashlib as h",
+    "from hashlib import sha1",
+])
+def test_shortcut_detected(source):
+    assert shortcuts(source)
+
+
+@pytest.mark.parametrize("source", ["bigmod.mod_pow(3, 5, 7)", "math.pow(2.0, 0.5)", "x ** 2"])
+def test_own_arithmetic_allowed(source):
+    assert shortcuts(source) == []

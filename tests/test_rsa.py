@@ -8,16 +8,32 @@ from toycrypt import numtheory, rsa
 from toycrypt.rsa import BlockStream
 
 
-def key_file(p, q, n_offset, d, e, tail):
-    return f"n={p * q + n_offset:#x}\nd={d:#x}\np={p:#x}\nq={q:#x}\ne={e:#x}\n{tail}"
-
-
-# arbitrary text, and key files with small fields, some inconsistent, plus trailing junk
 SMALL = st.integers(0, 60)
-KEY_TEXT = st.text() | st.builds(
-    key_file, SMALL, SMALL, st.sampled_from([0, 0, 1]), st.integers(0, 4000), SMALL,
-    st.text(max_size=8),
-)
+FACTOR = st.sampled_from(numtheory.sieve_primes(61)) | SMALL
+PUBLIC_FIELDS = ("n", "e")
+PRIVATE_FIELDS = ("n", "d", "p", "q")
+
+
+@st.composite
+def key_file(draw, names):
+    """The named fields with small values, some inconsistent, in any order,
+    sometimes with a repeated or unknown field, plus trailing junk."""
+    p, q = draw(FACTOR), draw(FACTOR)
+    values = {"n": p * q + draw(st.sampled_from([0, 0, 1])), "d": draw(st.integers(0, p * q + 1)),
+              "p": p, "q": q, "e": draw(SMALL)}
+    extra = draw(st.just([]) | st.lists(st.sampled_from(("n", "d", "p", "q", "e", "bogus")), max_size=2))
+    lines = draw(st.permutations([*names, *extra]))
+    junk = draw(st.just("") | st.text(max_size=8))
+    return "".join(f"{name}={values.get(name, 7):#x}\n" for name in lines) + junk
+
+
+def field_names(text):
+    return sorted(line.partition("=")[0].strip() for line in text.splitlines() if line.strip())
+
+
+def trial_prime(n):
+    return n > 1 and all(n % k for k in range(2, n))
+
 
 FIELD = st.text("0123456789_+-x٣", max_size=3)
 
@@ -203,6 +219,50 @@ class TestRawOps:
             rsa.public_op(pub.n + 5, pub)
 
 
+def crt_test_points(priv, rng):
+    """0, 1, n-1, p, q, multiples of p and of q, and random blocks."""
+    n, p, q = priv.n, priv.p, priv.q
+    points = [0, 1, n - 1, p, q, (q - 1) * p, (p - 1) * q]
+    points += [rng.randrange(1, q) * p for _ in range(3)]
+    points += [rng.randrange(1, p) * q for _ in range(3)]
+    return points + [rng.randrange(n) for _ in range(10)]
+
+
+class TestCrtPrivateOp:
+    def test_hand_key(self):
+        # d = 10 is a multiple of p-1: plain d % (p-1) makes dP = 0, and 11**0 mod 11 is 1, not 0
+        priv = rsa.RsaPrivateKey(143, 10, 11, 13)
+        assert rsa.private_op(11, priv) == pow(11, 10, 143) == 88
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (11, 13), (13, 2), (17, 19)])
+    def test_every_exponent_and_block(self, p, q):
+        n = p * q
+        for d in range(1, n):
+            priv = rsa.RsaPrivateKey(n, d, p, q)
+            assert [rsa.private_op(x, priv) for x in range(n)] == [pow(x, d, n) for x in range(n)]
+
+    @given(bits=st.integers(16, 128), e=st.sampled_from([3, 5, 17, 257, 65537]),
+           seed=st.integers(0, 2**32), xseed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_keys_match_oracle(self, bits, e, seed, xseed):
+        e = e if e < 1 << (bits - 1) else 3
+        _, priv = rsa.keygen_random(bits, e, random.Random(seed))
+        for x in crt_test_points(priv, random.Random(xseed)):
+            assert rsa.private_op(x, priv) == pow(x, priv.d, priv.n)
+
+    def test_parameters_are_not_fields(self, small_keys):
+        # a fresh copy of the fixture key, which other tests may already have used
+        _, priv = rsa.keygen_random(64, rng=random.Random(8001))
+        assert "crt" not in vars(priv)  # keygen never derives them
+        text, shown = rsa.write_private_key(priv), repr(priv)
+        dp, dq, q_inv = priv.crt
+        assert 0 < dp < priv.p and (dp - priv.d) % (priv.p - 1) == 0
+        assert 0 < dq < priv.q and (dq - priv.d) % (priv.q - 1) == 0
+        assert q_inv * priv.q % priv.p == 1
+        assert (rsa.write_private_key(priv), repr(priv)) == (text, shown)
+        assert priv == small_keys[1] and hash(priv) == hash(small_keys[1])
+
+
 class TestMessageFraming:
     def test_width_leaves_room_below_modulus(self):
         assert rsa.block_width(323) == 1
@@ -315,24 +375,49 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             rsa.read_private_key("n=5\nd=3\np=11\nq=13\n")
 
-    @given(text=KEY_TEXT)
+    @given(text=st.text() | key_file(PRIVATE_FIELDS))
     @settings(max_examples=300)
     def test_read_private_key_fuzz(self, text):
         try:
             key = rsa.read_private_key(text)
         except ValueError:
             return
+        assert field_names(text) == sorted(PRIVATE_FIELDS)
         assert key.n == key.p * key.q
+        assert trial_prime(key.p) and trial_prime(key.q)
         assert rsa.read_private_key(rsa.write_private_key(key)) == key
 
-    @given(text=KEY_TEXT)
+    @given(text=st.text() | key_file(PUBLIC_FIELDS))
     @settings(max_examples=300)
     def test_read_public_key_fuzz(self, text):
         try:
             key = rsa.read_public_key(text)
         except ValueError:
             return
+        assert field_names(text) == sorted(PUBLIC_FIELDS)
         assert rsa.read_public_key(rsa.write_public_key(key)) == key
+
+    @pytest.mark.parametrize("text", [
+        "n=5\ne=3\nn=0x143\ne=0x11\nbogus=7\n",
+        "n=0x143\ne=0x11\nn=0x143\n",
+        "n=0x143\ne=0x11\nd=0x11\n",
+    ])
+    def test_public_key_repeated_or_unknown_field_rejected(self, text):
+        with pytest.raises(ValueError):
+            rsa.read_public_key(text)
+
+    @pytest.mark.parametrize("extra", ["d=0x11\n", "e=0x11\n", "bogus=7\n"])
+    def test_private_key_repeated_or_unknown_field_rejected(self, paper_keys, extra):
+        text = rsa.write_private_key(paper_keys[1])
+        assert rsa.read_private_key(text) == paper_keys[1]
+        with pytest.raises(ValueError):
+            rsa.read_private_key(text + extra)
+
+    @pytest.mark.parametrize("n, p, q", [(36, 4, 9), (45, 5, 9), (77 * 8, 77, 8)])
+    def test_composite_factor_file_rejected(self, n, p, q):
+        assert rsa.RsaPrivateKey(n, 5, p, q)  # consistent, but not prime
+        with pytest.raises(ValueError):
+            rsa.read_private_key(f"n={n:#x}\nd=5\np={p:#x}\nq={q:#x}\n")
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
