@@ -8,6 +8,7 @@ circumference and reads it off column-wise.
 
 from __future__ import annotations
 
+import re
 import string
 
 _UPPER = string.ascii_uppercase
@@ -15,6 +16,7 @@ _LOWER = string.ascii_lowercase
 
 SCYTALE_PAD_CHAR = "X"
 _SCYTALE_MAGIC = "scytale v1"
+_SCYTALE_HEADER = re.compile(re.escape(_SCYTALE_MAGIC) + r" k=([0-9]+) pad=([0-9]+)")
 
 
 def caesar_encrypt(text: str, shift: int) -> str:
@@ -78,15 +80,10 @@ def scytale_frame(text: str, circumference: int) -> str:
 def scytale_unframe(framed: str) -> str:
     """Recover the plaintext from the framed form."""
     head, sep, cipher = framed.partition(":")
-    parts = head.split()
-    if not sep or len(parts) != 4 or " ".join(parts[:2]) != _SCYTALE_MAGIC:
-        raise ValueError("not a framed scytale message")
-    try:
-        k = int(parts[2].removeprefix("k="))
-        pad = int(parts[3].removeprefix("pad="))
-    except ValueError:
-        raise ValueError(f"malformed scytale header: {head!r}") from None
-    return scytale_decrypt(cipher, k, pad)
+    header = _SCYTALE_HEADER.fullmatch(" ".join(head.split()))
+    if not sep or not header:
+        raise ValueError(f"not a framed scytale message: {head!r}")
+    return scytale_decrypt(cipher, int(header[1]), int(header[2]))
 
 
 def otp_apply(data: bytes, key: bytes) -> bytes:

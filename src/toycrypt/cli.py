@@ -46,10 +46,6 @@ def demo_rsa_paper() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(n: int, hexadecimal: bool) -> str:
-    return bigmod.render_natural(n, hexadecimal)
-
-
 def _make_rng(seed: int | None):
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
@@ -61,10 +57,6 @@ def _read_bytes(path: str | None, stdin) -> bytes:
     return data.encode() if isinstance(data, str) else data
 
 
-def _read_text(path: str | None, stdin) -> str:
-    return _read_bytes(path, stdin).decode()
-
-
 def _write_bytes(data: bytes, path: str | None, stdout) -> None:
     if path and path != "-":
         Path(path).write_bytes(data)
@@ -74,13 +66,6 @@ def _write_bytes(data: bytes, path: str | None, stdout) -> None:
         stdout.write(data.decode("latin-1"))
 
 
-def _write_text(text: str, path: str | None, stdout) -> None:
-    if path and path != "-":
-        Path(path).write_text(text)
-    else:
-        stdout.write(text)
-
-
 def _add_base_selector(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--hex", action="store_true", help="print numbers as 0x hex")
@@ -88,80 +73,82 @@ def _add_base_selector(parser: argparse.ArgumentParser) -> None:
                        help="print numbers in decimal (default)")
 
 
+def _add_command(sub, name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help_text)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="toycrypt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", help="generate an RSA key pair")
+    p = _add_command(sub, "keygen", _cmd_keygen, "generate an RSA key pair")
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--exponent", type=int, default=rsa.DEFAULT_PUBLIC_EXPONENT)
     p.add_argument("--out", required=True, help="prefix for .pub and .key files")
     p.add_argument("--seed", type=int)
 
-    for name, help_text in (
-        ("encrypt", "RSA-encrypt bytes with a public key"),
-        ("decrypt", "RSA-decrypt a block stream with a private key"),
-        ("seal", "hybrid-encrypt for a recipient public key"),
-        ("open", "open a hybrid envelope with a private key"),
-        ("sign", "sign bytes with a private key"),
-        ("verify", "verify a signed message with a public key"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, (help_text, _, _) in _KEYED.items():
+        p = _add_command(sub, name, _cmd_keyed, help_text)
         p.add_argument("--key", required=True)
         p.add_argument("--in", dest="infile")
-        if name != "verify":
-            p.add_argument("--out", dest="outfile")
+        p.add_argument("--out", dest="outfile")
         if name == "seal":
             p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("dh-demo", help="full Alice/Bob/Eve key-agreement transcript")
+    p = _add_command(sub, "verify", _cmd_verify, "verify a signed message with a public key")
+    p.add_argument("--key", required=True)
+    p.add_argument("--in", dest="infile")
+
+    p = _add_command(sub, "dh-demo", _cmd_dh_demo, "full Alice/Bob/Eve key-agreement transcript")
     p.add_argument("--p", type=int, default=23)
     p.add_argument("--g", type=int, default=5)
     p.add_argument("--seed", type=int)
     p.add_argument("--cap", type=int, help="Eve's scan budget (default p)")
 
-    p = sub.add_parser("dlog", help="brute-force discrete log")
+    p = _add_command(sub, "dlog", _cmd_dlog, "brute-force discrete log")
     p.add_argument("p", type=int)
     p.add_argument("g", type=int)
     p.add_argument("target", type=int)
     p.add_argument("--cap", type=int)
     _add_base_selector(p)
 
-    p = sub.add_parser("factor", help="trial-division factorization")
+    p = _add_command(sub, "factor", _cmd_factor, "trial-division factorization")
     p.add_argument("n", type=bigmod.parse_natural)
     _add_base_selector(p)
 
-    p = sub.add_parser("primes", help="primes below a limit")
+    p = _add_command(sub, "primes", _cmd_primes, "primes below a limit")
     p.add_argument("limit", type=int)
     _add_base_selector(p)
 
-    p = sub.add_parser("totient", help="Euler's phi")
+    p = _add_command(sub, "totient", _cmd_totient, "Euler's phi")
     p.add_argument("n", type=bigmod.parse_natural)
     _add_base_selector(p)
 
-    p = sub.add_parser("prime-count", help="approximate prime counts, x/ln(x)")
+    p = _add_command(sub, "prime-count", _cmd_prime_count, "approximate prime counts, x/ln(x)")
     p.add_argument("bounds", type=bigmod.parse_natural, nargs="+",
                    help="X, or LO HI for the count between them")
 
-    p = sub.add_parser("hash", help="SHA-1 of stdin or a file")
+    p = _add_command(sub, "hash", _cmd_hash, "SHA-1 of stdin or a file")
     p.add_argument("--in", dest="infile")
 
-    p = sub.add_parser("caesar", help="Caesar shift cipher")
+    p = _add_command(sub, "caesar", _cmd_caesar, "Caesar shift cipher")
     p.add_argument("--shift", type=int, required=True)
     p.add_argument("--decrypt", action="store_true")
     p.add_argument("text", nargs="?")
 
-    p = sub.add_parser("scytale", help="scytale transposition cipher")
+    p = _add_command(sub, "scytale", _cmd_scytale, "scytale transposition cipher")
     p.add_argument("--key", type=int, required=True, help="rod circumference")
     p.add_argument("--decrypt", action="store_true")
     p.add_argument("text", nargs="?")
 
-    p = sub.add_parser("otp", help="one-time-pad XOR")
+    p = _add_command(sub, "otp", _cmd_otp, "one-time-pad XOR")
     p.add_argument("--key-file", required=True)
     p.add_argument("--in", dest="infile")
     p.add_argument("--out", dest="outfile")
 
-    p = sub.add_parser("ecc", help="elliptic-curve point arithmetic")
+    p = _add_command(sub, "ecc", _cmd_ecc, "elliptic-curve point arithmetic")
     p.add_argument("--curve", required=True, help="a,b,p")
     ecc_sub = p.add_subparsers(dest="ecc_op", required=True)
     q = ecc_sub.add_parser("add")
@@ -175,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("target")
     q.add_argument("--cap", type=int)
 
-    p = sub.add_parser("keycount", help="pairwise keys needed by N parties")
+    p = _add_command(sub, "keycount", _cmd_keycount, "pairwise keys needed by N parties")
     p.add_argument("n", type=int)
     _add_base_selector(p)
 
-    sub.add_parser("rsa-demo", help="replay the worked RSA example")
+    _add_command(sub, "rsa-demo", _cmd_rsa_demo, "replay the worked RSA example")
 
     return parser
 
@@ -191,43 +178,38 @@ def _cmd_keygen(args, stdin, stdout, rng) -> int:
     return 0
 
 
-def _cmd_encrypt(args, stdin, stdout, rng) -> int:
-    pub = rsa.read_public_key(Path(args.key).read_text())
-    stream = rsa.encrypt_message(_read_bytes(args.infile, stdin), pub)
-    _write_text(rsa.write_block_stream(stream), args.outfile, stdout)
-    return 0
+# The key-file commands: name -> (help, reads the private key?,
+# op(input bytes, key, rng) -> output bytes).  Each op looks its library
+# functions up when called, so patching the rsa and envelope modules
+# reaches these calls too.
+_KEYED = {
+    "encrypt": ("RSA-encrypt bytes with a public key", False, lambda data, key, rng:
+                rsa.write_block_stream(rsa.encrypt_message(data, key)).encode()),
+    "decrypt": ("RSA-decrypt a block stream with a private key", True, lambda data, key, rng:
+                rsa.decrypt_message(rsa.read_block_stream(data.decode()), key)),
+    "seal": ("hybrid-encrypt for a recipient public key", False, lambda data, key, rng:
+             envelope.write_envelope(envelope.seal(data, key, rng)).encode()),
+    "open": ("open a hybrid envelope with a private key", True, lambda data, key, rng:
+             envelope.open_envelope(envelope.read_envelope(data.decode()), key)),
+    "sign": ("sign bytes with a private key", True, lambda data, key, rng:
+             envelope.write_signed(envelope.sign(data, key))),
+}
 
 
-def _cmd_decrypt(args, stdin, stdout, rng) -> int:
-    priv = rsa.read_private_key(Path(args.key).read_text())
-    stream = rsa.read_block_stream(_read_text(args.infile, stdin))
-    _write_bytes(rsa.decrypt_message(stream, priv), args.outfile, stdout)
-    return 0
+def _read_key(path: str, private: bool):
+    text = Path(path).read_text()
+    return rsa.read_private_key(text) if private else rsa.read_public_key(text)
 
 
-def _cmd_seal(args, stdin, stdout, rng) -> int:
-    pub = rsa.read_public_key(Path(args.key).read_text())
-    env = envelope.seal(_read_bytes(args.infile, stdin), pub, rng)
-    _write_text(envelope.write_envelope(env), args.outfile, stdout)
-    return 0
-
-
-def _cmd_open(args, stdin, stdout, rng) -> int:
-    priv = rsa.read_private_key(Path(args.key).read_text())
-    env = envelope.read_envelope(_read_text(args.infile, stdin))
-    _write_bytes(envelope.open_envelope(env, priv), args.outfile, stdout)
-    return 0
-
-
-def _cmd_sign(args, stdin, stdout, rng) -> int:
-    priv = rsa.read_private_key(Path(args.key).read_text())
-    msg = envelope.sign(_read_bytes(args.infile, stdin), priv)
-    _write_bytes(envelope.write_signed(msg), args.outfile, stdout)
+def _cmd_keyed(args, stdin, stdout, rng) -> int:
+    _, private, op = _KEYED[args.command]
+    key = _read_key(args.key, private)
+    _write_bytes(op(_read_bytes(args.infile, stdin), key, rng), args.outfile, stdout)
     return 0
 
 
 def _cmd_verify(args, stdin, stdout, rng) -> int:
-    pub = rsa.read_public_key(Path(args.key).read_text())
+    pub = _read_key(args.key, private=False)
     msg = envelope.read_signed(_read_bytes(args.infile, stdin))
     if envelope.verify(msg, pub):
         stdout.write("VALID\n")
@@ -268,24 +250,24 @@ def _cmd_dlog(args, stdin, stdout, rng) -> int:
     result = dh.brute_force_dlog(params, args.target, cap)
     if not result.found:
         raise ValueError(f"no exponent up to {cap} reaches {args.target}")
-    stdout.write(f"k={_fmt(result.exponent, args.hex)} steps={result.steps}\n")
+    stdout.write(f"k={bigmod.render_natural(result.exponent, args.hex)} steps={result.steps}\n")
     return 0
 
 
 def _cmd_factor(args, stdin, stdout, rng) -> int:
     f = numtheory.factor_trial(args.n)
-    stdout.write(f"{_fmt(args.n, args.hex)} = {f}\n")
+    stdout.write(f"{bigmod.render_natural(args.n, args.hex)} = {f}\n")
     return 0
 
 
 def _cmd_primes(args, stdin, stdout, rng) -> int:
     for p in numtheory.sieve_primes(args.limit):
-        stdout.write(_fmt(p, args.hex) + "\n")
+        stdout.write(bigmod.render_natural(p, args.hex) + "\n")
     return 0
 
 
 def _cmd_totient(args, stdin, stdout, rng) -> int:
-    stdout.write(_fmt(numtheory.totient(args.n), args.hex) + "\n")
+    stdout.write(bigmod.render_natural(numtheory.totient(args.n), args.hex) + "\n")
     return 0
 
 
@@ -309,7 +291,7 @@ def _cmd_hash(args, stdin, stdout, rng) -> int:
 def _read_cli_text(args, stdin) -> str:
     if args.text is not None:
         return args.text
-    return _read_text(None, stdin).removesuffix("\n")
+    return _read_bytes(None, stdin).decode().removesuffix("\n")
 
 
 def _cmd_caesar(args, stdin, stdout, rng) -> int:
@@ -335,9 +317,18 @@ def _cmd_otp(args, stdin, stdout, rng) -> int:
     return 0
 
 
+def _parse_coefficient(text: str) -> int:
+    # a curve coefficient: a natural, or "-" directly followed by one
+    s = text.strip()
+    if s.startswith("-") and not s[1:2].isspace():
+        return -bigmod.parse_natural(s[1:])
+    return bigmod.parse_natural(s)
+
+
 def _cmd_ecc(args, stdin, stdout, rng) -> int:
     try:
-        a, b, p = (int(part) for part in args.curve.split(","))
+        a, b, p = args.curve.split(",")
+        a, b, p = _parse_coefficient(a), _parse_coefficient(b), bigmod.parse_natural(p)
     except ValueError:
         raise ValueError(f"--curve expects 'a,b,p', got {args.curve!r}") from None
     curve = ecc.make_curve(a, b, p)
@@ -359,37 +350,13 @@ def _cmd_ecc(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_keycount(args, stdin, stdout, rng) -> int:
-    stdout.write(_fmt(numtheory.key_count(args.n), args.hex) + "\n")
+    stdout.write(bigmod.render_natural(numtheory.key_count(args.n), args.hex) + "\n")
     return 0
 
 
 def _cmd_rsa_demo(args, stdin, stdout, rng) -> int:
     stdout.write(demo_rsa_paper())
     return 0
-
-
-_HANDLERS = {
-    "keygen": _cmd_keygen,
-    "encrypt": _cmd_encrypt,
-    "decrypt": _cmd_decrypt,
-    "seal": _cmd_seal,
-    "open": _cmd_open,
-    "sign": _cmd_sign,
-    "verify": _cmd_verify,
-    "dh-demo": _cmd_dh_demo,
-    "dlog": _cmd_dlog,
-    "factor": _cmd_factor,
-    "primes": _cmd_primes,
-    "totient": _cmd_totient,
-    "prime-count": _cmd_prime_count,
-    "hash": _cmd_hash,
-    "caesar": _cmd_caesar,
-    "scytale": _cmd_scytale,
-    "otp": _cmd_otp,
-    "ecc": _cmd_ecc,
-    "keycount": _cmd_keycount,
-    "rsa-demo": _cmd_rsa_demo,
-}
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
@@ -408,7 +375,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             f"toycrypt {args.command}: {category.__name__}: {message}\n"
         )
         try:
-            return _HANDLERS[args.command](args, stdin, stdout, rng)
+            return args.handler(args, stdin, stdout, rng)
         except (ValueError, OSError) as exc:
             stderr.write(f"toycrypt {args.command}: {exc}\n")
             return 1

@@ -85,7 +85,9 @@ def shared_secret(params: DhParams, my_secret: int, their_public: int) -> int:
 
 
 def brute_force_dlog(params: DhParams, target_public: int, cap: int) -> DlogResult:
-    """Smallest k <= cap with g**k = target (mod p), by linear scan."""
+    """Smallest k <= cap with g**k = target (mod p), by linear scan; cap must be >= 0."""
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     if not 0 < target_public < params.p:
         raise ValueError(f"target must lie in (0, {params.p}), got {target_public}")
     acc = 1

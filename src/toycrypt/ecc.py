@@ -141,7 +141,9 @@ class EcdlogResult:
 
 
 def brute_force_ecdlog(curve: EccCurve, p: EccPoint, q: EccPoint, cap: int) -> EcdlogResult:
-    """Smallest k <= cap with kP = Q, trying every k in turn."""
+    """Smallest k <= cap with kP = Q, trying every k in turn; cap must be >= 0."""
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     _require_on_curve(curve, p, "base point")
     _require_on_curve(curve, q, "target point")
     acc = p
@@ -167,4 +169,4 @@ def parse_point(text: str) -> EccPoint:
     x, sep, y = s.partition(",")
     if not sep:
         raise ValueError(f"expected 'x,y' or 'O', got {text!r}")
-    return EccPoint(int(x), int(y))
+    return EccPoint(bigmod.parse_natural(x), bigmod.parse_natural(y))

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toycrypt import classical
@@ -84,6 +84,35 @@ class TestScytale:
             classical.scytale_unframe("HWEOLRLLOD")
         with pytest.raises(ValueError):
             classical.scytale_unframe("scytale v1 k=x pad=0:AB")
+
+    def test_unframe_tolerates_header_whitespace(self):
+        assert classical.scytale_unframe(" scytale  v1\tk=5 pad=0 :HWEOLRLLOD") == "HELLOWORLD"
+
+    @pytest.mark.parametrize("header", ["scytale v1 k=\u0665 pad=0", "scytale v1 k=1_0 pad=0",
+                                        "scytale v1 k=2 pad=+0", "scytale v1 k=2 pad=-0",
+                                        "scytale v1 k=+2 pad=0", "scytale v1 2 0",
+                                        "scytale v1 pad=0 k=2", "scytale v2 k=2 pad=0",
+                                        "scytale v1 k=2 pad=0 x=1"])
+    def test_unframe_refuses_non_ascii_decimal_header(self, header):
+        with pytest.raises(ValueError):
+            classical.scytale_unframe(header + ":ABCDEFGHIJ")
+
+    header_number = st.integers(0, 4).map(str) | st.text(alphabet="0123456789_+-\u0665 ",
+                                                          max_size=3)
+
+    @given(framed=texts | st.builds(
+        "{}k={} pad={}:{}".format,
+        st.sampled_from(["scytale v1 ", " scytale  v1\t", "scytale v1  ", "scytale v2 "]),
+        header_number, header_number,
+        st.text(max_size=3).map(lambda s: s * 12) | st.text(max_size=30)))
+    @settings(max_examples=300)
+    def test_unframe_fuzz(self, framed):
+        try:
+            plain = classical.scytale_unframe(framed)
+        except ValueError:
+            return
+        k = int(framed.partition(":")[0].split()[2].removeprefix("k="))
+        assert classical.scytale_unframe(classical.scytale_frame(plain, k)) == plain
 
     def test_bad_circumference(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from toycrypt import envelope
 from toycrypt.cli import demo_rsa_paper, run
 from vectors import CAESAR_CIPHER, CAESAR_PLAIN, DIGEST_ITALIA_4_3
@@ -83,6 +85,11 @@ class TestNumberCommands:
         code, _, err = invoke(["dlog", "23", "5", "8", "--cap", "3"])
         assert code == 1 and "no exponent" in err
 
+    def test_dlog_negative_cap_is_domain_error(self):
+        code, out, err = invoke(["dlog", "23", "5", "8", "--cap", "-4"])
+        assert (code, out) == (1, "")
+        assert "cap" in err and "no exponent" not in err
+
 
 class TestHash:
     def test_stdin_no_newline(self):
@@ -163,6 +170,28 @@ class TestEccCommands:
         code, _, _ = invoke(["ecc", "--curve", self.CURVE, "add", "0,1", "O"])
         assert code == 1
 
+    def test_negative_coefficient_needs_equals_form(self):
+        assert invoke(["ecc", "--curve=-1,3,97", "add", "O", "O"]) == (0, "O\n", "")
+        assert invoke(["ecc", "--curve=2,-94,97", "mul", "7", "3,6"])[:2] == (0, "80,10\n")
+        assert invoke(["ecc", "--curve", "-1,3,97", "add", "O", "O"])[0] == 2
+
+    @pytest.mark.parametrize("curve", ["\u0662,3,97", "2,3,9_7", "+2,3,97", "2,- 3,97",
+                                       "2,3,-97", "2,--3,97", "2,3", "2,3,97,1", "-,3,97"])
+    def test_curve_refuses_non_ascii_digits_signs_and_separators(self, curve):
+        code, out, err = invoke(["ecc", f"--curve={curve}", "add", "O", "O"])
+        assert (code, out) == (1, "")
+        assert "--curve expects" in err
+
+    @pytest.mark.parametrize("point", ["+3,6", "3,6_0", "\u0663,6", "3,-91"])
+    def test_point_refuses_signs_separators_and_non_ascii_digits(self, point):
+        code, out, _ = invoke(["ecc", "--curve", self.CURVE, "add", point, "O"])
+        assert (code, out) == (1, "")
+
+    def test_dlog_negative_cap_is_domain_error(self):
+        code, out, err = invoke(["ecc", "--curve", self.CURVE, "dlog", "3,6", "80,10",
+                                 "--cap", "-1"])
+        assert (code, out) == (1, "") and "cap" in err
+
 
 class TestDemos:
     def test_rsa_demo_transcript(self):
@@ -192,6 +221,14 @@ class TestDemos:
         code, _, err = invoke(["dh-demo", "--seed", "4"])
         assert code == 0
         assert "WeakPublicValueWarning" in err
+
+    def test_dh_demo_negative_cap_is_domain_error(self):
+        code, out, err = invoke(["dh-demo", "--cap", "-1", "--seed", "7"])
+        assert (code, out) == (1, "") and "cap" in err
+
+    def test_dh_demo_zero_cap(self):
+        _, out, _ = invoke(["dh-demo", "--cap", "0", "--seed", "7"])
+        assert out.endswith("eve-exponent=not-found\neve-steps=0\n")
 
     def test_dh_demo_larger_params(self):
         _, out, _ = invoke(["dh-demo", "--p", "1009", "--g", "11", "--seed", "3"])

@@ -100,6 +100,14 @@ class TestBruteForceDlog:
         assert not result.found
         assert result.exponent is None and result.steps == 3
 
+    def test_zero_cap_scans_nothing(self, classroom_params):
+        assert dh.brute_force_dlog(classroom_params, 5, 0) == dh.DlogResult(None, 0)
+
+    @pytest.mark.parametrize("cap", [-1, -4, -(2**64)])
+    def test_negative_cap_rejected(self, classroom_params, cap):
+        with pytest.raises(ValueError, match="cap"):
+            dh.brute_force_dlog(classroom_params, 8, cap)
+
     def test_recovered_exponent_reproduces_public(self):
         rng = random.Random(602)
         for _ in range(30):

@@ -237,6 +237,15 @@ class TestBruteForceDlog:
         result = ecc.brute_force_ecdlog(curve97, pt, q, 2)
         assert not result.found and result.steps == 2
 
+    def test_zero_cap_scans_nothing(self, curve97, points97):
+        pt = points97[0]
+        assert ecc.brute_force_ecdlog(curve97, pt, pt, 0) == ecc.EcdlogResult(None, 0)
+
+    @pytest.mark.parametrize("cap", [-1, -4, -(2**64)])
+    def test_negative_cap_rejected(self, curve97, points97, cap):
+        with pytest.raises(ValueError, match="cap"):
+            ecc.brute_force_ecdlog(curve97, points97[0], points97[1], cap)
+
     def test_work_grows_with_field_size(self):
         steps = []
         for p in (97, 1009, 10007):
@@ -274,6 +283,30 @@ class TestPointText:
             ecc.parse_point("12")
         with pytest.raises(ValueError):
             ecc.parse_point("a,b")
+
+    def test_parse_accepts_surrounding_space(self):
+        assert ecc.parse_point(" 3 , 6 ") == EccPoint(3, 6)
+        assert ecc.parse_point(" O\n") == INFINITY
+
+    @pytest.mark.parametrize("text", [" +3 , -0 ", "1_0,\u0663", "-1,6", "3,+6", "3,6_0",
+                                      "\u0663,6", "3,", ",6", "3,6,7", "o", "3 6"])
+    def test_parse_refuses_signs_separators_and_non_ascii_digits(self, text):
+        with pytest.raises(ValueError):
+            ecc.parse_point(text)
+
+    coordinate = st.integers(0, 10**6).map(str) | st.text(alphabet="0123456789x+-_ \u0663",
+                                                           max_size=4)
+
+    @given(text=st.text(max_size=30) | st.sampled_from(["O", " O ", "0"])
+           | st.builds("{},{}".format, coordinate, coordinate))
+    @settings(max_examples=300)
+    def test_parse_fuzz(self, text):
+        try:
+            point = ecc.parse_point(text)
+        except ValueError:
+            return
+        assert point.is_infinity or (point.x >= 0 and point.y >= 0)
+        assert ecc.parse_point(ecc.render_point(point)) == point
 
     def test_half_infinite_point_rejected(self):
         with pytest.raises(ValueError):

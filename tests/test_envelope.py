@@ -1,11 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toycrypt import envelope, rsa
 from toycrypt.envelope import Envelope, SignedMessage, WrongKeyError
 from toycrypt.sha1 import sha1
 from vectors import DIGEST_ITALIA_4_3
+
+
+def damaged(encodings, insertions):
+    """Encodings from a strategy, each left whole or with one span cut or inserted."""
+    def splice(encoded, at, cut, insert):
+        at %= len(encoded) + 1
+        return encoded[:at] + insert + encoded[at + cut:]
+
+    return st.builds(splice, encodings, st.integers(0, 500), st.integers(0, 2), insertions)
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +238,28 @@ class TestFileFormats:
     def test_signed_garbage_rejected(self):
         with pytest.raises(ValueError):
             envelope.read_signed(b"signed v2\n0x1\n\nx")
+
+    @given(text=st.text(max_size=60) | damaged(st.builds(
+        lambda width, blocks, body: envelope.write_envelope(
+            Envelope(rsa.BlockStream(width, 0, tuple(blocks)), body)),
+        st.integers(1, 4), st.lists(st.integers(0, 2**40), max_size=3), st.binary(max_size=8)),
+        st.text(max_size=2)))
+    @settings(max_examples=300)
+    def test_read_envelope_fuzz(self, text):
+        try:
+            env = envelope.read_envelope(text)
+        except ValueError:
+            return
+        assert envelope.read_envelope(envelope.write_envelope(env)) == env
+
+    @given(data=st.binary(max_size=60) | damaged(st.builds(
+        lambda text, signature: envelope.write_signed(SignedMessage(text, signature)),
+        st.binary(max_size=20), st.integers(0, 2**200)), st.binary(max_size=2)))
+    @settings(max_examples=300)
+    def test_read_signed_fuzz(self, data):
+        try:
+            msg = envelope.read_signed(data)
+        except ValueError:
+            return
+        assert msg.signature >= 0
+        assert envelope.read_signed(envelope.write_signed(msg)) == msg
