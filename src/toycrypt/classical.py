@@ -53,8 +53,8 @@ def scytale_encrypt(text: str, circumference: int) -> str:
     _check_circumference(circumference)
     k = circumference
     padded = text + SCYTALE_PAD_CHAR * (-len(text) % k)
-    rows = [padded[i : i + k] for i in range(0, len(padded), k)]
-    return "".join(row[c] for c in range(k) for row in rows)
+    # column c is every k-th letter from c; an empty text has no columns
+    return "".join(padded[c::k] for c in range(min(k, len(padded))))
 
 
 def scytale_decrypt(text: str, circumference: int, pad: int = 0) -> str:
@@ -66,8 +66,7 @@ def scytale_decrypt(text: str, circumference: int, pad: int = 0) -> str:
     if not 0 <= pad < k:
         raise ValueError(f"pad count {pad} out of range for circumference {k}")
     nrows = len(text) // k
-    plain = "".join(text[c * nrows + r] for r in range(nrows) for c in range(k))
-    return plain[: len(plain) - pad] if pad else plain
+    return "".join(text[r::nrows] for r in range(nrows))[: len(text) - pad]
 
 
 def scytale_frame(text: str, circumference: int) -> str:
@@ -94,4 +93,5 @@ def otp_apply(data: bytes, key: bytes) -> bytes:
     """
     if len(key) < len(data):
         raise ValueError(f"key ({len(key)} bytes) shorter than data ({len(data)} bytes)")
-    return bytes(d ^ k for d, k in zip(data, key))
+    n = len(data)
+    return (int.from_bytes(data, "big") ^ int.from_bytes(key[:n], "big")).to_bytes(n, "big")

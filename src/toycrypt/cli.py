@@ -84,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "keygen", _cmd_keygen, "generate an RSA key pair")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--exponent", type=int, default=rsa.DEFAULT_PUBLIC_EXPONENT)
+    p.add_argument("--bits", type=bigmod.parse_natural, required=True)
+    p.add_argument("--exponent", type=bigmod.parse_natural, default=rsa.DEFAULT_PUBLIC_EXPONENT)
     p.add_argument("--out", required=True, help="prefix for .pub and .key files")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=bigmod.parse_natural)
 
     for name, (help_text, _, _) in _KEYED.items():
         p = _add_command(sub, name, _cmd_keyed, help_text)
@@ -95,23 +95,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile")
         p.add_argument("--out", dest="outfile")
         if name == "seal":
-            p.add_argument("--seed", type=int)
+            p.add_argument("--seed", type=bigmod.parse_natural)
 
     p = _add_command(sub, "verify", _cmd_verify, "verify a signed message with a public key")
     p.add_argument("--key", required=True)
     p.add_argument("--in", dest="infile")
 
     p = _add_command(sub, "dh-demo", _cmd_dh_demo, "full Alice/Bob/Eve key-agreement transcript")
-    p.add_argument("--p", type=int, default=23)
-    p.add_argument("--g", type=int, default=5)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cap", type=int, help="Eve's scan budget (default p)")
+    p.add_argument("--p", type=bigmod.parse_natural, default=23)
+    p.add_argument("--g", type=bigmod.parse_natural, default=5)
+    p.add_argument("--seed", type=bigmod.parse_natural)
+    p.add_argument("--cap", type=_parse_integer, help="Eve's scan budget (default p)")
 
     p = _add_command(sub, "dlog", _cmd_dlog, "brute-force discrete log")
-    p.add_argument("p", type=int)
-    p.add_argument("g", type=int)
-    p.add_argument("target", type=int)
-    p.add_argument("--cap", type=int)
+    p.add_argument("p", type=bigmod.parse_natural)
+    p.add_argument("g", type=bigmod.parse_natural)
+    p.add_argument("target", type=bigmod.parse_natural)
+    p.add_argument("--cap", type=_parse_integer)
     _add_base_selector(p)
 
     p = _add_command(sub, "factor", _cmd_factor, "trial-division factorization")
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_base_selector(p)
 
     p = _add_command(sub, "primes", _cmd_primes, "primes below a limit")
-    p.add_argument("limit", type=int)
+    p.add_argument("limit", type=bigmod.parse_natural)
     _add_base_selector(p)
 
     p = _add_command(sub, "totient", _cmd_totient, "Euler's phi")
@@ -134,12 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile")
 
     p = _add_command(sub, "caesar", _cmd_caesar, "Caesar shift cipher")
-    p.add_argument("--shift", type=int, required=True)
+    p.add_argument("--shift", type=_parse_integer, required=True)
     p.add_argument("--decrypt", action="store_true")
     p.add_argument("text", nargs="?")
 
     p = _add_command(sub, "scytale", _cmd_scytale, "scytale transposition cipher")
-    p.add_argument("--key", type=int, required=True, help="rod circumference")
+    p.add_argument("--key", type=bigmod.parse_natural, required=True, help="rod circumference")
     p.add_argument("--decrypt", action="store_true")
     p.add_argument("text", nargs="?")
 
@@ -160,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = ecc_sub.add_parser("dlog")
     q.add_argument("base")
     q.add_argument("target")
-    q.add_argument("--cap", type=int)
+    q.add_argument("--cap", type=_parse_integer)
 
     p = _add_command(sub, "keycount", _cmd_keycount, "pairwise keys needed by N parties")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=bigmod.parse_natural)
     _add_base_selector(p)
 
     _add_command(sub, "rsa-demo", _cmd_rsa_demo, "replay the worked RSA example")
@@ -317,8 +317,8 @@ def _cmd_otp(args, stdin, stdout, rng) -> int:
     return 0
 
 
-def _parse_coefficient(text: str) -> int:
-    # a curve coefficient: a natural, or "-" directly followed by one
+def _parse_integer(text: str) -> int:
+    # the one signed number form: a natural, or "-" directly followed by one
     s = text.strip()
     if s.startswith("-") and not s[1:2].isspace():
         return -bigmod.parse_natural(s[1:])
@@ -328,7 +328,7 @@ def _parse_coefficient(text: str) -> int:
 def _cmd_ecc(args, stdin, stdout, rng) -> int:
     try:
         a, b, p = args.curve.split(",")
-        a, b, p = _parse_coefficient(a), _parse_coefficient(b), bigmod.parse_natural(p)
+        a, b, p = _parse_integer(a), _parse_integer(b), bigmod.parse_natural(p)
     except ValueError:
         raise ValueError(f"--curve expects 'a,b,p', got {args.curve!r}") from None
     curve = ecc.make_curve(a, b, p)

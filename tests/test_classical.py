@@ -1,8 +1,9 @@
 import math
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toycrypt import classical
@@ -114,6 +115,35 @@ class TestScytale:
         k = int(framed.partition(":")[0].split()[2].removeprefix("k="))
         assert classical.scytale_unframe(classical.scytale_frame(plain, k)) == plain
 
+    @staticmethod
+    def rows_encrypt(text, k):
+        # the row/column grid walk that scytale_encrypt replaced
+        padded = text + "X" * (-len(text) % k)
+        rows = [padded[i : i + k] for i in range(0, len(padded), k)]
+        return "".join(row[c] for c in range(k) for row in rows)
+
+    @staticmethod
+    def rows_decrypt(text, k, pad):
+        nrows = len(text) // k
+        plain = "".join(text[c * nrows + r] for r in range(nrows) for c in range(k))
+        return plain[: len(plain) - pad] if pad else plain
+
+    @given(text=texts, key=st.integers(1, 300))
+    @example(text="", key=300)
+    @example(text="AB", key=7)
+    def test_slicing_matches_grid_walk(self, text, key):
+        cipher = classical.scytale_encrypt(text, key)
+        assert cipher == self.rows_encrypt(text, key)
+        pad = classical.scytale_pad_count(len(text), key)
+        assert classical.scytale_decrypt(cipher, key, pad) == self.rows_decrypt(cipher, key, pad)
+
+    def test_empty_text_cost_does_not_grow_with_key(self):
+        start = time.perf_counter()
+        framed = classical.scytale_frame("", 10**12)
+        assert framed == "scytale v1 k=1000000000000 pad=0:"
+        assert classical.scytale_unframe(framed) == ""
+        assert time.perf_counter() - start < 1.0
+
     def test_bad_circumference(self):
         with pytest.raises(ValueError):
             classical.scytale_encrypt("ABC", 0)
@@ -128,6 +158,17 @@ class TestOneTimePad:
     def test_involution(self, data, extra):
         key = random.Random(7).randbytes(len(data)) + extra
         assert classical.otp_apply(classical.otp_apply(data, key), key) == data
+
+    @given(pair=st.binary(max_size=300).flatmap(
+        lambda data: st.tuples(st.just(data), st.binary(min_size=len(data),
+                                                        max_size=len(data) + 8))))
+    @example(pair=(b"", b""))
+    @example(pair=(b"", b"\x00\x07"))
+    @example(pair=(b"\x00\x00\x01", b"\x00\x00\x00\xff"))
+    @example(pair=(b"\x00\x00\x01", b"\x00\x00\x01"))
+    def test_matches_bytewise_xor(self, pair):
+        data, key = pair
+        assert classical.otp_apply(data, key) == bytes(d ^ k for d, k in zip(data, key))
 
     def test_zero_key_is_identity(self):
         data = b"attack at dawn"

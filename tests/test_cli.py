@@ -1,11 +1,13 @@
+import argparse
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from toycrypt import envelope
-from toycrypt.cli import demo_rsa_paper, run
+from toycrypt import bigmod, envelope
+from toycrypt.cli import _parse_integer, build_parser, demo_rsa_paper, run
 from vectors import CAESAR_CIPHER, CAESAR_PLAIN, DIGEST_ITALIA_4_3
 
 
@@ -89,6 +91,100 @@ class TestNumberCommands:
         code, out, err = invoke(["dlog", "23", "5", "8", "--cap", "-4"])
         assert (code, out) == (1, "")
         assert "cap" in err and "no exponent" not in err
+
+
+def _parsers(parser):
+    """The parser and every subparser under it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+# every numeric argument: argv with {} where the number goes, a valid value
+NATURAL_SLOTS = [
+    ("keygen --bits {} --out k --seed 1", "64"),
+    ("keygen --bits 64 --exponent {} --out k --seed 1", "17"),
+    ("keygen --bits 64 --out k --seed {}", "5"),
+    ("seal --key alice.pub --in msg --seed {}", "5"),
+    ("dh-demo --p {} --seed 7", "23"),
+    ("dh-demo --g {} --seed 7", "5"),
+    ("dh-demo --seed {}", "7"),
+    ("dlog {} 5 8", "23"),
+    ("dlog 23 {} 8", "5"),
+    ("dlog 23 5 {}", "8"),
+    ("factor {}", "171371"),
+    ("primes {}", "30"),
+    ("totient {}", "323"),
+    ("prime-count {}", "1000"),
+    ("prime-count 1000 {}", "2000"),
+    ("scytale --key {} HELLOWORLD", "5"),
+    ("ecc --curve 2,3,97 mul {} 3,6", "7"),
+    ("keycount {}", "10"),
+]
+# the arguments that may carry a leading "-"
+SIGNED_SLOTS = [
+    ("caesar --shift {} abc", "3"),
+    ("dh-demo --seed 7 --cap {}", "20"),
+    ("dlog 23 5 8 --cap {}", "20"),
+    ("ecc --curve 2,3,97 dlog 3,6 80,10 --cap {}", "20"),
+]
+
+
+class TestNumberGrammar:
+    """Every number on the command line is read by bigmod.parse_natural,
+    or by _parse_integer where a leading "-" is allowed."""
+
+    @pytest.fixture(autouse=True)
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("msg").write_bytes(b"numbers")
+        assert invoke(["keygen", "--bits", "256", "--out", "alice", "--seed", "3"])[0] == 0
+
+    @staticmethod
+    def outcome(template, value):
+        argv = [word.replace("{}", value) for word in template.split()]
+        code, out, err = invoke(argv)
+        assert "Traceback" not in err
+        return code, out, err, {path.name: path.read_bytes() for path in sorted(Path().iterdir())}
+
+    def test_no_argument_is_read_with_bare_int(self):
+        types = {action.type for parser in _parsers(build_parser()) for action in parser._actions}
+        assert types == {None, bigmod.parse_natural, _parse_integer}
+
+    @pytest.mark.parametrize("template, value", NATURAL_SLOTS + SIGNED_SLOTS)
+    def test_hex_reads_as_its_decimal_value(self, template, value):
+        decimal = self.outcome(template, value)
+        assert decimal[0] == 0, decimal[2]
+        assert self.outcome(template, hex(int(value))) == decimal
+
+    @pytest.mark.parametrize("bad", ["\u0663\u0660", "1_0", "+3", "0x_1", "3.0", ""])
+    @pytest.mark.parametrize("template, value", NATURAL_SLOTS + SIGNED_SLOTS)
+    def test_other_number_forms_are_usage_errors(self, template, value, bad):
+        code, out, err, _ = self.outcome(template, bad)
+        assert (code, out) == (2, "")
+        assert "invalid" in err
+
+    @pytest.mark.parametrize("template, value", NATURAL_SLOTS)
+    def test_naturals_take_no_sign(self, template, value):
+        code, out, err, _ = self.outcome(template, "-" + value)
+        assert (code, out) == (2, "")
+        assert "invalid" in err
+
+    @pytest.mark.parametrize("template, value", SIGNED_SLOTS)
+    def test_signed_forms(self, template, value):
+        negative = self.outcome(template, "-3")
+        assert negative[0] != 2
+        joined = template.replace(" {}", "={}")
+        assert self.outcome(joined, "-0x3") == negative
+        for form in (template, joined):
+            for bad in ("- 3", "-\u0663", "--3", "-+3"):
+                code, out, err, _ = self.outcome(form, bad)
+                assert (code, out) == (2, ""), (form, bad)
+
+    def test_negative_shift(self):
+        assert invoke(["caesar", "--shift", "-3", "abc"]) == (0, "xyz\n", "")
 
 
 class TestHash:
