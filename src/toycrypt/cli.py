@@ -66,6 +66,33 @@ def _write_bytes(data: bytes, path: str | None, stdout) -> None:
         stdout.write(data.decode("latin-1"))
 
 
+def _parse_integer(text: str) -> int:
+    # the one signed number form: a natural, or "-" directly followed by one
+    s = text.strip()
+    try:
+        if s.startswith("-") and not s[1:2].isspace():
+            return -bigmod.parse_natural(s[1:])
+        return bigmod.parse_natural(s)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _number_argument(parse):
+    # argparse names the type function in its own message for a ValueError,
+    # but prints an ArgumentTypeError as it stands: the parser's reason
+    def read(text: str) -> int:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
+
+
+_natural = _number_argument(bigmod.parse_natural)
+_integer = _number_argument(_parse_integer)
+
+
 def _add_base_selector(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--hex", action="store_true", help="print numbers as 0x hex")
@@ -84,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "keygen", _cmd_keygen, "generate an RSA key pair")
-    p.add_argument("--bits", type=bigmod.parse_natural, required=True)
-    p.add_argument("--exponent", type=bigmod.parse_natural, default=rsa.DEFAULT_PUBLIC_EXPONENT)
+    p.add_argument("--bits", type=_natural, required=True)
+    p.add_argument("--exponent", type=_natural, default=rsa.DEFAULT_PUBLIC_EXPONENT)
     p.add_argument("--out", required=True, help="prefix for .pub and .key files")
-    p.add_argument("--seed", type=bigmod.parse_natural)
+    p.add_argument("--seed", type=_natural)
 
     for name, (help_text, _, _) in _KEYED.items():
         p = _add_command(sub, name, _cmd_keyed, help_text)
@@ -95,51 +122,53 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile")
         p.add_argument("--out", dest="outfile")
         if name == "seal":
-            p.add_argument("--seed", type=bigmod.parse_natural)
+            p.add_argument("--seed", type=_natural)
 
     p = _add_command(sub, "verify", _cmd_verify, "verify a signed message with a public key")
     p.add_argument("--key", required=True)
     p.add_argument("--in", dest="infile")
 
     p = _add_command(sub, "dh-demo", _cmd_dh_demo, "full Alice/Bob/Eve key-agreement transcript")
-    p.add_argument("--p", type=bigmod.parse_natural, default=23)
-    p.add_argument("--g", type=bigmod.parse_natural, default=5)
-    p.add_argument("--seed", type=bigmod.parse_natural)
-    p.add_argument("--cap", type=_parse_integer, help="Eve's scan budget (default p)")
+    p.add_argument("--p", type=_natural, default=23)
+    p.add_argument("--g", type=_natural, default=5)
+    p.add_argument("--seed", type=_natural)
+    p.add_argument("--cap", type=_integer, help="Eve's scan budget (default p)")
 
     p = _add_command(sub, "dlog", _cmd_dlog, "brute-force discrete log")
-    p.add_argument("p", type=bigmod.parse_natural)
-    p.add_argument("g", type=bigmod.parse_natural)
-    p.add_argument("target", type=bigmod.parse_natural)
-    p.add_argument("--cap", type=_parse_integer)
+    p.add_argument("p", type=_natural)
+    p.add_argument("g", type=_natural)
+    p.add_argument("target", type=_natural)
+    p.add_argument("--cap", type=_integer)
     _add_base_selector(p)
 
     p = _add_command(sub, "factor", _cmd_factor, "trial-division factorization")
-    p.add_argument("n", type=bigmod.parse_natural)
+    p.add_argument("n", type=_natural)
+    p.add_argument("--cap", type=_integer, default=numtheory.DEFAULT_DIVISOR_CAP,
+                   help="largest trial divisor (default %(default)s)")
     _add_base_selector(p)
 
     p = _add_command(sub, "primes", _cmd_primes, "primes below a limit")
-    p.add_argument("limit", type=bigmod.parse_natural)
+    p.add_argument("limit", type=_natural)
     _add_base_selector(p)
 
     p = _add_command(sub, "totient", _cmd_totient, "Euler's phi")
-    p.add_argument("n", type=bigmod.parse_natural)
+    p.add_argument("n", type=_natural)
     _add_base_selector(p)
 
     p = _add_command(sub, "prime-count", _cmd_prime_count, "approximate prime counts, x/ln(x)")
-    p.add_argument("bounds", type=bigmod.parse_natural, nargs="+",
+    p.add_argument("bounds", type=_natural, nargs="+",
                    help="X, or LO HI for the count between them")
 
     p = _add_command(sub, "hash", _cmd_hash, "SHA-1 of stdin or a file")
     p.add_argument("--in", dest="infile")
 
     p = _add_command(sub, "caesar", _cmd_caesar, "Caesar shift cipher")
-    p.add_argument("--shift", type=_parse_integer, required=True)
+    p.add_argument("--shift", type=_integer, required=True)
     p.add_argument("--decrypt", action="store_true")
     p.add_argument("text", nargs="?")
 
     p = _add_command(sub, "scytale", _cmd_scytale, "scytale transposition cipher")
-    p.add_argument("--key", type=bigmod.parse_natural, required=True, help="rod circumference")
+    p.add_argument("--key", type=_natural, required=True, help="rod circumference")
     p.add_argument("--decrypt", action="store_true")
     p.add_argument("text", nargs="?")
 
@@ -155,15 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("point1")
     q.add_argument("point2")
     q = ecc_sub.add_parser("mul")
-    q.add_argument("k", type=bigmod.parse_natural)
+    q.add_argument("k", type=_natural)
     q.add_argument("point")
     q = ecc_sub.add_parser("dlog")
     q.add_argument("base")
     q.add_argument("target")
-    q.add_argument("--cap", type=_parse_integer)
+    q.add_argument("--cap", type=_integer)
 
     p = _add_command(sub, "keycount", _cmd_keycount, "pairwise keys needed by N parties")
-    p.add_argument("n", type=bigmod.parse_natural)
+    p.add_argument("n", type=_natural)
     _add_base_selector(p)
 
     _add_command(sub, "rsa-demo", _cmd_rsa_demo, "replay the worked RSA example")
@@ -255,7 +284,7 @@ def _cmd_dlog(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_factor(args, stdin, stdout, rng) -> int:
-    f = numtheory.factor_trial(args.n)
+    f = numtheory.factor_trial(args.n, args.cap)
     stdout.write(f"{bigmod.render_natural(args.n, args.hex)} = {f}\n")
     return 0
 
@@ -315,14 +344,6 @@ def _cmd_otp(args, stdin, stdout, rng) -> int:
     data = _read_bytes(args.infile, stdin)
     _write_bytes(classical.otp_apply(data, key), args.outfile, stdout)
     return 0
-
-
-def _parse_integer(text: str) -> int:
-    # the one signed number form: a natural, or "-" directly followed by one
-    s = text.strip()
-    if s.startswith("-") and not s[1:2].isspace():
-        return -bigmod.parse_natural(s[1:])
-    return bigmod.parse_natural(s)
 
 
 def _cmd_ecc(args, stdin, stdout, rng) -> int:

@@ -1,4 +1,4 @@
-"""Toy elliptic-curve group over a prime field, in affine coordinates.
+"""Toy elliptic-curve group over a prime field.
 
 Points on y**2 = x**3 + ax + b (mod p) form a group under the
 chord-and-tangent rule: the line through P and Q meets the curve in a third
@@ -7,10 +7,14 @@ infinity is the identity.  Scalar multiplication is repeated addition;
 inverting it (given P and kP, find k) is the discrete-log problem that
 makes these groups cryptographically interesting.
 
-Clarity over speed: one modular inversion per addition, no projective
-coordinates, no named curves.  The public functions check that every point
-they are given lies on the curve; scalar_mul checks its point once and then
-adds without re-checking, since sums of points on the curve stay on it.
+point_add is the affine law with one modular inversion per addition, kept
+as the readable form.  scalar_mul doubles and adds in Jacobian coordinates
+(X, Y, Z) standing for the affine point (X/Z**2, Y/Z**3), which need no
+division, and inverts once at the end (Hankerson-Menezes-Vanstone, Guide to
+Elliptic Curve Cryptography, Alg. 3.21-3.22).  No named curves.  The public
+functions check that every point they are given lies on the curve;
+scalar_mul and brute_force_ecdlog check their points once and then add
+without re-checking, since sums of points on the curve stay on it.
 """
 
 from __future__ import annotations
@@ -115,17 +119,58 @@ def point_double(curve: EccCurve, point: EccPoint) -> EccPoint:
     return point_add(curve, point, point)
 
 
+def _jacobian_double(a: int, p: int, x: int, y: int, z: int) -> tuple[int, int, int]:
+    # 2(X, Y, Z) for any a: M = 3X**2 + aZ**4, S = 4XY**2.  Z3 = 2YZ is 0,
+    # the point at infinity, when doubling infinity or a point with y = 0
+    yy = y * y % p
+    s = 4 * x * yy % p
+    zz = z * z % p
+    m = (3 * x * x + a * zz * zz) % p
+    x3 = (m * m - 2 * s) % p
+    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+
+def _jacobian_add_affine(a: int, p: int, x: int, y: int, z: int,
+                         x2: int, y2: int) -> tuple[int, int, int]:
+    # (X, Y, Z) + (x2, y2, 1): H = x2 Z**2 - X, R = y2 Z**3 - Y.  H = 0 means
+    # equal x: R = 0 is the same point, else Z3 = ZH = 0 makes P + (-P) infinite
+    if z == 0:
+        return x2, y2, 1
+    zz = z * z % p
+    h = (x2 * zz - x) % p
+    r = (y2 * zz * z - y) % p
+    if h == 0 and r == 0:
+        return _jacobian_double(a, p, x, y, z)
+    hh = h * h % p
+    hhh = h * hh % p
+    v = x * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    return x3, (r * (v - x3) - y * hhh) % p, z * h % p
+
+
 def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
-    """kP by double-and-add; 0P is the point at infinity."""
+    """kP by left-to-right double-and-add; 0P is the point at infinity.
+
+    The loop runs in Jacobian coordinates, so the whole product costs one
+    modular inversion, made when converting the result back to affine form.
+    """
     if k < 0:
         raise ValueError(f"scalar must be non-negative, got {k}")
     _require_on_curve(curve, point, "point")
-    acc = INFINITY
+    if point.is_infinity:
+        return INFINITY
+    a, p = curve.a, curve.p
+    acc = (0, 1, 0)
     for i in range(k.bit_length() - 1, -1, -1):
-        acc = _add(curve, acc, acc)
+        acc = _jacobian_double(a, p, *acc)
         if (k >> i) & 1:
-            acc = _add(curve, acc, point)
-    return acc
+            acc = _jacobian_add_affine(a, p, *acc, point.x, point.y)
+    x, y, z = acc
+    if z == 0:
+        return INFINITY
+    z_inv = bigmod.mod_inv(z, p).value
+    zz_inv = z_inv * z_inv % p
+    return EccPoint(x * zz_inv % p, y * zz_inv * z_inv % p)
 
 
 @dataclass(frozen=True)
@@ -150,7 +195,7 @@ def brute_force_ecdlog(curve: EccCurve, p: EccPoint, q: EccPoint, cap: int) -> E
     for k in range(1, cap + 1):
         if acc == q:
             return EcdlogResult(scalar=k, steps=k)
-        acc = point_add(curve, acc, p)
+        acc = _add(curve, acc, p)
     return EcdlogResult(scalar=None, steps=cap)
 
 

@@ -32,9 +32,10 @@ class FactorLimitError(ValueError):
     """Trial division ran out of budget; carries the partial result."""
 
     def __init__(self, n: int, partial: tuple[tuple[int, int], ...], cofactor: int):
+        extracted = str(Factorization(partial)) or "nothing"
         super().__init__(
             f"factoring {n} exceeded the divisor cap; "
-            f"extracted {partial}, cofactor {cofactor} unresolved"
+            f"extracted {extracted}, cofactor {cofactor} unresolved"
         )
         self.partial = partial
         self.cofactor = cofactor
@@ -157,10 +158,13 @@ def factor_trial(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> Factorizatio
     """Complete factorization by trial division up to sqrt(n).
 
     Raises FactorLimitError once a divisor beyond divisor_cap would be
-    needed, reporting the factors extracted so far and the cofactor left.
+    needed, reporting the factors extracted so far and the cofactor left;
+    divisor_cap must be >= 0.
     """
     if n < 2:
         raise ValueError(f"cannot factor {n}")
+    if divisor_cap < 0:
+        raise ValueError(f"divisor cap must be non-negative, got {divisor_cap}")
     factors: list[tuple[int, int]] = []
     m = n
     d = 2

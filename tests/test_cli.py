@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from toycrypt import bigmod, envelope
-from toycrypt.cli import _parse_integer, build_parser, demo_rsa_paper, run
+from toycrypt import envelope
+from toycrypt.cli import _integer, _natural, build_parser, demo_rsa_paper, run
 from vectors import CAESAR_CIPHER, CAESAR_PLAIN, DIGEST_ITALIA_4_3
 
 
@@ -29,6 +29,16 @@ class TestDispatch:
     def test_missing_subcommand(self):
         code, _, _ = invoke([])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["caesar", "--shift", "+3", "abc"], "argument --shift: not an integer: '+3'"),
+        (["primes", "ab"], "argument limit: not a natural number: 'ab'"),
+    ])
+    def test_usage_error_gives_the_parsers_reason(self, argv, message):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"toycrypt {argv[0]}: error: {message}"
+        assert "invalid" not in err and "_integer" not in err and "_natural" not in err
 
     def test_domain_error_exits_one_via_stderr(self):
         code, out, err = invoke(["factor", "1"])
@@ -87,6 +97,26 @@ class TestNumberCommands:
         code, _, err = invoke(["dlog", "23", "5", "8", "--cap", "3"])
         assert code == 1 and "no exponent" in err
 
+    def test_factor_cap_that_suffices(self):
+        # 171371 = 409 * 419: the last trial divisor needed is 409
+        assert invoke(["factor", "--cap", "409", "171371"]) == (0, "171371 = 409 * 419\n", "")
+        assert invoke(["factor", "--cap", "0", "3"]) == (0, "3 = 3\n", "")
+
+    def test_factor_cap_overrun_reports_partial_result(self):
+        code, out, err = invoke(["factor", "--cap", "1000", str(8 * 10007 * 10009)])
+        assert (code, out) == (1, "")
+        assert err == ("toycrypt factor: factoring 801280504 exceeded the divisor cap; "
+                       "extracted 2^3, cofactor 100160063 unresolved\n")
+        code, out, err = invoke(["factor", "--cap", "408", "171371"])
+        assert (code, out) == (1, "")
+        assert "extracted nothing, cofactor 171371 unresolved" in err
+
+    @pytest.mark.parametrize("cap", [["--cap", "-1"], ["--cap=-0x10"]])
+    def test_factor_negative_cap_is_domain_error(self, cap):
+        code, out, err = invoke(["factor", *cap, "171371"])
+        assert (code, out) == (1, "")
+        assert "divisor cap must be non-negative" in err
+
     def test_dlog_negative_cap_is_domain_error(self):
         code, out, err = invoke(["dlog", "23", "5", "8", "--cap", "-4"])
         assert (code, out) == (1, "")
@@ -128,13 +158,15 @@ SIGNED_SLOTS = [
     ("caesar --shift {} abc", "3"),
     ("dh-demo --seed 7 --cap {}", "20"),
     ("dlog 23 5 8 --cap {}", "20"),
+    ("factor --cap {} 171371", "500"),
     ("ecc --curve 2,3,97 dlog 3,6 80,10 --cap {}", "20"),
 ]
 
 
 class TestNumberGrammar:
     """Every number on the command line is read by bigmod.parse_natural,
-    or by _parse_integer where a leading "-" is allowed."""
+    or by cli._parse_integer where a leading "-" is allowed, and a usage
+    error gives that parser's reason."""
 
     @pytest.fixture(autouse=True)
     def workdir(self, tmp_path, monkeypatch):
@@ -151,7 +183,7 @@ class TestNumberGrammar:
 
     def test_no_argument_is_read_with_bare_int(self):
         types = {action.type for parser in _parsers(build_parser()) for action in parser._actions}
-        assert types == {None, bigmod.parse_natural, _parse_integer}
+        assert types == {None, _natural, _integer}
 
     @pytest.mark.parametrize("template, value", NATURAL_SLOTS + SIGNED_SLOTS)
     def test_hex_reads_as_its_decimal_value(self, template, value):
@@ -164,13 +196,15 @@ class TestNumberGrammar:
     def test_other_number_forms_are_usage_errors(self, template, value, bad):
         code, out, err, _ = self.outcome(template, bad)
         assert (code, out) == (2, "")
-        assert "invalid" in err
+        reason = "an integer" if (template, value) in SIGNED_SLOTS else "a natural number"
+        assert "error: argument " in err and f": not {reason}: {bad!r}\n" in err
+        assert "invalid" not in err and "parse" not in err
 
     @pytest.mark.parametrize("template, value", NATURAL_SLOTS)
     def test_naturals_take_no_sign(self, template, value):
         code, out, err, _ = self.outcome(template, "-" + value)
         assert (code, out) == (2, "")
-        assert "invalid" in err
+        assert f"not a natural number: '-{value}'" in err
 
     @pytest.mark.parametrize("template, value", SIGNED_SLOTS)
     def test_signed_forms(self, template, value):
@@ -282,6 +316,26 @@ class TestEccCommands:
     def test_point_refuses_signs_separators_and_non_ascii_digits(self, point):
         code, out, _ = invoke(["ecc", "--curve", self.CURVE, "add", point, "O"])
         assert (code, out) == (1, "")
+
+    def test_factor_cap_that_suffices(self):
+        # 171371 = 409 * 419: the last trial divisor needed is 409
+        assert invoke(["factor", "--cap", "409", "171371"]) == (0, "171371 = 409 * 419\n", "")
+        assert invoke(["factor", "--cap", "0", "3"]) == (0, "3 = 3\n", "")
+
+    def test_factor_cap_overrun_reports_partial_result(self):
+        code, out, err = invoke(["factor", "--cap", "1000", str(8 * 10007 * 10009)])
+        assert (code, out) == (1, "")
+        assert err == ("toycrypt factor: factoring 801280504 exceeded the divisor cap; "
+                       "extracted 2^3, cofactor 100160063 unresolved\n")
+        code, out, err = invoke(["factor", "--cap", "408", "171371"])
+        assert (code, out) == (1, "")
+        assert "extracted nothing, cofactor 171371 unresolved" in err
+
+    @pytest.mark.parametrize("cap", [["--cap", "-1"], ["--cap=-0x10"]])
+    def test_factor_negative_cap_is_domain_error(self, cap):
+        code, out, err = invoke(["factor", *cap, "171371"])
+        assert (code, out) == (1, "")
+        assert "divisor cap must be non-negative" in err
 
     def test_dlog_negative_cap_is_domain_error(self):
         code, out, err = invoke(["ecc", "--curve", self.CURVE, "dlog", "3,6", "80,10",

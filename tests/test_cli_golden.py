@@ -48,6 +48,7 @@ def readme_cli_examples():
 GOLDEN = {
     "toycrypt rsa-demo": (0, demo_rsa_paper()),
     "toycrypt factor 171371": (0, "171371 = 409 * 419\n"),
+    "toycrypt factor --cap 409 171371": (0, "171371 = 409 * 419\n"),
     "toycrypt keycount 10": (0, "45\n"),
     "toycrypt primes 30": (0, "2\n3\n5\n7\n11\n13\n17\n19\n23\n29\n"),
     "toycrypt totient 323": (0, "288\n"),
@@ -131,7 +132,7 @@ OPTION_SURFACE = {
                 (("--cap",), "cap", False, None)} | SEED,
     "dlog": {((), "p", True, None), ((), "g", True, None), ((), "target", True, None),
              (("--cap",), "cap", False, None)} | BASE,
-    "factor": {((), "n", True, None)} | BASE,
+    "factor": {((), "n", True, None), (("--cap",), "cap", False, 2**32)} | BASE,
     "primes": {((), "limit", True, None)} | BASE,
     "totient": {((), "n", True, None)} | BASE,
     "prime-count": {((), "bounds", True, None)},

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toycrypt import ecc
+from toycrypt import bigmod, ecc
 from toycrypt.ecc import INFINITY, EccPoint
 
 
@@ -206,9 +206,44 @@ class TestScalarMul:
         except ValueError:
             return  # singular
         result = ecc.scalar_mul(curve, k, EccPoint(x, y))
-        assert ecc.on_curve(curve, result)
+        assert ecc.on_curve(curve, result)  # which also requires 0 <= x, y < p
         expected = affine_scalar_mul(curve.a, p, k, (x, y))
         assert result == (INFINITY if expected is None else EccPoint(*expected))
+
+    def test_exhaustive_against_affine_oracle(self, curve97, points97):
+        # every point, the three 2-torsion points (y = 0) and infinity included,
+        # for k up to twice the group order 100, so every point order is hit
+        group = points97 + [INFINITY]
+        assert [pt.x for pt in points97 if pt.y == 0] == [30, 68, 96]
+        for pt in group:
+            oracle_point = None if pt.is_infinity else (pt.x, pt.y)
+            for k in range(2 * 100 + 2):
+                result = ecc.scalar_mul(curve97, k, pt)
+                assert ecc.on_curve(curve97, result)
+                expected = affine_scalar_mul(curve97.a, 97, k, oracle_point)
+                assert result == (INFINITY if expected is None else EccPoint(*expected))
+            assert ecc.scalar_mul(curve97, 100, pt) == INFINITY
+
+    def test_one_inversion_per_call(self, monkeypatch):
+        calls = []
+        real_mod_inv = bigmod.mod_inv
+
+        def counting_mod_inv(a, m):
+            calls.append(a)
+            return real_mod_inv(a, m)
+
+        monkeypatch.setattr(bigmod, "mod_inv", counting_mod_inv)
+        p = 2**127 - 1
+        x, y, a = 3, 5, 7
+        curve = ecc.make_curve(a, y * y - x * x * x - a * x, p)
+        rng = random.Random(74)
+        for k in [0, 1, 2, 3] + [rng.getrandbits(128) for _ in range(20)]:
+            calls.clear()
+            ecc.scalar_mul(curve, k, EccPoint(x, y))
+            assert len(calls) <= 1, k
+        calls.clear()
+        assert ecc.scalar_mul(curve, 2**128, INFINITY) == INFINITY
+        assert calls == []
 
     def test_off_curve_point_rejected(self, curve97):
         with pytest.raises(ValueError):
@@ -245,6 +280,33 @@ class TestBruteForceDlog:
     def test_negative_cap_rejected(self, curve97, points97, cap):
         with pytest.raises(ValueError, match="cap"):
             ecc.brute_force_ecdlog(curve97, points97[0], points97[1], cap)
+
+    # points of order 50 (the largest), 5 and 2, and infinity
+    @pytest.mark.parametrize("base", [EccPoint(0, 10), EccPoint(3, 6), EccPoint(30, 0), INFINITY])
+    def test_every_target(self, curve97, points97, base):
+        # the smallest k <= cap with kP = Q by the affine oracle, else not found
+        cap = 101
+        oracle_base = None if base.is_infinity else (base.x, base.y)
+        multiples = [affine_scalar_mul(curve97.a, 97, k, oracle_base) for k in range(1, cap + 1)]
+        for target in points97 + [INFINITY]:
+            oracle_target = None if target.is_infinity else (target.x, target.y)
+            if oracle_target in multiples:
+                k = multiples.index(oracle_target) + 1
+                expected = ecc.EcdlogResult(scalar=k, steps=k)
+            else:
+                expected = ecc.EcdlogResult(scalar=None, steps=cap)
+            assert ecc.brute_force_ecdlog(curve97, base, target, cap) == expected
+
+    def test_points_checked_once(self, curve97, monkeypatch):
+        # the two points are checked up front, not again on every step
+        checks = []
+        real_on_curve = ecc.on_curve
+        monkeypatch.setattr(ecc, "on_curve", lambda *args: checks.append(1) or real_on_curve(*args))
+        result = ecc.brute_force_ecdlog(curve97, EccPoint(3, 6), EccPoint(80, 10), 101)
+        assert (result.scalar, len(checks)) == (2, 2)
+        checks.clear()
+        assert ecc.brute_force_ecdlog(curve97, EccPoint(3, 6), INFINITY, 101).found
+        assert len(checks) == 2
 
     def test_work_grows_with_field_size(self):
         steps = []

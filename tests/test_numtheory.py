@@ -162,6 +162,13 @@ class TestFactorTrial:
             numtheory.factor_trial(n, divisor_cap=1000)
         assert info.value.partial == ((2, 3),)
         assert info.value.cofactor == 10007 * 10009
+        assert "extracted 2^3, cofactor 100160063 unresolved" in str(info.value)
+
+    @pytest.mark.parametrize("cap", [-1, -(2**64)])
+    def test_negative_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="divisor cap must be non-negative") as info:
+            numtheory.factor_trial(1000, divisor_cap=cap)
+        assert not isinstance(info.value, FactorLimitError)
 
     def test_below_two_rejected(self):
         with pytest.raises(ValueError):
