@@ -10,6 +10,7 @@ randrange/getrandbits, e.g. random.Random or random.SystemRandom).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -200,14 +201,65 @@ def totient(n: int) -> int:
     return totient_from_factorization(factor_trial(n))
 
 
+# random_prime's target error per prime: 2**-100, with one bit spare because
+# its candidates come from the top quarter of the k-bit range, not the top
+# half, and drawing from half the range can at most double the error.
+_RANDOM_PRIME_LOG2_ERROR = -101
+_MAX_ROUNDS = 40  # is_prime's default, for numbers a caller supplies
+
+
+def _dlp_log2_error(k: int, t: int) -> float:
+    # log2 of the least of HAC Fact 4.48 (ii)-(iv) that applies to (k, t);
+    # inf when none does (every k < 21, and t = 2 with k < 88)
+    lg = math.log2
+    iv = 15 / 4 * lg(k) - lg(7) - k / 2 - 2 * t
+    bounds = [math.inf]
+    if k >= 21:
+        if (t == 2 and k >= 88) or 3 <= t <= k / 9:
+            bounds.append(1.5 * lg(k) + t - 0.5 * lg(t) + 2 * (2 - math.sqrt(t * k)))
+        if k / 9 <= t <= k / 4:
+            terms = (lg(7 / 20 * k) - 5 * t, iv, lg(12 * k) - k / 4 - 3 * t)
+            top = max(terms)
+            bounds.append(top + lg(sum(2.0 ** (x - top) for x in terms)))
+        if t >= k / 4:
+            bounds.append(iv)
+    return min(bounds)
+
+
+@functools.lru_cache(maxsize=256)  # the loop costs more than a small prime does
+def random_prime_rounds(bits: int) -> int:
+    """Miller-Rabin rounds random_prime runs on each `bits`-bit candidate.
+
+    The smallest t for which the Damgard-Landrock-Pomerance bounds (Damgard,
+    Landrock and Pomerance, "Average case error estimates for the strong
+    probable prime test", Math. Comp. 61, 1993; HAC Fact 4.48 (ii)-(iv) and
+    Table 4.4) put the chance that a random odd k-bit number passing t rounds
+    is composite at or below 2**-101, capped at 40: 40 rounds for 64 bits,
+    31 for 128, 18 for 256, 8 for 512 and 4 for 1024.  The bound holds only
+    for numbers drawn at random; a number a caller supplies may be built to
+    fool Miller-Rabin, so is_prime keeps 40 rounds for it.
+    """
+    for t in range(2, _MAX_ROUNDS):
+        if _dlp_log2_error(bits, t) <= _RANDOM_PRIME_LOG2_ERROR:
+            return t
+    return _MAX_ROUNDS
+
+
 def random_prime(bits: int, rng=None) -> int:
-    """A probable prime with exactly `bits` bits (top bit set, odd)."""
+    """A probable prime with exactly `bits` bits, the top two of them set.
+
+    Candidates are odd, with the top two bits forced as in FIPS 186-5
+    App. A.1.3, so the product of two such primes has exactly the sum of
+    their bit lengths.  Each gets random_prime_rounds(bits) Miller-Rabin
+    rounds, which the DLP bound sizes for a 2**-100 chance of a composite.
+    """
     if bits < 4:
         raise ValueError(f"need at least 4 bits, got {bits}")
     rng = rng or random.SystemRandom()
+    rounds = random_prime_rounds(bits)
     while True:
-        candidate = (1 << (bits - 1)) | rng.getrandbits(bits - 1) | 1
-        if is_prime(candidate, rounds=40, rng=rng).is_prime:
+        candidate = (3 << (bits - 2)) | rng.getrandbits(bits - 2) | 1
+        if is_prime(candidate, rounds=rounds, rng=rng).is_prime:
             return candidate
 
 

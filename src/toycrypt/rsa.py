@@ -18,6 +18,11 @@ from . import bigmod, numtheory
 
 DEFAULT_PUBLIC_EXPONENT = 65537
 MIN_MODULUS = 257  # one plaintext byte per block
+# keygen_random's bound on its search.  A pair fails only when p = q or
+# gcd(e, phi) != 1.  For 16 to 19 bits and every e with a key, at least one
+# pair in 61 succeeds (the worst is 16 bits with e = 105), so 1000 failures
+# in a row happen by chance less than once in 10**7 searches.
+MAX_PRIME_PAIRS = 1000
 
 
 @dataclass(frozen=True)
@@ -35,9 +40,10 @@ class RsaPrivateKey:
     """n = p*q for distinct primes p, q, and 0 < d < n; phi follows from p and q.
 
     Construction checks everything but primality, which costs a Miller-Rabin
-    test per factor: read_private_key and keygen_from_primes test it, and
-    keygen_random draws proven primes.  private_op is exact only for prime
-    p and q.
+    test per factor: read_private_key and keygen_from_primes test it with 40
+    rounds, and keygen_random draws random probable primes whose chance of
+    being composite is at most 2**-100 each (numtheory.random_prime).
+    private_op is exact only for prime p and q.
     """
 
     n: int
@@ -117,10 +123,12 @@ def keygen_random(
 ) -> tuple[RsaPublicKey, RsaPrivateKey]:
     """Random key pair whose modulus has exactly modulus_bits bits.
 
-    Primes carry only their top bit forced, so the product sometimes falls
-    one bit short; generation retries until the length and gcd(e, phi) = 1
-    both hold.  e must be odd (phi is even), at least 3 and below
-    2**(modulus_bits-1); above that, few or no keys of this size fit it.
+    p and q come from numtheory.random_prime, whose top two bits are set, so
+    every pair gives a full-length modulus; a pair is drawn again only when
+    p = q or gcd(e, phi) != 1.  e must be odd (phi is even), at least 3 and
+    below 2**(modulus_bits-1).  Some small (modulus_bits, e) admit no key at
+    all, such as 16 bits with e = 3045, so the search gives up with a
+    ValueError after MAX_PRIME_PAIRS pairs.
     """
     if modulus_bits < 16:
         raise ValueError(f"modulus must be at least 16 bits, got {modulus_bits}")
@@ -129,15 +137,16 @@ def keygen_random(
     rng = rng or random.SystemRandom()
     p_bits = modulus_bits // 2
     q_bits = modulus_bits - p_bits
-    while True:
+    for _ in range(MAX_PRIME_PAIRS):
         p = numtheory.random_prime(p_bits, rng)
         q = numtheory.random_prime(q_bits, rng)
-        if (p * q).bit_length() != modulus_bits:
-            continue
         try:
             return _key_pair(p, q, e)
         except ValueError:
             continue
+    raise ValueError(
+        f"no {modulus_bits}-bit key for exponent {e} in {MAX_PRIME_PAIRS} prime pairs tried"
+    )
 
 
 def public_op(x: int, pub: RsaPublicKey) -> int:

@@ -520,5 +520,14 @@ class TestFreshProcesses:
         assert result.returncode == 1
         assert not (tmp_path / "k.key").exists()
 
+    def test_keygen_keyless_exponent_exits_one(self, tmp_path):
+        # no 16-bit modulus has a key for e = 3045; the search gives up
+        result = self.run_cli("keygen", "--bits", "16", "--exponent", "3045",
+                              "--out", str(tmp_path / "k"))
+        assert result.returncode == 1
+        assert result.stderr.decode() == (
+            "toycrypt keygen: no 16-bit key for exponent 3045 in 1000 prime pairs tried\n")
+        assert not (tmp_path / "k.key").exists()
+
     def test_usage_error_exit_code(self):
         assert self.run_cli("no-such-command").returncode == 2

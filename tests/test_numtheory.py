@@ -1,15 +1,19 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from toycrypt import bigmod, numtheory
+from toycrypt import bigmod, dh, ecc, numtheory, rsa
 from toycrypt.numtheory import (
     COMPOSITE,
     PROBABLY_PRIME,
     PROVEN_PRIME,
     FactorLimitError,
     Factorization,
+    PrimalityVerdict,
     SieveLimitError,
 )
 from vectors import PRIMES_BELOW_1000
@@ -221,9 +225,20 @@ class TestRandomPrime:
             assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
     def test_four_bits(self):
+        # the top two bits are set: 13 and 15 are the only candidates
         rng = random.Random(910)
         seen = {numtheory.random_prime(4, rng) for _ in range(50)}
-        assert seen == {11, 13}
+        assert seen == {13}
+
+    @given(bits=st.integers(4, 256), seed=st.integers(0, 2**32))
+    def test_top_two_bits_set(self, bits, seed):
+        assert numtheory.random_prime(bits, random.Random(seed)) >> (bits - 2) == 3
+
+    def test_survivor_gets_scheduled_rounds(self, monkeypatch):
+        verdicts = spy_is_prime(monkeypatch)
+        numtheory.random_prime(512, random.Random(912))
+        assert verdicts[-1] == PrimalityVerdict(PROBABLY_PRIME, rounds=numtheory.random_prime_rounds(512))
+        assert not any(v.is_prime for v in verdicts[:-1])
 
     def test_self_consistent(self):
         rng = random.Random(911)
@@ -235,6 +250,71 @@ class TestRandomPrime:
     def test_too_few_bits(self):
         with pytest.raises(ValueError):
             numtheory.random_prime(3, random.Random(0))
+
+
+def spy_is_prime(monkeypatch):
+    """Replace numtheory.is_prime by a wrapper; returns the list of its verdicts."""
+    verdicts = []
+    real = numtheory.is_prime
+
+    def spy(*args, **kwargs):
+        verdicts.append(real(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(numtheory, "is_prime", spy)
+    return verdicts
+
+
+def dlp_bound(k, t):
+    """HAC Fact 4.48 (ii)-(iv) for k-bit candidates and t rounds, to 20 digits.
+
+    The least bound whose conditions hold, or None where none does.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 20
+        k_, t_, two = Decimal(k), Decimal(t), Decimal(2)
+        bounds = []
+        if k >= 21:
+            if (t == 2 and k >= 88) or 3 <= t <= k_ / 9:
+                bounds.append(k_ ** Decimal("1.5") * two**t / t_.sqrt()
+                              * Decimal(4) ** (2 - (t_ * k_).sqrt()))
+            iv = k_ ** Decimal("3.75") / 7 * two ** (-k_ / 2 - 2 * t_)
+            if k_ / 9 <= t <= k_ / 4:
+                bounds.append(Decimal(7) / 20 * k_ * two ** (-5 * t_) + iv
+                              + 12 * k_ * two ** (-k_ / 4 - 3 * t_))
+            if t >= k_ / 4:
+                bounds.append(iv)
+        return min(bounds, default=None)
+
+
+class TestRandomPrimeRounds:
+    def test_schedule(self):
+        schedule = {bits: numtheory.random_prime_rounds(bits) for bits in (64, 128, 256, 512, 1024)}
+        assert schedule == {64: 40, 128: 31, 256: 18, 512: 8, 1024: 4}
+
+    def test_least_rounds_meeting_dlp_bound(self):
+        target = Decimal(2) ** -101
+        for k in range(4, 4097):
+            t = numtheory.random_prime_rounds(k)
+            assert 2 <= t <= 40, k
+            if t < 40:
+                assert dlp_bound(k, t) <= target, k
+            if t > 2:
+                fewer = dlp_bound(k, t - 1)
+                assert fewer is None or fewer > target, k
+
+    @pytest.mark.parametrize("supply", [
+        lambda: rsa.keygen_from_primes(2**61 - 1, 2**89 - 1, 65537),
+        lambda: rsa.read_private_key("n=%#x\nd=0x3\np=%#x\nq=%#x\n" % (
+            (2**61 - 1) * (2**89 - 1), 2**61 - 1, 2**89 - 1)),
+        lambda: dh.make_params(2**89 - 1, 3),
+        lambda: ecc.make_curve(2, 3, 2**127 - 1),
+    ], ids=["keygen_from_primes", "read_private_key", "dh.make_params", "ecc.make_curve"])
+    def test_caller_supplied_numbers_keep_forty_rounds(self, monkeypatch, supply):
+        # the DLP bound covers random candidates only, not chosen ones
+        verdicts = spy_is_prime(monkeypatch)
+        supply()
+        assert verdicts and all(v == PrimalityVerdict(PROBABLY_PRIME, rounds=40) for v in verdicts)
 
 
 class TestPrimeCountEstimates:

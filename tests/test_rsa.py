@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,30 @@ class TestKeygenRandom:
         assert pub.e == 3
         assert pub.n.bit_length() == 16
         assert 3 * priv.d % priv.phi == 1
+
+    def test_every_pair_gives_full_length_modulus(self, monkeypatch):
+        drawn = []
+        real = numtheory.random_prime
+        monkeypatch.setattr(numtheory, "random_prime",
+                            lambda bits, rng: drawn.append((bits, real(bits, rng))) or drawn[-1][1])
+        rng = random.Random(8012)
+        for bits in range(16, 257):
+            drawn.clear()
+            pub, _ = rsa.keygen_random(bits, e=17, rng=rng)
+            assert len(drawn) % 2 == 0 and drawn
+            pairs = list(zip(drawn[::2], drawn[1::2]))
+            assert all(p_bits + q_bits == bits == (p * q).bit_length()
+                       for (p_bits, p), (q_bits, q) in pairs), bits
+            assert pub.n == pairs[-1][0][1] * pairs[-1][1][1]
+
+    @pytest.mark.parametrize("e", [3045, 9135, 11865, 15225, 21315, 27405])
+    def test_keyless_exponent_ends_in_bounded_time(self, e):
+        # with the top two bits set, every usable 8-bit prime for these e is
+        # the same one, and p = q is refused, so no 16-bit key exists
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exponent {e} in {rsa.MAX_PRIME_PAIRS} prime pairs"):
+            rsa.keygen_random(16, e=e, rng=random.Random(8013))
+        assert time.perf_counter() - start < 1
 
     def test_exponent_too_large_for_modulus(self):
         with pytest.raises(ValueError):
