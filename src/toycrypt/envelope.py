@@ -10,6 +10,12 @@ The keystream is SHA-1 in counter mode, XORed onto the message.  It stands
 in for a real symmetric cipher and is neither authenticated nor
 production-grade; tampering with the body flips plaintext bits silently,
 which is exactly the contrast with signatures this module demonstrates.
+
+The counter blocks are independent of each other (NIST SP 800-38A, 6.5),
+so the keystream hashes a batch of them side by side, one message per lane
+of the same big-int operands.  The hash under sign/verify cannot do that:
+a streaming SHA-1 chains each 64-byte block on the state the previous one
+left, so its blocks are compressed one after another.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from dataclasses import dataclass
 from . import bigmod, rsa
 from .classical import otp_apply
 from .rsa import BlockStream, RsaPrivateKey, RsaPublicKey
-from .sha1 import DIGEST_BYTES, sha1
+from .sha1 import DIGEST_BYTES, digests, sha1
 
 SESSION_KEY_BYTES = 32
+_BATCH_BLOCKS = 1024  # counter blocks per sha1.digests call
 _MIN_SIGNER_MODULUS = 1 << (8 * DIGEST_BYTES)
 
 _ENVELOPE_MAGIC = "envelope v1"
@@ -55,18 +62,22 @@ def keystream(session_key: bytes, length: int) -> bytes:
     """Deterministic byte stream: SHA-1(key || counter) blocks, truncated.
 
     The counter is 8 bytes big-endian starting at 0, one digest per 20
-    output bytes.
+    output bytes.  Counter blocks do not depend on each other, so they are
+    hashed side by side, `_BATCH_BLOCKS` at a time, by `sha1.digests`.
     """
     if len(session_key) != SESSION_KEY_BYTES:
         raise ValueError(f"session key must be {SESSION_KEY_BYTES} bytes, got {len(session_key)}")
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += sha1(session_key + counter.to_bytes(8, "big")).data
-        counter += 1
-    return bytes(out[:length])
+    blocks = -(-length // DIGEST_BYTES)
+    stream = b"".join(
+        digests(
+            session_key + counter.to_bytes(8, "big")
+            for counter in range(start, min(start + _BATCH_BLOCKS, blocks))
+        )
+        for start in range(0, blocks, _BATCH_BLOCKS)
+    )
+    return stream[:length]
 
 
 def seal(message: bytes, recipient: RsaPublicKey, rng=None) -> Envelope:

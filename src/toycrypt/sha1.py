@@ -36,26 +36,47 @@ class Digest:
         return hex_upper(self)
 
 
-def _rotl(x: int, n: int) -> int:
-    return ((x << n) | (x >> (32 - n))) & _MASK
+def _rounds(state: tuple[int, ...], words, mask: int, ones: int) -> tuple[int, ...]:
+    """One SHA-1 compression of a 64-byte block, for many messages at once.
 
-
-def _compress(state: tuple[int, ...], block: bytes) -> tuple[int, ...]:
-    w = list(struct.unpack(">16I", block))
+    Each operand is an int whose 64-bit lanes each hold one 32-bit word of
+    an independent message: `words` are the block's 16 big-endian words,
+    `mask` has 0xFFFFFFFF in every lane and `ones` has 1 in every lane.  A
+    rotation or sum stays inside its lane until it is masked (`b << 30`
+    reaches bit 61), so every lane computes its own SHA-1.  Plain SHA-1 is
+    the one-lane case: mask 0xFFFFFFFF, ones 1.
+    """
+    w = list(words)
     for t in range(16, 80):
-        w.append(_rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1))
+        x = w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]
+        w.append(((x << 1) | (x >> 31)) & mask)
     a, b, c, d, e = state
-    for t in range(80):
-        if t < 20:
-            f, k = (b & c) | (~b & d), 0x5A827999
-        elif t < 40:
-            f, k = b ^ c ^ d, 0x6ED9EBA1
-        elif t < 60:
-            f, k = (b & c) | (b & d) | (c & d), 0x8F1BBCDC
-        else:
-            f, k = b ^ c ^ d, 0xCA62C1D6
-        a, b, c, d, e = (_rotl(a, 5) + f + e + k + w[t]) & _MASK, a, _rotl(b, 30), c, d
-    return tuple((s + v) & _MASK for s, v in zip(state, (a, b, c, d, e)))
+    k = 0x5A827999 * ones
+    for x in w[:20]:
+        a, b, c, d, e = (
+            (((a << 5) | (a >> 27)) & mask) + (d ^ (b & (c ^ d))) + e + k + x
+        ) & mask, a, ((b << 30) | (b >> 2)) & mask, c, d
+    k = 0x6ED9EBA1 * ones
+    for x in w[20:40]:
+        a, b, c, d, e = (
+            (((a << 5) | (a >> 27)) & mask) + (b ^ c ^ d) + e + k + x
+        ) & mask, a, ((b << 30) | (b >> 2)) & mask, c, d
+    k = 0x8F1BBCDC * ones
+    for x in w[40:60]:
+        a, b, c, d, e = (
+            (((a << 5) | (a >> 27)) & mask) + ((b & c) | (d & (b | c))) + e + k + x
+        ) & mask, a, ((b << 30) | (b >> 2)) & mask, c, d
+    k = 0xCA62C1D6 * ones
+    for x in w[60:]:
+        a, b, c, d, e = (
+            (((a << 5) | (a >> 27)) & mask) + (b ^ c ^ d) + e + k + x
+        ) & mask, a, ((b << 30) | (b >> 2)) & mask, c, d
+    return tuple((s + v) & mask for s, v in zip(state, (a, b, c, d, e)))
+
+
+def _padding(length: int) -> bytes:
+    """0x80, zeros up to 56 mod 64, then the bit length as 8 bytes big-endian."""
+    return b"\x80" + bytes((55 - length) % BLOCK_BYTES) + struct.pack(">Q", 8 * length)
 
 
 class Sha1:
@@ -78,26 +99,61 @@ class Sha1:
             raise ValueError("message too long for SHA-1")
         buf = self._buffer + data
         complete = len(buf) - len(buf) % BLOCK_BYTES
-        view = memoryview(buf)
+        state = self._state
         for off in range(0, complete, BLOCK_BYTES):
-            self._state = _compress(self._state, bytes(view[off : off + BLOCK_BYTES]))
+            state = _rounds(state, struct.unpack_from(">16I", buf, off), _MASK, 1)
+        self._state = state
         self._buffer = buf[complete:]
         return self
 
     def digest(self) -> Digest:
-        # pad: 0x80, zeros to 56 mod 64, then the bit length as 8 bytes BE
         state = self._state
-        tail = self._buffer + b"\x80"
-        tail += b"\x00" * ((56 - len(tail)) % BLOCK_BYTES)
-        tail += struct.pack(">Q", self._length * 8)
+        tail = self._buffer + _padding(self._length)
         for off in range(0, len(tail), BLOCK_BYTES):
-            state = _compress(state, tail[off : off + BLOCK_BYTES])
+            state = _rounds(state, struct.unpack_from(">16I", tail, off), _MASK, 1)
         return Digest(struct.pack(">5I", *state))
 
 
 def sha1(message: bytes) -> Digest:
     """One-shot SHA-1 of a byte string."""
     return Sha1(message).digest()
+
+
+def digests(messages) -> bytes:
+    """SHA-1 of equal-length messages, hashed side by side; digests concatenated.
+
+    Message i is lane i of every `_rounds` operand, so one pass of the round
+    kernel hashes them all.  This fits independent messages only, such as
+    the counter blocks of a keystream; a streaming hash chains each block on
+    the state the previous one left and has to go one block at a time.
+    """
+    messages = list(messages)
+    if not messages:
+        return b""
+    length = len(messages[0])
+    if any(len(m) != length for m in messages):
+        raise ValueError("messages hashed side by side must all have the same length")
+    pad = _padding(length)
+    padded = pad.join(messages) + pad  # message i at i * stride
+    stride = length + len(pad)
+    count = len(messages)
+    ones = int.from_bytes((1).to_bytes(8, "big") * count, "big")
+    mask = _MASK * ones
+    state = tuple(h * ones for h in _INITIAL_STATE)
+    lanes = bytearray(8 * count)  # lane i: 4 zero bytes, then word bytes of message i
+    for block in range(0, stride, BLOCK_BYTES):
+        words = []
+        for at in range(block, block + BLOCK_BYTES, 4):
+            for j in range(4):
+                lanes[4 + j :: 8] = padded[at + j :: stride]
+            words.append(int.from_bytes(lanes, "big"))
+        state = _rounds(state, words, mask, ones)
+    out = bytearray(DIGEST_BYTES * count)
+    for i, word in enumerate(state):
+        packed = word.to_bytes(8 * count, "big")
+        for j in range(4):
+            out[4 * i + j :: DIGEST_BYTES] = packed[4 + j :: 8]
+    return bytes(out)
 
 
 def hex_upper(d: Digest) -> str:

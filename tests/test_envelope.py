@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -47,6 +48,26 @@ class TestKeystream:
         key = b"\xab" * 32
         assert envelope.keystream(key, 40)[:20] == envelope.keystream(key, 20)
         assert envelope.keystream(key, 33)[:7] == envelope.keystream(key, 7)
+
+    @pytest.mark.parametrize("length", [20 * 1024 - 1, 20 * 1024, 20 * 1024 + 1, 20 * 2048 + 7])
+    def test_batch_boundaries_match_per_block_definition(self, length):
+        key = bytes(range(32))
+        blocks = -(-length // 20)
+        expected = b"".join(sha1(key + c.to_bytes(8, "big")).data for c in range(blocks))
+        assert envelope.keystream(key, length) == expected[:length]
+
+    def test_golden_stream(self):
+        # computed with hashlib, block by block, so v1 envelope bodies stay byte for byte
+        key = bytes(range(32))
+        assert envelope.keystream(key, 60).hex() == (
+            "05925d5b4ea43f1bbab12a9d4341fac27c4256a6"
+            "48fd399916eeaef95644aa5cb485ed710a45ee92"
+            "f8349cf6eea961070d06ee9d5458a26eedd70416"
+        )
+        long_stream = envelope.keystream(key, 20 * 2048 + 7)
+        assert hashlib.sha1(long_stream).hexdigest().upper() == (
+            "0B9BCEB79BEFE4A49FD720703551FEBC54B2E725"
+        )
 
     def test_key_length_enforced(self):
         with pytest.raises(ValueError):

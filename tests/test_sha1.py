@@ -1,7 +1,8 @@
+import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from toycrypt import sha1
@@ -63,6 +64,41 @@ class TestStreaming:
 
     def test_update_chains(self):
         assert Sha1().update(b"ab").update(b"c").digest() == sha1.sha1(b"abc")
+
+
+PADDING_EDGES = [0, 55, 56, 63, 64, 119, 120, 200]
+
+
+@st.composite
+def equal_length_messages(draw):
+    """1..40 messages of one length in 0..200, each a drawn head then 0xFF bytes.
+
+    The 0xFF tails make words near 2**32 - 1, so the round sums carry into
+    the top bits of each lane.
+    """
+    length = draw(st.one_of(st.sampled_from(PADDING_EDGES), st.integers(0, 200)))
+    heads = st.binary(max_size=length).map(lambda head: (head + b"\xff" * length)[:length])
+    return draw(st.lists(heads, min_size=1, max_size=40))
+
+
+class TestSideBySide:
+    @given(messages=equal_length_messages())
+    @example(messages=[b"\xff" * 55] * 3 + [bytes(55)])
+    @example(messages=[b"\xff" * 120] * 3 + [bytes(120)])
+    def test_matches_hashlib(self, messages):
+        expected = b"".join(hashlib.sha1(m).digest() for m in messages)
+        assert sha1.digests(messages) == expected
+
+    def test_empty_list(self):
+        assert sha1.digests([]) == b""
+
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError):
+            sha1.digests([b"ab", b"abc"])
+
+    @given(message=st.binary(max_size=200))
+    def test_one_lane_equals_sha1(self, message):
+        assert sha1.digests([message]) == sha1.sha1(message).data
 
 
 class TestDeterminism:
