@@ -85,8 +85,23 @@ def mod_mul(a: Residue, b: Residue) -> Residue:
     return Residue((a.value * b.value) % m, m)
 
 
+# (least exponent bit length, window width) for mod_pow, widest first.
+# Timed for every width on random exponents mod 512- and 1024-bit moduli:
+# below 32 bits the odd-power table saves nothing, so short exponents such
+# as e = 65537 get plain square-and-multiply.  Above that, each width starts
+# where it needs the fewest products; near those lengths the timings of
+# neighbouring widths differ by less than their noise.
+_WINDOWS = ((672, 6), (240, 5), (64, 4), (32, 3))
+
+
 def mod_pow(base: int, exp: int, m: int) -> Residue:
-    """base**exp mod m by left-to-right binary exponentiation.
+    """base**exp mod m by left-to-right sliding-window exponentiation.
+
+    HAC Alg. 14.85: precompute the odd powers b, b**3, ..., b**(2**w - 1),
+    then scan the exponent from the top, squaring once per bit and
+    multiplying once per window of at most w bits that ends in a 1.  The
+    width w grows with the exponent's length (_WINDOWS); short exponents
+    use plain square-and-multiply, the w = 1 case without a table.
 
     Never materializes base**exp; runtime is polynomial in the bit lengths.
     An exponent of 0 yields 1 for every m >= 2.
@@ -94,12 +109,97 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
     _check_modulus(m)
     _check_natural(base, "base")
     _check_natural(exp, "exponent")
-    result = 1 % m
     b = base % m
-    for i in range(exp.bit_length() - 1, -1, -1):
-        result = result * result % m
-        if (exp >> i) & 1:
-            result = result * b % m
+    n = exp.bit_length()
+    width = next((w for bits, w in _WINDOWS if n >= bits), 1)
+    if width == 1:
+        result = 1 % m
+        for i in range(n - 1, -1, -1):
+            result = result * result % m
+            if (exp >> i) & 1:
+                result = result * b % m
+        return Residue(result, m)
+    b2 = b * b % m
+    odd = [b]  # odd[k] = b**(2k + 1)
+    for _ in range((1 << (width - 1)) - 1):
+        odd.append(odd[-1] * b2 % m)
+    bits = f"{exp:b}"
+    result, i = 1, 0
+    while i < n:
+        if bits[i] == "0":
+            result = result * result % m
+            i += 1
+            continue
+        # the longest window of at most `width` bits from here that ends in a 1
+        j = min(i + width, n)
+        while bits[j - 1] == "0":
+            j -= 1
+        for _ in range(j - i):
+            result = result * result % m
+        result = result * odd[int(bits[i:j], 2) >> 1] % m
+        i = j
+    return Residue(result, m)
+
+
+# Digit width of fixed_base tables.  A t-bit exponent costs about
+# t/w + 2**(w+1) products; w = 5 is least at 1024 bits and within a few
+# percent of it from 512 to 2048.
+_FIXED_WIDTH = 5
+
+
+@dataclass(frozen=True)
+class FixedBase:
+    """powers[i] = base**(2**(5*i)) mod modulus: a fixed_base table."""
+
+    modulus: int
+    powers: tuple[int, ...]
+
+
+def fixed_base(base: int, exp_bits: int, m: int) -> FixedBase:
+    """Table for raising base to any exponent of up to exp_bits bits mod m.
+
+    Built once for a fixed base, such as a Diffie-Hellman generator, by
+    about exp_bits squarings; fixed_base_pow then needs no squarings.
+    """
+    _check_modulus(m)
+    _check_natural(base, "base")
+    _check_natural(exp_bits, "exponent bits")
+    powers = [base % m]
+    while len(powers) * _FIXED_WIDTH < exp_bits:
+        x = powers[-1]
+        for _ in range(_FIXED_WIDTH):
+            x = x * x % m
+        powers.append(x)
+    return FixedBase(m, tuple(powers))
+
+
+def fixed_base_pow(table: FixedBase, exp: int) -> Residue:
+    """base**exp mod m from a fixed_base table, by fixed-base windowing.
+
+    HAC Alg. 14.109 (Brickell-Gordon-McCurley-Wilson): with exp written
+    in base h = 2**w as digits e_i, base**exp is the product over j of
+    (product of powers[i] with e_i = j)**j.  One product per digit fills
+    those buckets, and 2(h - 1) more fold in the powers j by running
+    products, so a t-bit exponent costs about t/w + 2h products.
+    """
+    _check_natural(exp, "exponent")
+    m, w = table.modulus, _FIXED_WIDTH
+    if exp.bit_length() > w * len(table.powers):
+        raise ValueError(
+            f"exponent of {exp.bit_length()} bits exceeds the table's "
+            f"{w * len(table.powers)}"
+        )
+    mask = (1 << w) - 1
+    buckets = [1] * (mask + 1)
+    for power in table.powers:
+        digit = exp & mask
+        if digit:
+            buckets[digit] = buckets[digit] * power % m
+        exp >>= w
+    result = running = 1
+    for j in range(mask, 0, -1):
+        running = running * buckets[j] % m
+        result = result * running % m
     return Residue(result, m)
 
 

@@ -5,6 +5,11 @@ agreed secret is g**(a*b) mod p, reachable from either side.  The
 brute-force discrete-log scan shows what the eavesdropper is up against,
 at moduli small enough to watch it run.
 
+Public values all raise the same generator, so they come from a table of
+its powers built once per group (fixed-base windowing, HAC Alg. 14.109).
+The agreed secret raises the peer's value, which changes from call to
+call, by bigmod.mod_pow's sliding window (HAC Alg. 14.85).
+
 Textbook caveats apply: the group is taken as given (no safe-prime or
 subgroup-order checks), so a degenerate peer value like 1 or p-1 only
 triggers a warning, not an error.
@@ -12,6 +17,7 @@ triggers a warning, not an error.
 
 from __future__ import annotations
 
+import functools
 import random
 import warnings
 from dataclasses import dataclass
@@ -27,6 +33,11 @@ class WeakPublicValueWarning(UserWarning):
 class DhParams:
     p: int
     g: int
+
+    @functools.cached_property
+    def generator_table(self) -> bigmod.FixedBase:
+        """Fixed-base table of g for every exponent below 2**bits(p), built on first use."""
+        return bigmod.fixed_base(self.g, self.p.bit_length(), self.p)
 
 
 @dataclass(frozen=True)
@@ -57,10 +68,10 @@ def make_params(p: int, g: int) -> DhParams:
 
 
 def public_of(params: DhParams, secret: int) -> int:
-    """Public value g**secret mod p."""
+    """Public value g**secret mod p, from the group's fixed-base table."""
     if not 1 <= secret <= params.p - 2:
         raise ValueError(f"secret must lie in [1, {params.p - 2}], got {secret}")
-    return bigmod.mod_pow(params.g, secret, params.p).value
+    return bigmod.fixed_base_pow(params.generator_table, secret).value
 
 
 def gen_keypair(params: DhParams, rng=None) -> DhKeyPair:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toycrypt import bigmod, numtheory
@@ -15,6 +15,20 @@ from toycrypt.bigmod import (
 
 naturals = st.integers(min_value=0, max_value=1 << 256)
 moduli = st.integers(min_value=2, max_value=1 << 64)
+
+# exponent bit counts one below, at and one above every window width and
+# every switch between widths, plus the public exponent 65537's 17 bits
+WINDOW_EDGES = sorted(
+    {0, 1, 17}
+    | {n + d for edge in bigmod._WINDOWS for n in edge for d in (-1, 0, 1)}
+)
+
+
+def exponents_of_length(n):
+    """Exponents of exactly n bits."""
+    if n == 0:
+        return st.just(0)
+    return st.integers(min_value=1 << (n - 1), max_value=(1 << n) - 1)
 
 
 def three_sequence_extended_gcd(a, b):
@@ -123,6 +137,24 @@ class TestModPow:
     def test_against_builtin_pow(self, base, exp, m):
         assert bigmod.mod_pow(base, exp, m).value == pow(base, exp, m)
 
+    @given(base=naturals, exp=st.sampled_from(WINDOW_EDGES).flatmap(exponents_of_length),
+           m=moduli)
+    @example(base=0, exp=(1 << 40) - 1, m=97)
+    @example(base=0, exp=0, m=2)
+    @example(base=(1 << 300) + 5, exp=(1 << 700) - 1, m=2)
+    @example(base=3, exp=65537, m=323)
+    @example(base=(1 << 64) + 3, exp=65537, m=(1 << 64) - 59)
+    def test_window_edges_against_builtin_pow(self, base, exp, m):
+        assert bigmod.mod_pow(base, exp, m) == Residue(pow(base, exp, m), m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), bits=st.sampled_from([512, 1024]),
+           exp=st.integers(min_value=1 << 1023, max_value=1 << 1100))
+    def test_long_exponents_against_builtin_pow(self, data, bits, exp):
+        m = data.draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+        base = data.draw(st.integers(min_value=0, max_value=1 << 1100))
+        assert bigmod.mod_pow(base, exp, m).value == pow(base, exp, m)
+
     def test_handles_multi_kilobit_operands(self):
         rng = random.Random(104)
         m = rng.getrandbits(4500) | (1 << 4500) | 1
@@ -132,6 +164,38 @@ class TestModPow:
         assert bigmod.mod_mul(
             bigmod.mod_reduce(base, m), bigmod.mod_reduce(exp, m)
         ).value == base * exp % m
+
+
+class TestFixedBase:
+    @given(base=naturals, exp=st.integers(min_value=0, max_value=1 << 300), m=moduli,
+           spare=st.integers(min_value=0, max_value=12))
+    @example(base=0, exp=0, m=2, spare=0)
+    @example(base=0, exp=5, m=97, spare=0)
+    @example(base=1 << 70, exp=(1 << 300) - 1, m=2, spare=0)
+    def test_against_builtin_pow(self, base, exp, m, spare):
+        table = bigmod.fixed_base(base, exp.bit_length() + spare, m)
+        assert bigmod.fixed_base_pow(table, exp) == Residue(pow(base, exp, m), m)
+
+    def test_table_holds_powers_of_two_to_the_fifth(self):
+        table = bigmod.fixed_base(3, 64, 1009)
+        assert table.modulus == 1009 and len(table.powers) == 13
+        assert table.powers == tuple(pow(3, 2 ** (5 * i), 1009) for i in range(13))
+
+    def test_exponent_longer_than_table_rejected(self):
+        table = bigmod.fixed_base(5, 10, 23)
+        covered = 5 * len(table.powers)
+        assert bigmod.fixed_base_pow(table, (1 << covered) - 1).value == pow(
+            5, (1 << covered) - 1, 23)
+        with pytest.raises(ValueError, match="exceeds"):
+            bigmod.fixed_base_pow(table, 1 << covered)
+
+    def test_invalid_inputs(self):
+        with pytest.raises(InvalidModulusError):
+            bigmod.fixed_base(2, 8, 1)
+        with pytest.raises(ValueError):
+            bigmod.fixed_base(-2, 8, 23)
+        with pytest.raises(ValueError):
+            bigmod.fixed_base_pow(bigmod.fixed_base(2, 8, 23), -1)
 
 
 class TestGcdFamily:

@@ -8,7 +8,14 @@ import pytest
 
 from toycrypt import envelope
 from toycrypt.cli import _integer, _natural, build_parser, demo_rsa_paper, run
-from vectors import CAESAR_CIPHER, CAESAR_PLAIN, DIGEST_ITALIA_4_3
+from vectors import (
+    CAESAR_CIPHER,
+    CAESAR_PLAIN,
+    DH_DEMO_SEED_7,
+    DIGEST_ITALIA_4_3,
+    KEYGEN_256_SEED_1_KEY,
+    KEYGEN_256_SEED_1_PUB,
+)
 
 
 def invoke(argv, stdin=b""):
@@ -356,9 +363,7 @@ class TestDemos:
         assert invoke(["rsa-demo"]) == invoke(["rsa-demo"])
 
     def test_dh_demo_seeded_is_stable(self):
-        first = invoke(["dh-demo", "--seed", "7"])
-        second = invoke(["dh-demo", "--seed", "7"])
-        assert first == second and first[0] == 0
+        assert invoke(["dh-demo", "--seed", "7"]) == (0, DH_DEMO_SEED_7, "")
 
     def test_dh_demo_transcript_consistency(self):
         _, out, _ = invoke(["dh-demo", "--seed", "7"])
@@ -412,6 +417,12 @@ class TestRsaPipelines:
         invoke(["keygen", "--bits", "96", "--out", str(b), "--seed", "11"])
         assert (a.parent / "a.pub").read_text() == (b.parent / "b.pub").read_text()
         assert (a.parent / "a.key").read_text() == (b.parent / "b.key").read_text()
+
+    def test_keygen_seeded_files_golden(self, tmp_path):
+        prefix = tmp_path / "k"
+        assert invoke(["keygen", "--bits", "256", "--out", str(prefix), "--seed", "1"])[0] == 0
+        assert (tmp_path / "k.pub").read_bytes() == KEYGEN_256_SEED_1_PUB.encode()
+        assert (tmp_path / "k.key").read_bytes() == KEYGEN_256_SEED_1_KEY.encode()
 
     def test_sign_verify_and_tamper(self, tmp_path):
         prefix = tmp_path / "signer"

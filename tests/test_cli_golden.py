@@ -16,7 +16,7 @@ from pathlib import Path
 
 from toycrypt import envelope, rsa
 from toycrypt.cli import build_parser, demo_rsa_paper, run
-from vectors import DIGEST_ITALIA_4_3
+from vectors import DH_DEMO_SEED_7, DIGEST_ITALIA_4_3
 
 ROOT = Path(__file__).resolve().parents[1]
 MESSAGE = b"Nel mezzo del cammin \x00\xff"
@@ -66,9 +66,7 @@ GOLDEN = {
     "toycrypt verify --key alice.pub --in signed": (0, "VALID\n"),
     "toycrypt seal --key alice.pub --in msg --out envelope": (0, ""),
     "toycrypt open --key alice.key --in envelope --out plain": (0, ""),
-    "toycrypt dh-demo --seed 7": (0, "p=23\ng=5\nalice-secret=12\nalice-public=18\n"
-                                  "bob-secret=6\nbob-public=8\nalice-shared=8\nbob-shared=8\n"
-                                  "eve-exponent=12\neve-steps=12\neve-shared=8\n"),
+    "toycrypt dh-demo --seed 7": (0, DH_DEMO_SEED_7),
     "toycrypt dlog 23 5 8": (0, "k=6 steps=6\n"),
     "toycrypt ecc --curve 2,3,97 add 3,6 3,91": (0, "O\n"),
     "toycrypt ecc --curve 2,3,97 mul 7 3,6": (0, "80,10\n"),

@@ -1,9 +1,21 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from toycrypt import dh, numtheory
 from toycrypt.dh import WeakPublicValueWarning
+
+# RFC 2409 section 6.2 (Oakley group 2): a 1024-bit safe prime, the size
+# of the benchmark's exchange
+OAKLEY_1024 = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
+    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
+    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
+    16,
+)
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +26,13 @@ def classroom_params():
 class TestMakeParams:
     def test_valid(self, classroom_params):
         assert classroom_params == dh.DhParams(23, 5)
+
+    def test_table_leaves_equality_and_hash_alone(self):
+        built, direct = dh.make_params(23, 5), dh.DhParams(23, 5)
+        dh.public_of(built, 6)
+        assert "generator_table" in vars(built) and "generator_table" not in vars(direct)
+        assert built == direct and hash(built) == hash(direct)
+        assert repr(built) == repr(direct) == "DhParams(p=23, g=5)"
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -37,6 +56,35 @@ class TestKeypairs:
 
     def test_exponent_one(self, classroom_params):
         assert dh.public_of(classroom_params, 1) == classroom_params.g
+
+    def test_every_classroom_secret_against_builtin_pow(self, classroom_params):
+        for secret in range(1, 22):
+            assert dh.public_of(classroom_params, secret) == pow(5, secret, 23)
+
+    @given(start=st.integers(min_value=5, max_value=2**130), seed=st.integers(0, 2**32),
+           pick=st.sampled_from(["one", "top", "random"]))
+    @example(start=5, seed=0, pick="top")
+    def test_fixed_base_against_builtin_pow(self, start, seed, pick):
+        p = start  # the least prime >= start
+        while not numtheory.is_prime(p).is_prime:
+            p += 1
+        rng = random.Random(seed)
+        g = rng.randrange(2, p - 1)
+        secret = {"one": 1, "top": p - 2, "random": rng.randrange(1, p - 1)}[pick]
+        assert dh.public_of(dh.DhParams(p, g), secret) == pow(g, secret, p)
+
+    def test_exchange_sized_group(self):
+        params = dh.make_params(OAKLEY_1024, 5)
+        rng = random.Random(604)
+        secrets = [1, 2, OAKLEY_1024 - 2] + [rng.randrange(1, OAKLEY_1024 - 1) for _ in range(4)]
+        for secret in secrets:
+            assert dh.public_of(params, secret) == pow(5, secret, OAKLEY_1024)
+
+    def test_generator_above_modulus_is_reduced(self, classroom_params):
+        for g in (28, 5 + 23 * 10**6):
+            direct = dh.DhParams(23, g)
+            for secret in range(1, 22):
+                assert dh.public_of(direct, secret) == dh.public_of(classroom_params, secret)
 
     def test_secret_range(self, classroom_params):
         with pytest.raises(ValueError):

@@ -43,3 +43,21 @@ PRIMES_BELOW_1000 = [
 
 CAESAR_PLAIN = "Nel mezzo del cammin di nostra vita"
 CAESAR_CIPHER = "Qho phccr gho fdpplq gl qrvwud ylwd"
+
+# Seeded CLI output, pinned byte for byte: seeded determinism must survive
+# any change to the exponentiation kernels or to prime generation's checks.
+DH_DEMO_SEED_7 = (
+    "p=23\ng=5\nalice-secret=12\nalice-public=18\nbob-secret=6\nbob-public=8\n"
+    "alice-shared=8\nbob-shared=8\neve-exponent=12\neve-steps=12\neve-shared=8\n"
+)
+# the .pub and .key files of `toycrypt keygen --bits 256 --seed 1`
+KEYGEN_256_SEED_1_PUB = (
+    "n=0xa7013861e7102c6f5be6c1900e5c9c67d825ff18eda481d12f6bf750231cb20f\n"
+    "e=0x10001\n"
+)
+KEYGEN_256_SEED_1_KEY = (
+    "n=0xa7013861e7102c6f5be6c1900e5c9c67d825ff18eda481d12f6bf750231cb20f\n"
+    "d=0x6b3f8e5cd90d7aebbcc2111619130261682746e9213dc776727e5d479ca1b9d1\n"
+    "p=0xc80b320a4c717095bcc99ae80f0c8a89\n"
+    "q=0xd5b82891663f423b8a0f42834e0751d7\n"
+)
