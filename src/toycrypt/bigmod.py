@@ -88,7 +88,7 @@ def mod_mul(a: Residue, b: Residue) -> Residue:
 # (least exponent bit length, window width) for mod_pow, widest first.
 # Timed for every width on random exponents mod 512- and 1024-bit moduli:
 # below 32 bits the odd-power table saves nothing, so short exponents such
-# as e = 65537 get plain square-and-multiply.  Above that, each width starts
+# as e = 65537 get width 1, square-and-multiply.  Above that, each width starts
 # where it needs the fewest products; near those lengths the timings of
 # neighbouring widths differ by less than their noise.
 _WINDOWS = ((672, 6), (240, 5), (64, 4), (32, 3))
@@ -100,8 +100,9 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
     HAC Alg. 14.85: precompute the odd powers b, b**3, ..., b**(2**w - 1),
     then scan the exponent from the top, squaring once per bit and
     multiplying once per window of at most w bits that ends in a 1.  The
-    width w grows with the exponent's length (_WINDOWS); short exponents
-    use plain square-and-multiply, the w = 1 case without a table.
+    width w grows with the exponent's length (_WINDOWS).  Short exponents
+    get w = 1, where every window is a single 1 bit and the table is just
+    [b]: plain square-and-multiply, with no product spent on the table.
 
     Never materializes base**exp; runtime is polynomial in the bit lengths.
     An exponent of 0 yields 1 for every m >= 2.
@@ -112,17 +113,11 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
     b = base % m
     n = exp.bit_length()
     width = next((w for bits, w in _WINDOWS if n >= bits), 1)
-    if width == 1:
-        result = 1 % m
-        for i in range(n - 1, -1, -1):
-            result = result * result % m
-            if (exp >> i) & 1:
-                result = result * b % m
-        return Residue(result, m)
-    b2 = b * b % m
     odd = [b]  # odd[k] = b**(2k + 1)
-    for _ in range((1 << (width - 1)) - 1):
-        odd.append(odd[-1] * b2 % m)
+    if width > 1:
+        b2 = b * b % m
+        for _ in range((1 << (width - 1)) - 1):
+            odd.append(odd[-1] * b2 % m)
     bits = f"{exp:b}"
     result, i = 1, 0
     while i < n:
@@ -216,8 +211,6 @@ def gcd(a: int, b: int) -> int:
 
 def lcm(a: int, b: int) -> int:
     """Least common multiple; both arguments must be nonzero."""
-    _check_natural(a)
-    _check_natural(b)
     if a == 0 or b == 0:
         raise ValueError("lcm requires nonzero arguments")
     return a // gcd(a, b) * b
@@ -254,7 +247,6 @@ def mod_inv(a: int, m: int) -> Residue:
 
 def mod_div(a: int, b: int, m: int) -> Residue:
     """a/b mod m, i.e. a * b**-1; b must be coprime to m."""
-    _check_modulus(m)
     _check_natural(a)
     inv = mod_inv(b, m)
     return Residue(a % m * inv.value % m, m)

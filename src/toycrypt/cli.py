@@ -18,6 +18,11 @@ from pathlib import Path
 
 from . import bigmod, classical, dh, ecc, envelope, numtheory, rsa, sha1
 
+# Most steps a brute-force scan takes when --cap is not given.  A step costs
+# about 0.25 us in a 64-bit DH group and 20 us on a 64-bit curve, so the
+# default scan ends within about 1.3 s.
+DEFAULT_SCAN_CAP = 1 << 16
+
 
 def demo_rsa_paper() -> str:
     """Worked single-letter example: p=19, q=17, e=17, letter C coded as 3.
@@ -44,6 +49,11 @@ def demo_rsa_paper() -> str:
         f"recovered-letter={chr(ord('A') + decoded - 1)}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _scan_cap(cap: int | None, bound: int) -> int:
+    """--cap if given, else the group's bound, at most DEFAULT_SCAN_CAP."""
+    return cap if cap is not None else min(bound, DEFAULT_SCAN_CAP)
 
 
 def _make_rng(seed: int | None):
@@ -111,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "keygen", _cmd_keygen, "generate an RSA key pair")
-    p.add_argument("--bits", type=_natural, required=True)
+    p.add_argument("--bits", type=_natural, required=True,
+                   help=f"modulus size, 16 to {rsa.MAX_MODULUS_BITS} bits")
     p.add_argument("--exponent", type=_natural, default=rsa.DEFAULT_PUBLIC_EXPONENT)
     p.add_argument("--out", required=True, help="prefix for .pub and .key files")
     p.add_argument("--seed", type=_natural)
@@ -132,13 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_natural, default=23)
     p.add_argument("--g", type=_natural, default=5)
     p.add_argument("--seed", type=_natural)
-    p.add_argument("--cap", type=_integer, help="Eve's scan budget (default p)")
+    p.add_argument("--cap", type=_integer,
+                   help=f"Eve's scan budget (default min(p, {DEFAULT_SCAN_CAP}))")
 
     p = _add_command(sub, "dlog", _cmd_dlog, "brute-force discrete log")
     p.add_argument("p", type=_natural)
     p.add_argument("g", type=_natural)
     p.add_argument("target", type=_natural)
-    p.add_argument("--cap", type=_integer)
+    p.add_argument("--cap", type=_integer,
+                   help=f"scan budget (default min(p, {DEFAULT_SCAN_CAP}))")
     _add_base_selector(p)
 
     p = _add_command(sub, "factor", _cmd_factor, "trial-division factorization")
@@ -189,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = ecc_sub.add_parser("dlog")
     q.add_argument("base")
     q.add_argument("target")
-    q.add_argument("--cap", type=_integer)
+    q.add_argument("--cap", type=_integer,
+                   help=f"scan budget (default min(p + 1, {DEFAULT_SCAN_CAP}))")
 
     p = _add_command(sub, "keycount", _cmd_keycount, "pairwise keys needed by N parties")
     p.add_argument("n", type=_natural)
@@ -253,7 +267,7 @@ def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
     bob = dh.gen_keypair(params, rng)
     alice_shared = dh.shared_secret(params, alice.secret, bob.public)
     bob_shared = dh.shared_secret(params, bob.secret, alice.public)
-    cap = args.cap if args.cap is not None else params.p
+    cap = _scan_cap(args.cap, params.p)
     eve = dh.brute_force_dlog(params, alice.public, cap)
     lines = [
         f"p={params.p}",
@@ -275,7 +289,7 @@ def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
 
 def _cmd_dlog(args, stdin, stdout, rng) -> int:
     params = dh.make_params(args.p, args.g)
-    cap = args.cap if args.cap is not None else params.p
+    cap = _scan_cap(args.cap, params.p)
     result = dh.brute_force_dlog(params, args.target, cap)
     if not result.found:
         raise ValueError(f"no exponent up to {cap} reaches {args.target}")
@@ -362,7 +376,7 @@ def _cmd_ecc(args, stdin, stdout, rng) -> int:
     else:
         base = ecc.parse_point(args.base)
         target = ecc.parse_point(args.target)
-        cap = args.cap if args.cap is not None else curve.p + 1
+        cap = _scan_cap(args.cap, curve.p + 1)
         result = ecc.brute_force_ecdlog(curve, base, target, cap)
         if not result.found:
             raise ValueError(f"no scalar up to {cap} reaches {args.target}")

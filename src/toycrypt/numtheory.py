@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from . import bigmod
@@ -122,7 +123,12 @@ def _is_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def is_prime(n: int, rounds: int = 40, rng=None) -> PrimalityVerdict:
+# Miller-Rabin rounds for a number a caller supplies, which may be built to
+# fool the test: is_prime's default, and the most random_prime_rounds gives.
+_MAX_ROUNDS = 40
+
+
+def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
     """Primality verdict: trial division by the primes below 2**11, then Miller-Rabin.
 
     Trial division settles every n below 2**22 (PROVEN_PRIME, or COMPOSITE
@@ -205,7 +211,6 @@ def totient(n: int) -> int:
 # its candidates come from the top quarter of the k-bit range, not the top
 # half, and drawing from half the range can at most double the error.
 _RANDOM_PRIME_LOG2_ERROR = -101
-_MAX_ROUNDS = 40  # is_prime's default, for numbers a caller supplies
 
 
 def _dlp_log2_error(k: int, t: int) -> float:
@@ -264,7 +269,11 @@ def random_prime(bits: int, rng=None) -> int:
 
 
 def pnt_estimate(x: int) -> float:
-    """Approximate count of primes up to x as x/ln(x)."""
+    """Approximate count of primes up to x as x/ln(x).
+
+    Raises ValueError when x/ln(x) exceeds the largest float, as it does
+    for x above about 2**1033.5.
+    """
     if x < 3:
         raise ValueError(f"estimate needs x >= 3, got {x}")
     ln_x = math.log(x)  # takes ints of any size; float(x) would overflow
@@ -273,7 +282,10 @@ def pnt_estimate(x: int) -> float:
     try:
         return math.exp(ln_x - math.log(ln_x))
     except OverflowError:
-        return math.inf
+        raise ValueError(
+            f"x/ln(x) for a {x.bit_length()}-bit x exceeds the float range "
+            f"(at most {sys.float_info.max:.4g})"
+        ) from None
 
 
 def pnt_between(lo: int, hi: int) -> float:

@@ -23,6 +23,9 @@ MIN_MODULUS = 257  # one plaintext byte per block
 # pair in 61 succeeds (the worst is 16 bits with e = 105), so 1000 failures
 # in a row happen by chance less than once in 10**7 searches.
 MAX_PRIME_PAIRS = 1000
+# keygen_random's largest modulus.  Seeded keys took 0.3 to 0.7 s at 2048
+# bits and 5 to 27 s at 4096: each doubling costs ten times or more.
+MAX_MODULUS_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,13 @@ def keygen_random(
     p = q or gcd(e, phi) != 1.  e must be odd (phi is even), at least 3 and
     below 2**(modulus_bits-1).  Some small (modulus_bits, e) admit no key at
     all, such as 16 bits with e = 3045, so the search gives up with a
-    ValueError after MAX_PRIME_PAIRS pairs.
+    ValueError after MAX_PRIME_PAIRS pairs.  Moduli above MAX_MODULUS_BITS
+    are refused.
     """
-    if modulus_bits < 16:
-        raise ValueError(f"modulus must be at least 16 bits, got {modulus_bits}")
+    if not 16 <= modulus_bits <= MAX_MODULUS_BITS:
+        raise ValueError(
+            f"modulus must have 16 to {MAX_MODULUS_BITS} bits, got {modulus_bits}"
+        )
     if e < 3 or e % 2 == 0 or e >= 1 << (modulus_bits - 1):
         raise ValueError(f"exponent {e} must be odd and in [3, 2**{modulus_bits - 1})")
     rng = rng or random.SystemRandom()

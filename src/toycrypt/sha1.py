@@ -79,6 +79,14 @@ def _padding(length: int) -> bytes:
     return b"\x80" + bytes((55 - length) % BLOCK_BYTES) + struct.pack(">Q", 8 * length)
 
 
+def _compress(state: tuple[int, ...], data: bytes) -> tuple[tuple[int, ...], bytes]:
+    """Compress each whole 64-byte block of data in turn: (new state, the rest)."""
+    whole = len(data) - len(data) % BLOCK_BYTES
+    for off in range(0, whole, BLOCK_BYTES):
+        state = _rounds(state, struct.unpack_from(">16I", data, off), _MASK, 1)
+    return state, data[whole:]
+
+
 class Sha1:
     """Streaming digest context: update() any number of times, then digest().
 
@@ -97,20 +105,11 @@ class Sha1:
         self._length += len(data)
         if self._length >= MAX_MESSAGE_BYTES:
             raise ValueError("message too long for SHA-1")
-        buf = self._buffer + data
-        complete = len(buf) - len(buf) % BLOCK_BYTES
-        state = self._state
-        for off in range(0, complete, BLOCK_BYTES):
-            state = _rounds(state, struct.unpack_from(">16I", buf, off), _MASK, 1)
-        self._state = state
-        self._buffer = buf[complete:]
+        self._state, self._buffer = _compress(self._state, self._buffer + data)
         return self
 
     def digest(self) -> Digest:
-        state = self._state
-        tail = self._buffer + _padding(self._length)
-        for off in range(0, len(tail), BLOCK_BYTES):
-            state = _rounds(state, struct.unpack_from(">16I", tail, off), _MASK, 1)
+        state, _ = _compress(self._state, self._buffer + _padding(self._length))
         return Digest(struct.pack(">5I", *state))
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from toycrypt import envelope
+from toycrypt import envelope, numtheory
 from toycrypt.cli import _integer, _natural, build_parser, demo_rsa_paper, run
 from vectors import (
     CAESAR_CIPHER,
@@ -16,6 +16,10 @@ from vectors import (
     KEYGEN_256_SEED_1_KEY,
     KEYGEN_256_SEED_1_PUB,
 )
+
+
+# A 64-bit prime, far too large for a full scan of its group.
+P64 = 15585724270239468571
 
 
 def invoke(argv, stdin=b""):
@@ -97,12 +101,23 @@ class TestNumberCommands:
         code, _, err = invoke(["prime-count", "50", "40"])
         assert code == 1 and "lo" in err
 
+    @pytest.mark.parametrize("bounds", [[2**1100], [2**2000, 2**2001]])
+    def test_prime_count_beyond_the_float_range(self, bounds):
+        code, out, err = invoke(["prime-count", *map(str, bounds)])
+        assert (code, out) == (1, "")
+        assert "exceeds the float range" in err
+
     def test_dlog(self):
         assert invoke(["dlog", "23", "5", "8"])[1] == "k=6 steps=6\n"
 
     def test_dlog_not_found(self):
         code, _, err = invoke(["dlog", "23", "5", "8", "--cap", "3"])
         assert code == 1 and "no exponent" in err
+
+    def test_dlog_default_budget_is_bounded(self):
+        code, out, err = invoke(["dlog", str(P64), "5", "7"])
+        assert (code, out) == (1, "")
+        assert "no exponent up to 65536 reaches 7" in err
 
     def test_factor_cap_that_suffices(self):
         # 171371 = 409 * 419: the last trial divisor needed is 409
@@ -349,6 +364,14 @@ class TestEccCommands:
                                  "--cap", "-1"])
         assert (code, out) == (1, "") and "cap" in err
 
+    def test_dlog_default_budget_is_bounded(self):
+        # the target is (2**40 + 12345) times the base
+        code, out, err = invoke(["ecc", "--curve", f"2,3,{P64}", "dlog",
+                                 "1,3420890028977481873",
+                                 "7594827701402837054,6326099960583602795"])
+        assert (code, out) == (1, "")
+        assert "no scalar up to 65536 reaches" in err
+
 
 class TestDemos:
     def test_rsa_demo_transcript(self):
@@ -385,6 +408,11 @@ class TestDemos:
         _, out, _ = invoke(["dh-demo", "--cap", "0", "--seed", "7"])
         assert out.endswith("eve-exponent=not-found\neve-steps=0\n")
 
+    def test_dh_demo_default_budget_is_bounded(self):
+        code, out, _ = invoke(["dh-demo", "--p", str(P64), "--g", "5", "--seed", "1"])
+        assert code == 0
+        assert out.endswith("eve-exponent=not-found\neve-steps=65536\n")
+
     def test_dh_demo_larger_params(self):
         _, out, _ = invoke(["dh-demo", "--p", "1009", "--g", "11", "--seed", "3"])
         fields = dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -410,6 +438,17 @@ class TestRsaPipelines:
         )
         assert code == 0
         assert plain.read_bytes() == b"five hundred forty one"
+
+    def test_keygen_above_the_maximum_refused_before_search(self, tmp_path, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched for primes")
+
+        monkeypatch.setattr(numtheory, "random_prime", no_search)
+        prefix = tmp_path / "big"
+        code, out, err = invoke(["keygen", "--bits", "4097", "--out", str(prefix)])
+        assert (code, out) == (1, "")
+        assert "16 to 4096 bits, got 4097" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_keygen_seeded_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,9 @@
 """Nothing on a shipping path hides behind a library call.
 
 Built-in pow and hashlib may serve as test oracles only: every module of
-the package is parsed, and any use of the name `pow` or any import of
-hashlib fails the test.
+the package is parsed, and any use of the name `pow` or the attribute
+`__pow__`, any import of hashlib, and the string "pow" or "hashlib" passed
+to a call (getattr, __import__, importlib.import_module) fail the test.
 """
 
 import ast
@@ -24,6 +25,12 @@ def shortcuts(source: str) -> list[str]:
         elif isinstance(node, ast.Attribute) and node.attr == "pow":
             if isinstance(node.value, ast.Name) and node.value.id == "builtins":
                 found.append(f"line {node.lineno}: builtins.pow")
+        elif isinstance(node, ast.Attribute) and node.attr == "__pow__":
+            found.append(f"line {node.lineno}: __pow__")
+        elif isinstance(node, ast.Call):
+            for arg in node.args + [keyword.value for keyword in node.keywords]:
+                if isinstance(arg, ast.Constant) and arg.value in ("pow", "hashlib"):
+                    found.append(f"line {node.lineno}: {arg.value!r} passed to a call")
         elif isinstance(node, ast.Import):
             if any(alias.name.split(".")[0] == "hashlib" for alias in node.names):
                 found.append(f"line {node.lineno}: import hashlib")
@@ -49,6 +56,11 @@ def test_no_builtin_pow_or_hashlib(path):
     "import hashlib",
     "import os, hashlib as h",
     "from hashlib import sha1",
+    "int.__pow__(3, 5, 7)",
+    "(3).__pow__(5, 7)",
+    'import builtins\ngetattr(builtins, "pow")',
+    '__import__("hashlib")',
+    'import importlib\nimportlib.import_module("hashlib")',
 ])
 def test_shortcut_detected(source):
     assert shortcuts(source)

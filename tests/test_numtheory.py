@@ -343,6 +343,13 @@ class TestPrimeCountEstimates:
         with pytest.raises(ValueError):
             numtheory.pnt_estimate(2)
 
+    def test_beyond_the_float_range(self):
+        # x/ln(x) > 1.8e308 would read inf, and a difference of two infs nan
+        with pytest.raises(ValueError, match="float range"):
+            numtheory.pnt_estimate(2**1100)
+        with pytest.raises(ValueError, match="float range"):
+            numtheory.pnt_between(2**2000, 2**2001)
+
     def test_sieve_ratio_band(self):
         for x in (10**4, 10**5):
             pi = len(numtheory.sieve_primes(x + 1))

@@ -179,6 +179,10 @@ class TestKeygenRandom:
         with pytest.raises(ValueError):
             rsa.keygen_random(8, rng=random.Random(0))
 
+    def test_too_many_bits_rejected_before_search(self):
+        with pytest.raises(ValueError, match="16 to 4096 bits"):
+            rsa.keygen_random(rsa.MAX_MODULUS_BITS + 1, rng=object())
+
     @pytest.mark.parametrize(
         "bits, e", [(64, 1), (64, 2), (64, 4), (64, 65536), (64, -3), (16, 65535), (64, 1 << 63)]
     )
