@@ -110,6 +110,11 @@ def _add_base_selector(parser: argparse.ArgumentParser) -> None:
                        help="print numbers in decimal (default)")
 
 
+def _add_divisor_cap(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cap", type=_integer, default=numtheory.DEFAULT_DIVISOR_CAP,
+                        help="largest trial divisor (default %(default)s)")
+
+
 def _add_command(sub, name: str, handler, help_text: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(name, help=help_text)
     parser.set_defaults(handler=handler)
@@ -156,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "factor", _cmd_factor, "trial-division factorization")
     p.add_argument("n", type=_natural)
-    p.add_argument("--cap", type=_integer, default=numtheory.DEFAULT_DIVISOR_CAP,
-                   help="largest trial divisor (default %(default)s)")
+    _add_divisor_cap(p)
     _add_base_selector(p)
 
     p = _add_command(sub, "primes", _cmd_primes, "primes below a limit")
@@ -166,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "totient", _cmd_totient, "Euler's phi")
     p.add_argument("n", type=_natural)
+    _add_divisor_cap(p)
     _add_base_selector(p)
 
     p = _add_command(sub, "prime-count", _cmd_prime_count, "approximate prime counts, x/ln(x)")
@@ -310,7 +315,7 @@ def _cmd_primes(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_totient(args, stdin, stdout, rng) -> int:
-    stdout.write(bigmod.render_natural(numtheory.totient(args.n), args.hex) + "\n")
+    stdout.write(bigmod.render_natural(numtheory.totient(args.n, args.cap), args.hex) + "\n")
     return 0
 
 

@@ -75,6 +75,17 @@ class TestNumberCommands:
         assert invoke(["totient", "323"]) == (0, "288\n", "")
         assert invoke(["totient", "--hex", "323"])[1] == "0x120\n"
 
+    def test_totient_cap_overrun_reports_partial_result(self):
+        # 1000000016000000063 = 1000000007 * 1000000009: the default cap of
+        # 2**32 would take minutes of trial division
+        code, out, err = invoke(["totient", "--cap", "65536", "1000000016000000063"])
+        assert (code, out) == (1, "")
+        assert err == ("toycrypt totient: factoring 1000000016000000063 exceeded the divisor "
+                       "cap; extracted nothing, cofactor 1000000016000000063 unresolved\n")
+        code, out, err = invoke(["totient", "--cap", "1000", str(8 * 10007 * 10009)])
+        assert (code, out) == (1, "")
+        assert "extracted 2^3, cofactor 100160063 unresolved" in err
+
     def test_primes(self):
         code, out, _ = invoke(["primes", "30"])
         assert code == 0
@@ -338,26 +349,6 @@ class TestEccCommands:
     def test_point_refuses_signs_separators_and_non_ascii_digits(self, point):
         code, out, _ = invoke(["ecc", "--curve", self.CURVE, "add", point, "O"])
         assert (code, out) == (1, "")
-
-    def test_factor_cap_that_suffices(self):
-        # 171371 = 409 * 419: the last trial divisor needed is 409
-        assert invoke(["factor", "--cap", "409", "171371"]) == (0, "171371 = 409 * 419\n", "")
-        assert invoke(["factor", "--cap", "0", "3"]) == (0, "3 = 3\n", "")
-
-    def test_factor_cap_overrun_reports_partial_result(self):
-        code, out, err = invoke(["factor", "--cap", "1000", str(8 * 10007 * 10009)])
-        assert (code, out) == (1, "")
-        assert err == ("toycrypt factor: factoring 801280504 exceeded the divisor cap; "
-                       "extracted 2^3, cofactor 100160063 unresolved\n")
-        code, out, err = invoke(["factor", "--cap", "408", "171371"])
-        assert (code, out) == (1, "")
-        assert "extracted nothing, cofactor 171371 unresolved" in err
-
-    @pytest.mark.parametrize("cap", [["--cap", "-1"], ["--cap=-0x10"]])
-    def test_factor_negative_cap_is_domain_error(self, cap):
-        code, out, err = invoke(["factor", *cap, "171371"])
-        assert (code, out) == (1, "")
-        assert "divisor cap must be non-negative" in err
 
     def test_dlog_negative_cap_is_domain_error(self):
         code, out, err = invoke(["ecc", "--curve", self.CURVE, "dlog", "3,6", "80,10",

@@ -52,6 +52,7 @@ GOLDEN = {
     "toycrypt keycount 10": (0, "45\n"),
     "toycrypt primes 30": (0, "2\n3\n5\n7\n11\n13\n17\n19\n23\n29\n"),
     "toycrypt totient 323": (0, "288\n"),
+    "toycrypt totient --cap 409 171371": (0, "170544\n"),
     "toycrypt prime-count 1000": (0, "144.765\n"),
     "toycrypt hash": (0, DIGEST_ITALIA_4_3 + "\n"),
     "toycrypt caesar --shift 3 Nel mezzo del cammin di nostra vita": (
@@ -132,7 +133,7 @@ OPTION_SURFACE = {
              (("--cap",), "cap", False, None)} | BASE,
     "factor": {((), "n", True, None), (("--cap",), "cap", False, 2**32)} | BASE,
     "primes": {((), "limit", True, None)} | BASE,
-    "totient": {((), "n", True, None)} | BASE,
+    "totient": {((), "n", True, None), (("--cap",), "cap", False, 2**32)} | BASE,
     "prime-count": {((), "bounds", True, None)},
     "hash": {(("--in",), "infile", False, None)},
     "caesar": {(("--shift",), "shift", True, None), (("--decrypt",), "decrypt", False, False),

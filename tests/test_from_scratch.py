@@ -4,6 +4,8 @@ Built-in pow and hashlib may serve as test oracles only: every module of
 the package is parsed, and any use of the name `pow` or the attribute
 `__pow__`, any import of hashlib, and the string "pow" or "hashlib" passed
 to a call (getattr, __import__, importlib.import_module) fail the test.
+So do `math.gcd` and `math.lcm`, imported or as attributes, since bigmod
+owns those kernels.
 """
 
 import ast
@@ -14,10 +16,11 @@ import pytest
 import toycrypt
 
 MODULES = sorted(Path(toycrypt.__file__).parent.glob("*.py"))
+MATH_KERNELS = ("gcd", "lcm")
 
 
 def shortcuts(source: str) -> list[str]:
-    """Line-numbered uses of built-in pow and imports of hashlib."""
+    """Line-numbered uses of built-in pow, math.gcd and math.lcm, and imports of hashlib."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and node.id == "pow":
@@ -27,6 +30,9 @@ def shortcuts(source: str) -> list[str]:
                 found.append(f"line {node.lineno}: builtins.pow")
         elif isinstance(node, ast.Attribute) and node.attr == "__pow__":
             found.append(f"line {node.lineno}: __pow__")
+        elif isinstance(node, ast.Attribute) and node.attr in MATH_KERNELS:
+            if isinstance(node.value, ast.Name) and node.value.id == "math":
+                found.append(f"line {node.lineno}: math.{node.attr}")
         elif isinstance(node, ast.Call):
             for arg in node.args + [keyword.value for keyword in node.keywords]:
                 if isinstance(arg, ast.Constant) and arg.value in ("pow", "hashlib"):
@@ -36,6 +42,10 @@ def shortcuts(source: str) -> list[str]:
                 found.append(f"line {node.lineno}: import hashlib")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hashlib":
             found.append(f"line {node.lineno}: from hashlib import")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name in MATH_KERNELS or alias.name == "*":
+                    found.append(f"line {node.lineno}: from math import {alias.name}")
     return found
 
 
@@ -61,11 +71,18 @@ def test_no_builtin_pow_or_hashlib(path):
     'import builtins\ngetattr(builtins, "pow")',
     '__import__("hashlib")',
     'import importlib\nimportlib.import_module("hashlib")',
+    "import math\nmath.gcd(12, 18)",
+    "import math\nmath.lcm(4, 6)",
+    "from math import gcd",
+    "from math import lcm",
+    "from math import isqrt, gcd as g",
+    "from math import *",
 ])
 def test_shortcut_detected(source):
     assert shortcuts(source)
 
 
-@pytest.mark.parametrize("source", ["bigmod.mod_pow(3, 5, 7)", "math.pow(2.0, 0.5)", "x ** 2"])
+@pytest.mark.parametrize("source", ["bigmod.mod_pow(3, 5, 7)", "math.pow(2.0, 0.5)", "x ** 2",
+                                    "bigmod.gcd(12, 18)", "from math import isqrt"])
 def test_own_arithmetic_allowed(source):
     assert shortcuts(source) == []

@@ -16,7 +16,7 @@ from toycrypt.numtheory import (
     PrimalityVerdict,
     SieveLimitError,
 )
-from vectors import PRIMES_BELOW_1000
+from vectors import KEYGEN_1024_SEED_KEYGEN_0_P, KEYGEN_1024_SEED_KEYGEN_0_Q, PRIMES_BELOW_1000
 
 
 class TestSieve:
@@ -77,6 +77,16 @@ class TestFermat:
                 assert numtheory.fermat_probable_prime(p, a), (p, a)
 
 
+class CountingRandom(random.Random):
+    """random.Random that counts its randrange draws (Miller-Rabin bases)."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
 class TestIsPrime:
     def test_factor_pair_of_171371(self):
         assert numtheory.is_prime(409).kind == PROVEN_PRIME
@@ -98,9 +108,10 @@ class TestIsPrime:
         assert verdict.witness is not None and 2 <= verdict.witness <= n - 2
 
     def test_large_prime_is_probable(self):
-        verdict = numtheory.is_prime(2**89 - 1, rounds=24, rng=random.Random(2))
+        rng = CountingRandom(2)
+        verdict = numtheory.is_prime(2**89 - 1, rounds=24, rng=rng)
         assert verdict.kind == PROBABLY_PRIME
-        assert verdict.rounds == 24
+        assert verdict.rounds == rng.draws == 24
 
     def test_agrees_with_sieve_below_1e5(self):
         members = set(numtheory.sieve_primes(10**5))
@@ -122,14 +133,95 @@ class TestIsPrime:
             if verdict.is_prime:
                 assert verdict.kind == (PROVEN_PRIME if n < 1 << 22 else PROBABLY_PRIME), n
 
-    def test_small_factor_found_without_rng(self):
-        verdict = numtheory.is_prime(3 * (2**89 - 1), rng=object())
-        assert verdict == numtheory.PrimalityVerdict(COMPOSITE, witness=3, rounds=0)
+    # 2039 is the largest prime below 2**11, the last one trial division tries
+    @pytest.mark.parametrize("factor", [3, 2039])
+    def test_small_factor_found_without_rng(self, factor):
+        verdict = numtheory.is_prime(factor * (2**89 - 1), rng=object())
+        assert verdict == numtheory.PrimalityVerdict(COMPOSITE, witness=factor, rounds=0)
 
     @pytest.mark.parametrize("rounds", [0, -2])
     def test_rounds_below_one_rejected(self, rounds):
         with pytest.raises(ValueError):
             numtheory.is_prime((2**89 - 1) * (2**61 - 1), rounds=rounds)
+
+
+# primes below 2**16, by trial division: is_prime divides by those below
+# 2**11 and takes one gcd with the product of those in [2**11, 2**15)
+PRIMES_BELOW_2_16 = [
+    n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))
+]
+PRIMES_FROM_2_11 = [p for p in PRIMES_BELOW_2_16 if p >= 1 << 11]
+GCD_RANGE_PRIMES = [p for p in PRIMES_FROM_2_11 if p < 1 << 15]
+
+
+def reference_verdict(n: int) -> tuple[str, int | None]:
+    """Kind and divisor witness is_prime should give for 2**22 <= n < 2**81.
+
+    The witness is None where Miller-Rabin decides.  Built from trial
+    division by the primes below 2**15 and a Miller-Rabin test on built-in
+    pow with the primes up to 41 as bases, which is exact below 3.3 * 10**24
+    (Sorenson and Webster, 2015).
+    """
+    for p in PRIMES_BELOW_2_16:
+        if p >= 1 << 11:
+            break
+        if n % p == 0:
+            return COMPOSITE, p
+    g = math.prod(p for p in GCD_RANGE_PRIMES if n % p == 0)
+    if 1 < g < n:
+        return COMPOSITE, g
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIMES_BELOW_1000[:13]:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return COMPOSITE, None
+    return PROBABLY_PRIME, None
+
+
+class TestGcdFilter:
+    # 2053 and 32749 are the least and the largest prime in [2**11, 2**15)
+    @pytest.mark.parametrize("n, factor", [
+        (2053 * (2**89 - 1), 2053),
+        (32749 * (2**61 - 1), 32749),
+    ])
+    def test_factor_in_range_found_by_gcd_after_one_draw(self, n, factor):
+        rng = CountingRandom(1)
+        verdict = numtheory.is_prime(n, rng=rng)
+        assert verdict == PrimalityVerdict(COMPOSITE, witness=factor, rounds=0)
+        assert 1 < verdict.witness < n and n % verdict.witness == 0
+        # the first base is drawn before the gcd, as if Miller-Rabin ran
+        assert rng.draws == 1
+
+    # 32771 is the least prime above 2**15, so no gcd finds it
+    @pytest.mark.parametrize("n", [2053 * 2063, 32719 * 32749, 32771 * (2**61 - 1)])
+    def test_composite_left_to_miller_rabin(self, n):
+        # the gcd finds no proper divisor (it is n or 1); the drawn base rejects n
+        rng = CountingRandom(3)
+        verdict = numtheory.is_prime(n, rng=rng)
+        assert verdict.kind == COMPOSITE
+        assert verdict.rounds == rng.draws >= 1
+        assert 2 <= verdict.witness <= n - 2
+
+    @given(st.sampled_from(PRIMES_FROM_2_11),
+           st.one_of(st.integers(1, 2**64), st.sampled_from(PRIMES_BELOW_2_16)),
+           st.integers(0, 2**32))
+    def test_agrees_with_reference(self, p, cofactor, seed):
+        n = p * cofactor
+        if n < 1 << 22:
+            n *= 2053
+        kind, witness = reference_verdict(n)
+        verdict = numtheory.is_prime(n, rounds=12, rng=random.Random(seed))
+        assert verdict.is_prime == (kind != COMPOSITE)
+        if witness is not None:
+            assert (verdict.witness, verdict.rounds) == (witness, 0)
+        elif kind == COMPOSITE:
+            assert 2 <= verdict.witness <= n - 2 and verdict.rounds >= 1
+
+    def test_seeded_key_unchanged(self):
+        _, key = rsa.keygen_random(1024, 65537, random.Random("keygen-0"))
+        assert (key.p, key.q) == (KEYGEN_1024_SEED_KEYGEN_0_P, KEYGEN_1024_SEED_KEYGEN_0_Q)
 
 
 class TestFactorTrial:

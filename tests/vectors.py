@@ -61,3 +61,14 @@ KEYGEN_256_SEED_1_KEY = (
     "p=0xc80b320a4c717095bcc99ae80f0c8a89\n"
     "q=0xd5b82891663f423b8a0f42834e0751d7\n"
 )
+# the primes of rsa.keygen_random(1024, 65537, random.Random("keygen-0")),
+# the first key of the benchmark's keygen pool: a change to is_prime's
+# checks must not move the keys drawn from a seeded rng
+KEYGEN_1024_SEED_KEYGEN_0_P = int(
+    "dd863578d657894139a48b808048d134cbf5169c62b69cc6fa31c27e96dd4e82"
+    "6c2f50f65fb07608e790735358db114a48dffebed1a8a97abe451c12b1f20875", 16
+)
+KEYGEN_1024_SEED_KEYGEN_0_Q = int(
+    "e38ac27d5370c3c6c68d51afc23725639214c8c1f2d7c5bdba26ad61490371d8"
+    "13be220653e5ce2afa5718201144de27196faefa28e1b96f2ef7a1fc666711bf", 16
+)
