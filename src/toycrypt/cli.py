@@ -18,9 +18,10 @@ from pathlib import Path
 
 from . import bigmod, classical, dh, ecc, envelope, numtheory, rsa, sha1
 
-# Most steps a brute-force scan takes when --cap is not given.  A step costs
-# about 0.25 us in a 64-bit DH group and 20 us on a 64-bit curve, so the
-# default scan ends within about 1.3 s.
+# Most steps a brute-force scan takes, and the largest trial divisor of
+# factor and totient, when --cap is not given.  A step costs about 0.25 us in
+# a 64-bit DH group and 20 us on a 64-bit curve, so the default scan ends
+# within about 1.3 s; trial division up to it takes a few milliseconds.
 DEFAULT_SCAN_CAP = 1 << 16
 
 
@@ -111,8 +112,9 @@ def _add_base_selector(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_divisor_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cap", type=_integer, default=numtheory.DEFAULT_DIVISOR_CAP,
-                        help="largest trial divisor (default %(default)s)")
+    parser.add_argument("--cap", type=_integer, default=DEFAULT_SCAN_CAP,
+                        help="largest trial divisor (default %(default)s; past it, exit 1 "
+                             "with the factors found so far)")
 
 
 def _add_command(sub, name: str, handler, help_text: str) -> argparse.ArgumentParser:

@@ -13,9 +13,11 @@ which is exactly the contrast with signatures this module demonstrates.
 
 The counter blocks are independent of each other (NIST SP 800-38A, 6.5),
 so the keystream hashes a batch of them side by side, one message per lane
-of the same big-int operands.  The hash under sign/verify cannot do that:
-a streaming SHA-1 chains each 64-byte block on the state the previous one
-left, so its blocks are compressed one after another.
+of the same big-int operands.  The hash under sign/verify is one streaming
+SHA-1, which chains each 64-byte block on the state the previous one left.
+Only its rounds are chained, though: the message schedules of a run of
+blocks are expanded side by side in the same lanes, and then the rounds
+run once per block, in order.
 """
 
 from __future__ import annotations

@@ -45,8 +45,9 @@ class RsaPrivateKey:
     Construction checks everything but primality, which costs a Miller-Rabin
     test per factor: read_private_key and keygen_from_primes test it with 40
     rounds, and keygen_random draws random probable primes whose chance of
-    being composite is at most 2**-100 each (numtheory.random_prime).
-    private_op is exact only for prime p and q.
+    being composite is at most 2**-100 each (numtheory.random_prime).  Every
+    key gets one cheaper check on its first private use (crt), which is what
+    a key built by hand relies on.
     """
 
     n: int
@@ -70,8 +71,18 @@ class RsaPrivateKey:
 
         dP is d reduced into [1, p-1] rather than [0, p-2]: it is congruent
         to d mod p-1, and never 0, so a block divisible by p still maps to 0.
+
+        The CRT is exact only for prime p and q, so each factor must first
+        pass one base-2 Fermat test, or this raises ValueError.  That costs
+        one exponentiation per factor, once per key (about 1 ms at 512 bits),
+        where 40 Miller-Rabin rounds would cost more than a whole 1024-bit
+        keygen_random.  It is not a proof: a base-2 pseudoprime such as
+        341 = 11 * 31 still passes.
         """
         d, p, q = self.d, self.p, self.q
+        for name, f in (("p", p), ("q", q)):
+            if f > 3 and (f % 2 == 0 or not numtheory.fermat_probable_prime(f, 2)):
+                raise ValueError(f"{name} = {f} fails a base-2 Fermat test, so it is not prime")
         return (d - 1) % (p - 1) + 1, (d - 1) % (q - 1) + 1, bigmod.mod_inv(q, p).value
 
 

@@ -36,20 +36,34 @@ class Digest:
         return hex_upper(self)
 
 
-def _rounds(state: tuple[int, ...], words, mask: int, ones: int) -> tuple[int, ...]:
-    """One SHA-1 compression of a 64-byte block, for many messages at once.
+def _schedule(words, mask: int) -> list[int]:
+    """The 80-word message schedule W of FIPS 180-4 section 6.1.2, lane-packed.
 
-    Each operand is an int whose 64-bit lanes each hold one 32-bit word of
-    an independent message: `words` are the block's 16 big-endian words,
-    `mask` has 0xFFFFFFFF in every lane and `ones` has 1 in every lane.  A
-    rotation or sum stays inside its lane until it is masked (`b << 30`
-    reaches bit 61), so every lane computes its own SHA-1.  Plain SHA-1 is
-    the one-lane case: mask 0xFFFFFFFF, ones 1.
+    `words` are a block's 16 big-endian words, one block per 64-bit lane,
+    and `mask` has 0xFFFFFFFF in every lane.  W16..W79 depend on the block's
+    own words alone, never on the chained state, so the schedules of any
+    number of blocks expand side by side.
     """
     w = list(words)
     for t in range(16, 80):
         x = w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]
         w.append(((x << 1) | (x >> 31)) & mask)
+    return w
+
+
+def _rounds(state: tuple[int, ...], w, mask: int, ones: int) -> tuple[int, ...]:
+    """The 80 chained rounds of one SHA-1 compression, for many messages at once.
+
+    Each operand is an int whose 64-bit lanes each hold one 32-bit word of
+    an independent message: `w` is the block's expanded schedule from
+    `_schedule`, `mask` has 0xFFFFFFFF in every lane and `ones` has 1 in
+    every lane.  A rotation or sum stays inside its lane until it is masked:
+    the largest shifted operand, `b << 30`, reaches bit 61 and a sum of five
+    words bit 34, so both stay below 2**64 and every lane computes its own
+    SHA-1.  Plain SHA-1 is the one-lane case (mask 0xFFFFFFFF, ones 1): a
+    streaming hash expands the schedules of a run of blocks side by side,
+    then runs these chained rounds once per block, in order.
+    """
     a, b, c, d, e = state
     k = 0x5A827999 * ones
     for x in w[:20]:
@@ -74,16 +88,72 @@ def _rounds(state: tuple[int, ...], words, mask: int, ones: int) -> tuple[int, .
     return tuple((s + v) & mask for s, v in zip(state, (a, b, c, d, e)))
 
 
+def _lane_ones(count: int) -> int:
+    """1 in each of count 64-bit lanes."""
+    return int.from_bytes((1).to_bytes(8, "big") * count, "big")
+
+
+def _lane_words(data: bytes, stride: int):
+    """Yield the 16 lane-packed words of each block of messages `stride` bytes apart.
+
+    Message i fills lane i of every word: 4 zero bytes, then the 4 bytes of
+    its word as they stand in data.  Both sides are viewed as 4-byte items,
+    so one strided copy fills one word's lanes for all the messages at once.
+    """
+    word = memoryview(data).cast("I")
+    step = stride // 4
+    lanes = bytearray(8 * (len(data) // stride))
+    low = memoryview(lanes).cast("I")[1::2]
+    for first in range(0, step, 16):
+        words = []
+        for at in range(first, first + 16):
+            low[:] = word[at::step]
+            words.append(int.from_bytes(lanes, "big"))
+        yield words
+
+
 def _padding(length: int) -> bytes:
     """0x80, zeros up to 56 mod 64, then the bit length as 8 bytes big-endian."""
     return b"\x80" + bytes((55 - length) % BLOCK_BYTES) + struct.pack(">Q", 8 * length)
 
 
+# Most blocks whose schedules _compress expands in one _schedule call.  A
+# 16 KiB message hashed as fast with runs of 16 to 256 blocks, and a 1 MB one
+# fastest with 32: longer runs make operands that spill out of the CPU cache.
+_RUN_BLOCKS = 32
+
+
+def _schedules(run: bytes):
+    """The schedule of each 64-byte block of run, all expanded side by side.
+
+    Its own function so that one run's lanes are freed before the next run
+    is packed, which keeps the extra memory bounded by _RUN_BLOCKS.
+    """
+    count = len(run) // BLOCK_BYTES
+    (words,) = _lane_words(run, BLOCK_BYTES)  # block i in lane i
+    w = _schedule(words, _MASK * _lane_ones(count))
+    flat = struct.unpack(f">{80 * count}Q", b"".join([x.to_bytes(8 * count, "big") for x in w]))
+    # W_t of block i is flat[t * count + i]
+    return [flat[i::count] for i in range(count)]
+
+
 def _compress(state: tuple[int, ...], data: bytes) -> tuple[tuple[int, ...], bytes]:
-    """Compress each whole 64-byte block of data in turn: (new state, the rest)."""
+    """Compress each whole 64-byte block of data in turn: (new state, the rest).
+
+    The schedules of a run of up to _RUN_BLOCKS blocks are expanded side by
+    side; only the rounds are chained, block by block.  One or two blocks,
+    as digest() and short updates bring, go one at a time as one-lane
+    operands: packing them into lanes costs more than it saves.
+    """
     whole = len(data) - len(data) % BLOCK_BYTES
-    for off in range(0, whole, BLOCK_BYTES):
-        state = _rounds(state, struct.unpack_from(">16I", data, off), _MASK, 1)
+    if whole <= 2 * BLOCK_BYTES:
+        for off in range(0, whole, BLOCK_BYTES):
+            w = _schedule(struct.unpack_from(">16I", data, off), _MASK)
+            state = _rounds(state, w, _MASK, 1)
+        return state, data[whole:]
+    for start in range(0, whole, _RUN_BLOCKS * BLOCK_BYTES):
+        for w in _schedules(data[start : min(start + _RUN_BLOCKS * BLOCK_BYTES, whole)]):
+            state = _rounds(state, w, _MASK, 1)
     return state, data[whole:]
 
 
@@ -121,10 +191,12 @@ def sha1(message: bytes) -> Digest:
 def digests(messages) -> bytes:
     """SHA-1 of equal-length messages, hashed side by side; digests concatenated.
 
-    Message i is lane i of every `_rounds` operand, so one pass of the round
-    kernel hashes them all.  This fits independent messages only, such as
-    the counter blocks of a keystream; a streaming hash chains each block on
-    the state the previous one left and has to go one block at a time.
+    Message i is lane i of every `_schedule` and `_rounds` operand, so one
+    pass of the two kernels hashes them all.  The rounds fit independent
+    messages only, such as the counter blocks of a keystream.  A streaming
+    hash (Sha1) chains each block's rounds on the state the previous block
+    left, so only its schedules go side by side: it expands those of a run
+    of its blocks in lanes, then runs the rounds one block at a time.
     """
     messages = list(messages)
     if not messages:
@@ -133,20 +205,13 @@ def digests(messages) -> bytes:
     if any(len(m) != length for m in messages):
         raise ValueError("messages hashed side by side must all have the same length")
     pad = _padding(length)
-    padded = pad.join(messages) + pad  # message i at i * stride
     stride = length + len(pad)
     count = len(messages)
-    ones = int.from_bytes((1).to_bytes(8, "big") * count, "big")
+    ones = _lane_ones(count)
     mask = _MASK * ones
     state = tuple(h * ones for h in _INITIAL_STATE)
-    lanes = bytearray(8 * count)  # lane i: 4 zero bytes, then word bytes of message i
-    for block in range(0, stride, BLOCK_BYTES):
-        words = []
-        for at in range(block, block + BLOCK_BYTES, 4):
-            for j in range(4):
-                lanes[4 + j :: 8] = padded[at + j :: stride]
-            words.append(int.from_bytes(lanes, "big"))
-        state = _rounds(state, words, mask, ones)
+    for words in _lane_words(pad.join(messages) + pad, stride):  # message i at i * stride
+        state = _rounds(state, _schedule(words, mask), mask, ones)
     out = bytearray(DIGEST_BYTES * count)
     for i, word in enumerate(state):
         packed = word.to_bytes(8 * count, "big")

@@ -76,8 +76,7 @@ class TestNumberCommands:
         assert invoke(["totient", "--hex", "323"])[1] == "0x120\n"
 
     def test_totient_cap_overrun_reports_partial_result(self):
-        # 1000000016000000063 = 1000000007 * 1000000009: the default cap of
-        # 2**32 would take minutes of trial division
+        # 1000000016000000063 = 1000000007 * 1000000009
         code, out, err = invoke(["totient", "--cap", "65536", "1000000016000000063"])
         assert (code, out) == (1, "")
         assert err == ("toycrypt totient: factoring 1000000016000000063 exceeded the divisor "
@@ -143,6 +142,20 @@ class TestNumberCommands:
         code, out, err = invoke(["factor", "--cap", "408", "171371"])
         assert (code, out) == (1, "")
         assert "extracted nothing, cofactor 171371 unresolved" in err
+
+    @pytest.mark.parametrize("command", ["factor", "totient"])
+    def test_default_cap_is_bounded(self, command):
+        # 1000000007 * 1000000009: trial division up to 2**32 would take minutes
+        code, out, err = invoke([command, "1000000016000000063"])
+        assert (code, out) == (1, "")
+        assert err == (f"toycrypt {command}: factoring 1000000016000000063 exceeded the divisor "
+                       "cap; extracted nothing, cofactor 1000000016000000063 unresolved\n")
+
+    def test_default_cap_reaches_the_scan_budget(self):
+        # 65521 is the largest prime below 2**16, and 65537 the least above it
+        assert invoke(["factor", str(65521 * 65537)]) == (0, "4294049777 = 65521 * 65537\n", "")
+        code, _, err = invoke(["factor", str(65537 * 65539)])
+        assert code == 1 and "cofactor 4295229443 unresolved" in err
 
     @pytest.mark.parametrize("cap", [["--cap", "-1"], ["--cap=-0x10"]])
     def test_factor_negative_cap_is_domain_error(self, cap):

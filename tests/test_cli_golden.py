@@ -131,9 +131,9 @@ OPTION_SURFACE = {
                 (("--cap",), "cap", False, None)} | SEED,
     "dlog": {((), "p", True, None), ((), "g", True, None), ((), "target", True, None),
              (("--cap",), "cap", False, None)} | BASE,
-    "factor": {((), "n", True, None), (("--cap",), "cap", False, 2**32)} | BASE,
+    "factor": {((), "n", True, None), (("--cap",), "cap", False, 2**16)} | BASE,
     "primes": {((), "limit", True, None)} | BASE,
-    "totient": {((), "n", True, None), (("--cap",), "cap", False, 2**32)} | BASE,
+    "totient": {((), "n", True, None), (("--cap",), "cap", False, 2**16)} | BASE,
     "prime-count": {((), "bounds", True, None)},
     "hash": {(("--in",), "infile", False, None)},
     "caesar": {(("--shift",), "shift", True, None), (("--decrypt",), "decrypt", False, False),

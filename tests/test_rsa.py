@@ -279,6 +279,18 @@ class TestCrtPrivateOp:
         for x in crt_test_points(priv, random.Random(xseed)):
             assert rsa.private_op(x, priv) == pow(x, priv.d, priv.n)
 
+    @pytest.mark.parametrize("n, p, q", [(36, 4, 9), (45, 5, 9), (77 * 8, 77, 8), (15 * 7, 15, 7)])
+    def test_composite_factor_refused_on_first_use(self, n, p, q):
+        # without the check, private_op(3, RsaPrivateKey(36, 5, 4, 9)) returned 9, not 27
+        priv = rsa.RsaPrivateKey(n, 5, p, q)
+        for _ in range(2):  # a refused key caches nothing
+            with pytest.raises(ValueError, match="not prime"):
+                rsa.private_op(3, priv)
+
+    def test_base_2_pseudoprime_passes_the_check(self):
+        # 341 = 11 * 31 passes the base-2 Fermat test, the documented limit
+        assert rsa.RsaPrivateKey(341 * 3, 7, 341, 3).crt == (7, 1, 114)
+
     def test_parameters_are_not_fields(self, small_keys):
         # a fresh copy of the fixture key, which other tests may already have used
         _, priv = rsa.keygen_random(64, rng=random.Random(8001))

@@ -1,8 +1,9 @@
 import hashlib
 import random
+import struct
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toycrypt import sha1
@@ -66,6 +67,49 @@ class TestStreaming:
         assert Sha1().update(b"ab").update(b"c").digest() == sha1.sha1(b"abc")
 
 
+# Sha1 compresses one or two whole blocks one at a time, and expands the
+# schedules of three or more side by side, up to RUN at once
+RUN = sha1._RUN_BLOCKS
+RUN_EDGES = [0, 1, 2, 3, RUN - 1, RUN, RUN + 1, 2 * RUN + 1]
+TAIL_EDGES = [0, 55, 56, 63, 64]  # bytes after the whole blocks: one or two padding blocks
+
+
+class TestRuns:
+    @given(blocks=st.sampled_from(RUN_EDGES), tail=st.sampled_from(TAIL_EDGES),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_run_edges_match_hashlib(self, blocks, tail, seed):
+        data = random.Random(seed).randbytes(64 * blocks + tail)
+        assert Sha1(data).digest().data == hashlib.sha1(data).digest()
+
+    @given(sizes=st.lists(st.one_of(st.integers(0, 130),
+                                    st.sampled_from([64 * RUN - 1, 64 * RUN + 1, 64 * (RUN + 1) + 9])),
+                          max_size=4),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_chunked_updates_match_hashlib(self, sizes, seed):
+        # the buffer plus each chunk holds 0, 1 or many whole blocks and a remainder
+        rng = random.Random(seed)
+        chunks = [rng.randbytes(size) for size in sizes]
+        ctx = Sha1()
+        for chunk in chunks:
+            ctx.update(chunk)
+        assert ctx.digest().data == hashlib.sha1(b"".join(chunks)).digest()
+
+    @given(blocks=st.lists(st.binary(min_size=64, max_size=64), min_size=1, max_size=40))
+    @example(blocks=[b"\xff" * 64, bytes(64), b"\xff" * 64])
+    def test_lane_schedules_equal_one_lane_schedules(self, blocks):
+        count = len(blocks)
+        (words,) = sha1._lane_words(b"".join(blocks), sha1.BLOCK_BYTES)
+        lanes = sha1._schedule(words, sha1._MASK * sha1._lane_ones(count))
+        assert len(lanes) == 80
+        for i, block in enumerate(blocks):  # block i sits in lane i, counted from the top
+            shift = 64 * (count - 1 - i)
+            expected = sha1._schedule(struct.unpack(">16I", block), sha1._MASK)
+            assert [(w >> shift) & (2**64 - 1) for w in lanes] == expected
+        assert all(w >> 64 * count == 0 for w in lanes)
+
+
 PADDING_EDGES = [0, 55, 56, 63, 64, 119, 120, 200]
 
 
@@ -121,7 +165,12 @@ class TestBirthdayBound:
         inputs = set()
         while len(inputs) < 2**16:
             inputs.add(rng.getrandbits(64).to_bytes(8, "big"))
-        truncated = [sha1.sha1(v).data[:4] for v in inputs]
+        inputs = list(inputs)
+        truncated = []
+        for at in range(0, len(inputs), 1024):  # sha1.digests hashes each batch side by side
+            hashed = sha1.digests(inputs[at : at + 1024])
+            truncated += [hashed[i : i + 4] for i in range(0, len(hashed), sha1.DIGEST_BYTES)]
+        assert len(truncated) == 2**16
         collisions = len(truncated) - len(set(truncated))
         assert collisions <= 2
 
