@@ -11,7 +11,8 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import record
 
 
 class InvalidModulusError(ValueError):
@@ -40,7 +41,7 @@ def _check_natural(n: int, what: str = "value") -> None:
         raise ValueError(f"{what} must be non-negative, got {n}")
 
 
-@dataclass(frozen=True)
+@record
 class Residue:
     """A value reduced modulo a fixed modulus, always in [0, modulus)."""
 
@@ -142,7 +143,7 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
 _FIXED_WIDTH = 5
 
 
-@dataclass(frozen=True)
+@record
 class FixedBase:
     """powers[i] = base**(2**(5*i)) mod modulus: a fixed_base table."""
 

@@ -9,10 +9,9 @@ circumference and reads it off column-wise.
 from __future__ import annotations
 
 import re
-import string
 
-_UPPER = string.ascii_uppercase
-_LOWER = string.ascii_lowercase
+_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_LOWER = _UPPER.lower()
 
 SCYTALE_PAD_CHAR = "X"
 _SCYTALE_MAGIC = "scytale v1"

@@ -16,7 +16,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import bigmod, classical, dh, ecc, envelope, numtheory, rsa, sha1
+from . import bigmod, classical, envelope, numtheory, rsa, sha1
 
 # Most steps a brute-force scan takes, and the largest trial divisor of
 # factor and totient, when --cap is not given.  A step costs about 0.25 us in
@@ -269,6 +269,8 @@ def _cmd_verify(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
+    from . import dh  # dh and ecc load only for the commands that use them
+
     params = dh.make_params(args.p, args.g)
     alice = dh.gen_keypair(params, rng)
     bob = dh.gen_keypair(params, rng)
@@ -295,6 +297,8 @@ def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_dlog(args, stdin, stdout, rng) -> int:
+    from . import dh
+
     params = dh.make_params(args.p, args.g)
     cap = _scan_cap(args.cap, params.p)
     result = dh.brute_force_dlog(params, args.target, cap)
@@ -368,6 +372,8 @@ def _cmd_otp(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_ecc(args, stdin, stdout, rng) -> int:
+    from . import ecc
+
     try:
         a, b, p = args.curve.split(",")
         a, b, p = _parse_integer(a), _parse_integer(b), bigmod.parse_natural(p)

@@ -20,16 +20,16 @@ from __future__ import annotations
 import functools
 import random
 import warnings
-from dataclasses import dataclass
 
 from . import bigmod, numtheory
+from ._record import record
 
 
 class WeakPublicValueWarning(UserWarning):
     """Peer public value lies in a trivially small subgroup."""
 
 
-@dataclass(frozen=True)
+@record
 class DhParams:
     p: int
     g: int
@@ -40,13 +40,13 @@ class DhParams:
         return bigmod.fixed_base(self.g, self.p.bit_length(), self.p)
 
 
-@dataclass(frozen=True)
+@record
 class DhKeyPair:
     secret: int
     public: int
 
 
-@dataclass(frozen=True)
+@record
 class DlogResult:
     """Outcome of a brute-force discrete-log scan."""
 

@@ -19,12 +19,11 @@ without re-checking, since sums of points on the curve stay on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bigmod, numtheory
+from ._record import record
 
 
-@dataclass(frozen=True)
+@record
 class EccPoint:
     """Affine point, or the point at infinity when both coordinates are None."""
 
@@ -43,7 +42,7 @@ class EccPoint:
 INFINITY = EccPoint(None, None)
 
 
-@dataclass(frozen=True)
+@record
 class EccCurve:
     a: int
     b: int
@@ -173,7 +172,7 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     return EccPoint(x * zz_inv % p, y * zz_inv * z_inv % p)
 
 
-@dataclass(frozen=True)
+@record
 class EcdlogResult:
     """Outcome of a brute-force curve discrete-log scan."""
 

@@ -23,9 +23,9 @@ run once per block, in order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import bigmod, rsa
+from ._record import record
 from .classical import otp_apply
 from .rsa import BlockStream, RsaPrivateKey, RsaPublicKey
 from .sha1 import DIGEST_BYTES, digests, sha1
@@ -42,13 +42,13 @@ class WrongKeyError(ValueError):
     """The wrapped session key did not decrypt to a valid key."""
 
 
-@dataclass(frozen=True)
+@record
 class Envelope:
     wrapped_key: BlockStream
     body: bytes
 
 
-@dataclass(frozen=True)
+@record
 class SignedMessage:
     text: bytes
     signature: int

@@ -15,9 +15,9 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from . import bigmod
+from ._record import record
 
 SIEVE_LIMIT_CAP = 10**8
 DEFAULT_DIVISOR_CAP = 1 << 32
@@ -44,7 +44,7 @@ class FactorLimitError(ValueError):
         self.cofactor = cofactor
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
 
@@ -60,7 +60,7 @@ class Factorization:
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
-@dataclass(frozen=True)
+@record
 class PrimalityVerdict:
     """Outcome of a primality check.
 
@@ -169,11 +169,13 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
         raise ValueError(f"need at least one Miller-Rabin round, got {rounds}")
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
+    # composite and probably-prime verdicts pass kind, witness and rounds by
+    # position, a record's fast path: keygen makes hundreds of them per key
     for p in _SMALL_PRIMES:
         if p * p > n:
             return PrimalityVerdict(PROVEN_PRIME)
         if n % p == 0:
-            return PrimalityVerdict(COMPOSITE, witness=p)
+            return PrimalityVerdict(COMPOSITE, p, 0)
     if n < _SMALL_PRIME_BOUND**2:
         # a composite below 2**22 has a prime factor below 2**11
         return PrimalityVerdict(PROVEN_PRIME)
@@ -181,7 +183,7 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
     a = rng.randrange(2, n - 1)
     g = bigmod.gcd(n, _gcd_primes_product() % n)
     if 1 < g < n:  # g == n: every factor lies in the range; Miller-Rabin finds it
-        return PrimalityVerdict(COMPOSITE, witness=g)
+        return PrimalityVerdict(COMPOSITE, g, 0)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -190,8 +192,8 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
         if i:
             a = rng.randrange(2, n - 1)
         if _is_witness(n, a, d, s):
-            return PrimalityVerdict(COMPOSITE, witness=a, rounds=i + 1)
-    return PrimalityVerdict(PROBABLY_PRIME, rounds=rounds)
+            return PrimalityVerdict(COMPOSITE, a, i + 1)
+    return PrimalityVerdict(PROBABLY_PRIME, None, rounds)
 
 
 def factor_trial(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> Factorization:

@@ -12,9 +12,9 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass
 
 from . import bigmod, numtheory
+from ._record import record
 
 DEFAULT_PUBLIC_EXPONENT = 65537
 MIN_MODULUS = 257  # one plaintext byte per block
@@ -28,7 +28,7 @@ MAX_PRIME_PAIRS = 1000
 MAX_MODULUS_BITS = 4096
 
 
-@dataclass(frozen=True)
+@record
 class RsaPublicKey:
     n: int
     e: int
@@ -38,7 +38,7 @@ class RsaPublicKey:
             raise ValueError(f"public exponent {self.e} out of range for modulus {self.n}")
 
 
-@dataclass(frozen=True)
+@record
 class RsaPrivateKey:
     """n = p*q for distinct primes p, q, and 0 < d < n; phi follows from p and q.
 
@@ -86,7 +86,7 @@ class RsaPrivateKey:
         return (d - 1) % (p - 1) + 1, (d - 1) % (q - 1) + 1, bigmod.mod_inv(q, p).value
 
 
-@dataclass(frozen=True)
+@record
 class BlockStream:
     """Message framing: fixed-width big-endian blocks, zero right-padding.
 

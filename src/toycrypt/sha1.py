@@ -9,7 +9,8 @@ anything.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+
+from ._record import record
 
 DIGEST_BYTES = 20
 BLOCK_BYTES = 64
@@ -19,7 +20,7 @@ _INITIAL_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
 _MASK = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@record
 class Digest:
     """A 160-bit digest; canonical text form is 40 uppercase hex chars."""
 

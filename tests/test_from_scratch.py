@@ -5,7 +5,8 @@ the package is parsed, and any use of the name `pow` or the attribute
 `__pow__`, any import of hashlib, and the string "pow" or "hashlib" passed
 to a call (getattr, __import__, importlib.import_module) fail the test.
 So do `math.gcd` and `math.lcm`, imported or as attributes, since bigmod
-owns those kernels.
+owns those kernels, and any import of dataclasses, whose generated record
+methods are replaced by toycrypt._record.
 """
 
 import ast
@@ -17,10 +18,11 @@ import toycrypt
 
 MODULES = sorted(Path(toycrypt.__file__).parent.glob("*.py"))
 MATH_KERNELS = ("gcd", "lcm")
+BANNED_MODULES = ("hashlib", "dataclasses")
 
 
 def shortcuts(source: str) -> list[str]:
-    """Line-numbered uses of built-in pow, math.gcd and math.lcm, and imports of hashlib."""
+    """Line-numbered uses of pow, math.gcd and math.lcm, and imports of hashlib or dataclasses."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and node.id == "pow":
@@ -35,13 +37,14 @@ def shortcuts(source: str) -> list[str]:
                 found.append(f"line {node.lineno}: math.{node.attr}")
         elif isinstance(node, ast.Call):
             for arg in node.args + [keyword.value for keyword in node.keywords]:
-                if isinstance(arg, ast.Constant) and arg.value in ("pow", "hashlib"):
+                if isinstance(arg, ast.Constant) and arg.value in ("pow", *BANNED_MODULES):
                     found.append(f"line {node.lineno}: {arg.value!r} passed to a call")
         elif isinstance(node, ast.Import):
-            if any(alias.name.split(".")[0] == "hashlib" for alias in node.names):
-                found.append(f"line {node.lineno}: import hashlib")
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hashlib":
-            found.append(f"line {node.lineno}: from hashlib import")
+            for alias in node.names:
+                if alias.name.split(".")[0] in BANNED_MODULES:
+                    found.append(f"line {node.lineno}: import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in BANNED_MODULES:
+            found.append(f"line {node.lineno}: from {node.module} import")
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             for alias in node.names:
                 if alias.name in MATH_KERNELS or alias.name == "*":
@@ -77,6 +80,10 @@ def test_no_builtin_pow_or_hashlib(path):
     "from math import lcm",
     "from math import isqrt, gcd as g",
     "from math import *",
+    "from dataclasses import dataclass",
+    "import dataclasses",
+    "import os, dataclasses as dc",
+    'import importlib\nimportlib.import_module("dataclasses")',
 ])
 def test_shortcut_detected(source):
     assert shortcuts(source)
