@@ -5,18 +5,25 @@ formats so any emitting invocation can be fed back to its inverse in a
 fresh process.  `--seed N` pins every randomized command to a reproducible
 stream; without it, OS entropy is used.  Exit codes: 0 success, 1 domain
 error, 2 usage error, 3 failed signature verification.
+
+Each command runs in a fresh process, so start-up is paid per command: a
+process builds the parser of its own command only (the full parser just
+for top-level help and usage errors), and imports beyond bigmod and rsa
+the library modules that command uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import io
 import random
 import sys
 import warnings
 from pathlib import Path
 
-from . import bigmod, classical, envelope, numtheory, rsa, sha1
+from . import bigmod, rsa
 
 # Most steps a brute-force scan takes, and the largest trial divisor of
 # factor and totient, when --cap is not given.  A step costs about 0.25 us in
@@ -117,107 +124,94 @@ def _add_divisor_cap(parser: argparse.ArgumentParser) -> None:
                              "with the factors found so far)")
 
 
-def _add_command(sub, name: str, handler, help_text: str) -> argparse.ArgumentParser:
-    parser = sub.add_parser(name, help=help_text)
-    parser.set_defaults(handler=handler)
-    return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="toycrypt", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_command(sub, "keygen", _cmd_keygen, "generate an RSA key pair")
-    p.add_argument("--bits", type=_natural, required=True,
-                   help=f"modulus size, 16 to {rsa.MAX_MODULUS_BITS} bits")
-    p.add_argument("--exponent", type=_natural, default=rsa.DEFAULT_PUBLIC_EXPONENT)
-    p.add_argument("--out", required=True, help="prefix for .pub and .key files")
-    p.add_argument("--seed", type=_natural)
-
-    for name, (help_text, _, _) in _KEYED.items():
-        p = _add_command(sub, name, _cmd_keyed, help_text)
+def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
+    """Add the arguments of subcommand `name` to its parser p."""
+    if name == "keygen":
+        p.add_argument("--bits", type=_natural, required=True,
+                       help=f"modulus size, 16 to {rsa.MAX_MODULUS_BITS} bits")
+        p.add_argument("--exponent", type=_natural, default=rsa.DEFAULT_PUBLIC_EXPONENT)
+        p.add_argument("--out", required=True, help="prefix for .pub and .key files")
+        p.add_argument("--seed", type=_natural)
+    elif name in _KEYED:
         p.add_argument("--key", required=True)
         p.add_argument("--in", dest="infile")
         p.add_argument("--out", dest="outfile")
         if name == "seal":
             p.add_argument("--seed", type=_natural)
+    elif name == "verify":
+        p.add_argument("--key", required=True)
+        p.add_argument("--in", dest="infile")
+    elif name == "dh-demo":
+        p.add_argument("--p", type=_natural, default=23)
+        p.add_argument("--g", type=_natural, default=5)
+        p.add_argument("--seed", type=_natural)
+        p.add_argument("--cap", type=_integer,
+                       help=f"Eve's scan budget (default min(p, {DEFAULT_SCAN_CAP}))")
+    elif name == "dlog":
+        p.add_argument("p", type=_natural)
+        p.add_argument("g", type=_natural)
+        p.add_argument("target", type=_natural)
+        p.add_argument("--cap", type=_integer,
+                       help=f"scan budget (default min(p, {DEFAULT_SCAN_CAP}))")
+        _add_base_selector(p)
+    elif name in ("factor", "totient"):
+        p.add_argument("n", type=_natural)
+        _add_divisor_cap(p)
+        _add_base_selector(p)
+    elif name == "primes":
+        p.add_argument("limit", type=_natural)
+        _add_base_selector(p)
+    elif name == "prime-count":
+        p.add_argument("bounds", type=_natural, nargs="+",
+                       help="X, or LO HI for the count between them")
+    elif name == "hash":
+        p.add_argument("--in", dest="infile")
+    elif name == "caesar":
+        p.add_argument("--shift", type=_integer, required=True)
+        p.add_argument("--decrypt", action="store_true")
+        p.add_argument("text", nargs="?")
+    elif name == "scytale":
+        p.add_argument("--key", type=_natural, required=True, help="rod circumference")
+        p.add_argument("--decrypt", action="store_true")
+        p.add_argument("text", nargs="?")
+    elif name == "otp":
+        p.add_argument("--key-file", required=True)
+        p.add_argument("--in", dest="infile")
+        p.add_argument("--out", dest="outfile")
+    elif name == "ecc":
+        p.add_argument("--curve", required=True, help="a,b,p")
+        ecc_sub = p.add_subparsers(dest="ecc_op", required=True)
+        q = ecc_sub.add_parser("add")
+        q.add_argument("point1")
+        q.add_argument("point2")
+        q = ecc_sub.add_parser("mul")
+        q.add_argument("k", type=_natural)
+        q.add_argument("point")
+        q = ecc_sub.add_parser("dlog")
+        q.add_argument("base")
+        q.add_argument("target")
+        q.add_argument("--cap", type=_integer,
+                       help=f"scan budget (default min(p + 1, {DEFAULT_SCAN_CAP}))")
+    elif name == "keycount":
+        p.add_argument("n", type=_natural)
+        _add_base_selector(p)
 
-    p = _add_command(sub, "verify", _cmd_verify, "verify a signed message with a public key")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile")
 
-    p = _add_command(sub, "dh-demo", _cmd_dh_demo, "full Alice/Bob/Eve key-agreement transcript")
-    p.add_argument("--p", type=_natural, default=23)
-    p.add_argument("--g", type=_natural, default=5)
-    p.add_argument("--seed", type=_natural)
-    p.add_argument("--cap", type=_integer,
-                   help=f"Eve's scan budget (default min(p, {DEFAULT_SCAN_CAP}))")
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The toycrypt parser; given a command name, with only that subcommand.
 
-    p = _add_command(sub, "dlog", _cmd_dlog, "brute-force discrete log")
-    p.add_argument("p", type=_natural)
-    p.add_argument("g", type=_natural)
-    p.add_argument("target", type=_natural)
-    p.add_argument("--cap", type=_integer,
-                   help=f"scan budget (default min(p, {DEFAULT_SCAN_CAP}))")
-    _add_base_selector(p)
-
-    p = _add_command(sub, "factor", _cmd_factor, "trial-division factorization")
-    p.add_argument("n", type=_natural)
-    _add_divisor_cap(p)
-    _add_base_selector(p)
-
-    p = _add_command(sub, "primes", _cmd_primes, "primes below a limit")
-    p.add_argument("limit", type=_natural)
-    _add_base_selector(p)
-
-    p = _add_command(sub, "totient", _cmd_totient, "Euler's phi")
-    p.add_argument("n", type=_natural)
-    _add_divisor_cap(p)
-    _add_base_selector(p)
-
-    p = _add_command(sub, "prime-count", _cmd_prime_count, "approximate prime counts, x/ln(x)")
-    p.add_argument("bounds", type=_natural, nargs="+",
-                   help="X, or LO HI for the count between them")
-
-    p = _add_command(sub, "hash", _cmd_hash, "SHA-1 of stdin or a file")
-    p.add_argument("--in", dest="infile")
-
-    p = _add_command(sub, "caesar", _cmd_caesar, "Caesar shift cipher")
-    p.add_argument("--shift", type=_integer, required=True)
-    p.add_argument("--decrypt", action="store_true")
-    p.add_argument("text", nargs="?")
-
-    p = _add_command(sub, "scytale", _cmd_scytale, "scytale transposition cipher")
-    p.add_argument("--key", type=_natural, required=True, help="rod circumference")
-    p.add_argument("--decrypt", action="store_true")
-    p.add_argument("text", nargs="?")
-
-    p = _add_command(sub, "otp", _cmd_otp, "one-time-pad XOR")
-    p.add_argument("--key-file", required=True)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out", dest="outfile")
-
-    p = _add_command(sub, "ecc", _cmd_ecc, "elliptic-curve point arithmetic")
-    p.add_argument("--curve", required=True, help="a,b,p")
-    ecc_sub = p.add_subparsers(dest="ecc_op", required=True)
-    q = ecc_sub.add_parser("add")
-    q.add_argument("point1")
-    q.add_argument("point2")
-    q = ecc_sub.add_parser("mul")
-    q.add_argument("k", type=_natural)
-    q.add_argument("point")
-    q = ecc_sub.add_parser("dlog")
-    q.add_argument("base")
-    q.add_argument("target")
-    q.add_argument("--cap", type=_integer,
-                   help=f"scan budget (default min(p + 1, {DEFAULT_SCAN_CAP}))")
-
-    p = _add_command(sub, "keycount", _cmd_keycount, "pairwise keys needed by N parties")
-    p.add_argument("n", type=_natural)
-    _add_base_selector(p)
-
-    _add_command(sub, "rsa-demo", _cmd_rsa_demo, "replay the worked RSA example")
-
+    Both are built from the same _COMMANDS and _add_arguments, so a
+    subcommand parses and prints its help alike in either.
+    """
+    # --help shows the docstring without its last paragraph, which is about start-up
+    description = (__doc__ or "").rpartition("\n\n")[0]
+    parser = argparse.ArgumentParser(prog="toycrypt", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(handler=handler)
+            _add_arguments(name, p)
     return parser
 
 
@@ -228,21 +222,24 @@ def _cmd_keygen(args, stdin, stdout, rng) -> int:
     return 0
 
 
-# The key-file commands: name -> (help, reads the private key?,
-# op(input bytes, key, rng) -> output bytes).  Each op looks its library
-# functions up when called, so patching the rsa and envelope modules
-# reaches these calls too.
+# The key-file commands: name -> (help, reads the private key?, module,
+# op(module, input bytes, key, rng) -> output bytes).  The module is rsa or
+# envelope, imported when the command runs, and each op looks its library
+# functions up on it when called, so patching those modules reaches these
+# calls too.
 _KEYED = {
-    "encrypt": ("RSA-encrypt bytes with a public key", False, lambda data, key, rng:
-                rsa.write_block_stream(rsa.encrypt_message(data, key)).encode()),
-    "decrypt": ("RSA-decrypt a block stream with a private key", True, lambda data, key, rng:
-                rsa.decrypt_message(rsa.read_block_stream(data.decode()), key)),
-    "seal": ("hybrid-encrypt for a recipient public key", False, lambda data, key, rng:
-             envelope.write_envelope(envelope.seal(data, key, rng)).encode()),
-    "open": ("open a hybrid envelope with a private key", True, lambda data, key, rng:
-             envelope.open_envelope(envelope.read_envelope(data.decode()), key)),
-    "sign": ("sign bytes with a private key", True, lambda data, key, rng:
-             envelope.write_signed(envelope.sign(data, key))),
+    "encrypt": ("RSA-encrypt bytes with a public key", False, "rsa",
+                lambda m, data, key, rng:
+                m.write_block_stream(m.encrypt_message(data, key)).encode()),
+    "decrypt": ("RSA-decrypt a block stream with a private key", True, "rsa",
+                lambda m, data, key, rng:
+                m.decrypt_message(m.read_block_stream(data.decode()), key)),
+    "seal": ("hybrid-encrypt for a recipient public key", False, "envelope",
+             lambda m, data, key, rng: m.write_envelope(m.seal(data, key, rng)).encode()),
+    "open": ("open a hybrid envelope with a private key", True, "envelope",
+             lambda m, data, key, rng: m.open_envelope(m.read_envelope(data.decode()), key)),
+    "sign": ("sign bytes with a private key", True, "envelope",
+             lambda m, data, key, rng: m.write_signed(m.sign(data, key))),
 }
 
 
@@ -252,13 +249,16 @@ def _read_key(path: str, private: bool):
 
 
 def _cmd_keyed(args, stdin, stdout, rng) -> int:
-    _, private, op = _KEYED[args.command]
+    _, private, module_name, op = _KEYED[args.command]
+    module = importlib.import_module(f".{module_name}", __package__)
     key = _read_key(args.key, private)
-    _write_bytes(op(_read_bytes(args.infile, stdin), key, rng), args.outfile, stdout)
+    _write_bytes(op(module, _read_bytes(args.infile, stdin), key, rng), args.outfile, stdout)
     return 0
 
 
 def _cmd_verify(args, stdin, stdout, rng) -> int:
+    from . import envelope
+
     pub = _read_key(args.key, private=False)
     msg = envelope.read_signed(_read_bytes(args.infile, stdin))
     if envelope.verify(msg, pub):
@@ -269,7 +269,7 @@ def _cmd_verify(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
-    from . import dh  # dh and ecc load only for the commands that use them
+    from . import dh  # modules beyond bigmod and rsa load only for the commands that use them
 
     params = dh.make_params(args.p, args.g)
     alice = dh.gen_keypair(params, rng)
@@ -309,23 +309,31 @@ def _cmd_dlog(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_factor(args, stdin, stdout, rng) -> int:
+    from . import numtheory
+
     f = numtheory.factor_trial(args.n, args.cap)
     stdout.write(f"{bigmod.render_natural(args.n, args.hex)} = {f}\n")
     return 0
 
 
 def _cmd_primes(args, stdin, stdout, rng) -> int:
+    from . import numtheory
+
     for p in numtheory.sieve_primes(args.limit):
         stdout.write(bigmod.render_natural(p, args.hex) + "\n")
     return 0
 
 
 def _cmd_totient(args, stdin, stdout, rng) -> int:
+    from . import numtheory
+
     stdout.write(bigmod.render_natural(numtheory.totient(args.n, args.cap), args.hex) + "\n")
     return 0
 
 
 def _cmd_prime_count(args, stdin, stdout, rng) -> int:
+    from . import numtheory
+
     if len(args.bounds) == 1:
         estimate = numtheory.pnt_estimate(args.bounds[0])
     elif len(args.bounds) == 2:
@@ -337,6 +345,8 @@ def _cmd_prime_count(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_hash(args, stdin, stdout, rng) -> int:
+    from . import sha1
+
     digest = sha1.sha1(_read_bytes(args.infile, stdin))
     stdout.write(sha1.hex_upper(digest) + "\n")
     return 0
@@ -349,6 +359,8 @@ def _read_cli_text(args, stdin) -> str:
 
 
 def _cmd_caesar(args, stdin, stdout, rng) -> int:
+    from . import classical
+
     text = _read_cli_text(args, stdin)
     op = classical.caesar_decrypt if args.decrypt else classical.caesar_encrypt
     stdout.write(op(text, args.shift) + "\n")
@@ -356,15 +368,23 @@ def _cmd_caesar(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_scytale(args, stdin, stdout, rng) -> int:
+    from . import classical
+
     text = _read_cli_text(args, stdin)
     if args.decrypt:
         stdout.write(classical.scytale_unframe(text) + "\n")
-    else:
-        stdout.write(classical.scytale_frame(text, args.key) + "\n")
+        return 0
+    # the pad grows with the key alone, so a key past the text would cost
+    # time and memory in k, whatever the text
+    if text and args.key > len(text):
+        raise ValueError(f"key {args.key} longer than the text ({len(text)} characters)")
+    stdout.write(classical.scytale_frame(text, args.key) + "\n")
     return 0
 
 
 def _cmd_otp(args, stdin, stdout, rng) -> int:
+    from . import classical
+
     key = Path(args.key_file).read_bytes()
     data = _read_bytes(args.infile, stdin)
     _write_bytes(classical.otp_apply(data, key), args.outfile, stdout)
@@ -398,6 +418,8 @@ def _cmd_ecc(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_keycount(args, stdin, stdout, rng) -> int:
+    from . import numtheory
+
     stdout.write(bigmod.render_natural(numtheory.key_count(args.n), args.hex) + "\n")
     return 0
 
@@ -407,14 +429,51 @@ def _cmd_rsa_demo(args, stdin, stdout, rng) -> int:
     return 0
 
 
+# subcommand name -> (help, handler), in the order the full parser lists them
+_COMMANDS = {
+    "keygen": ("generate an RSA key pair", _cmd_keygen),
+    **{name: (help_text, _cmd_keyed) for name, (help_text, *_) in _KEYED.items()},
+    "verify": ("verify a signed message with a public key", _cmd_verify),
+    "dh-demo": ("full Alice/Bob/Eve key-agreement transcript", _cmd_dh_demo),
+    "dlog": ("brute-force discrete log", _cmd_dlog),
+    "factor": ("trial-division factorization", _cmd_factor),
+    "primes": ("primes below a limit", _cmd_primes),
+    "totient": ("Euler's phi", _cmd_totient),
+    "prime-count": ("approximate prime counts, x/ln(x)", _cmd_prime_count),
+    "hash": ("SHA-1 of stdin or a file", _cmd_hash),
+    "caesar": ("Caesar shift cipher", _cmd_caesar),
+    "scytale": ("scytale transposition cipher", _cmd_scytale),
+    "otp": ("one-time-pad XOR", _cmd_otp),
+    "ecc": ("elliptic-curve point arithmetic", _cmd_ecc),
+    "keycount": ("pairwise keys needed by N parties", _cmd_keycount),
+    "rsa-demo": ("replay the worked RSA example", _cmd_rsa_demo),
+}
+
+
+def _parse_args(argv: list[str], stderr) -> argparse.Namespace:
+    """Parse argv with only the parser of the command it names, if it names one.
+
+    For some usage errors, such as unrecognized arguments, argparse prints
+    the top-level usage, which lists every command.  So a parse that fails
+    is repeated with the full parser, and only its message is shown.
+    """
+    if argv and argv[0] in _COMMANDS:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                return build_parser(argv[0]).parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 0:  # the subcommand's help, already on stdout
+                raise
+    with contextlib.redirect_stderr(stderr):
+        return build_parser().parse_args(argv)
+
+
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        with contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv), stderr)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     rng = _make_rng(getattr(args, "seed", None))

@@ -13,7 +13,7 @@ import math
 import random
 import re
 
-from . import bigmod, numtheory
+from . import bigmod
 from ._record import record
 
 DEFAULT_PUBLIC_EXPONENT = 65537
@@ -23,8 +23,9 @@ MIN_MODULUS = 257  # one plaintext byte per block
 # pair in 61 succeeds (the worst is 16 bits with e = 105), so 1000 failures
 # in a row happen by chance less than once in 10**7 searches.
 MAX_PRIME_PAIRS = 1000
-# keygen_random's largest modulus.  Seeded keys took 0.3 to 0.7 s at 2048
-# bits and 5 to 27 s at 4096: each doubling costs ten times or more.
+# The largest modulus keygen_random makes and read_private_key accepts.
+# Seeded keys took 0.3 to 0.7 s at 2048 bits and 5 to 27 s at 4096: each
+# doubling costs ten times or more.
 MAX_MODULUS_BITS = 4096
 
 
@@ -79,6 +80,8 @@ class RsaPrivateKey:
         keygen_random.  It is not a proof: a base-2 pseudoprime such as
         341 = 11 * 31 still passes.
         """
+        from . import numtheory  # loads on first use: encrypt and seal never need it
+
         d, p, q = self.d, self.p, self.q
         for name, f in (("p", p), ("q", q)):
             if f > 3 and (f % 2 == 0 or not numtheory.fermat_probable_prime(f, 2)):
@@ -119,6 +122,8 @@ def _key_pair(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
 
 
 def _require_primes(p: int, q: int) -> None:
+    from . import numtheory
+
     for name, value in (("p", p), ("q", q)):
         if not numtheory.is_prime(value).is_prime:
             raise ValueError(f"{name} = {value} is not prime")
@@ -151,6 +156,8 @@ def keygen_random(
         )
     if e < 3 or e % 2 == 0 or e >= 1 << (modulus_bits - 1):
         raise ValueError(f"exponent {e} must be odd and in [3, 2**{modulus_bits - 1})")
+    from . import numtheory
+
     rng = rng or random.SystemRandom()
     p_bits = modulus_bits // 2
     q_bits = modulus_bits - p_bits
@@ -309,7 +316,18 @@ def read_public_key(text: str) -> RsaPublicKey:
 
 
 def read_private_key(text: str) -> RsaPrivateKey:
+    """The key in text; a modulus above MAX_MODULUS_BITS is refused at once.
+
+    Each factor gets 40 Miller-Rabin rounds.  One round takes about 0.23 s on
+    a 4096-bit factor and 1.7 s on an 8192-bit one, so without the bound a
+    hand-written 8192-bit key would take some 18 s to test, and a 16384-bit
+    key over two minutes.
+    """
     f = _parse_fields(text, ("n", "d", "p", "q"))
+    if f["n"].bit_length() > MAX_MODULUS_BITS:
+        raise ValueError(
+            f"modulus has {f['n'].bit_length()} bits, above the limit of {MAX_MODULUS_BITS}"
+        )
     key = RsaPrivateKey(f["n"], f["d"], f["p"], f["q"])
     _require_primes(key.p, key.q)
     return key

@@ -1,13 +1,15 @@
 import argparse
+import contextlib
 import io
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from toycrypt import envelope, numtheory
-from toycrypt.cli import _integer, _natural, build_parser, demo_rsa_paper, run
+from toycrypt import envelope, numtheory, rsa
+from toycrypt.cli import _integer, _natural, _parse_args, build_parser, demo_rsa_paper, run
 from vectors import (
     CAESAR_CIPHER,
     CAESAR_PLAIN,
@@ -56,6 +58,53 @@ class TestDispatch:
         assert code == 1
         assert out == ""
         assert err != ""
+
+
+def captured(call):
+    """(call's result, or its exit code, stdout, stderr), with sys.stdout and sys.stderr caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+COMMAND_PREFIXES = [[name] for name in _subcommands(build_parser())] + [
+    ["ecc", "--curve", "2,3,97", op] for op in _subcommands(_subcommands(build_parser())["ecc"])
+]
+PARSER_ARGVS = [[], ["--help"], ["nope"]] + [
+    prefix + tail for prefix in COMMAND_PREFIXES for tail in (["-h"], [], ["--no-such-flag"])
+]
+
+
+class TestOneSubcommandParser:
+    """run builds only the parser of the command argv names, and must parse,
+    print help and fail exactly as the full parser does."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, argv):
+        full = captured(lambda: build_parser().parse_args(argv))
+        if isinstance(full[0], argparse.Namespace):
+            # a command that needs no argument: run would go on to execute it
+            assert captured(lambda: _parse_args(argv, sys.stderr)) == full
+        else:
+            assert captured(lambda: run(argv, stdin=io.BytesIO())) == full
+
+    @pytest.mark.parametrize("name", list(_subcommands(build_parser())))
+    def test_holds_only_that_command_with_the_same_arguments(self, name):
+        def spec(parser):
+            return [(a.option_strings, a.dest, a.type, a.default, a.required, a.nargs, a.help)
+                    for a in parser._actions]
+
+        one = _subcommands(build_parser(name))
+        assert list(one) == [name]
+        assert spec(one[name]) == spec(_subcommands(build_parser())[name])
 
 
 class TestNumberCommands:
@@ -298,6 +347,23 @@ class TestClassicalCommands:
         code, out, _ = invoke(["scytale", "--key", "5", "--decrypt", framed.strip()])
         assert out == "HELLOWORLD\n"
 
+    def test_scytale_key_longer_than_the_text_is_refused_at_once(self):
+        # the pad would be k - 2 characters: 10**8 here
+        start = time.perf_counter()
+        code, out, err = invoke(["scytale", "--key", "100000000", "ab"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == "toycrypt scytale: key 100000000 longer than the text (2 characters)\n"
+
+    @pytest.mark.parametrize("argv, out", [
+        (["--key", "2", "ab"], "scytale v1 k=2 pad=0:ab\n"),
+        (["--key", "1000000000000", ""], "scytale v1 k=1000000000000 pad=0:\n"),
+        # --decrypt reads k from the frame, whatever --key says
+        (["--key", "100", "--decrypt", "scytale v1 k=3 pad=2:adbXcX"], "abcd\n"),
+    ])
+    def test_scytale_keys_within_the_limit(self, argv, out):
+        assert invoke(["scytale", *argv]) == (0, out, "")
+
     def test_otp_round_trip(self, tmp_path):
         key = tmp_path / "pad"
         key.write_bytes(bytes(range(64)))
@@ -453,6 +519,21 @@ class TestRsaPipelines:
         assert (code, out) == (1, "")
         assert "16 to 4096 bits, got 4097" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["decrypt", "sign", "open"])
+    def test_key_file_above_the_maximum_refused_before_any_primality_test(
+        self, tmp_path, monkeypatch, command
+    ):
+        def no_test(*args):
+            raise AssertionError("tested a factor for primality")
+
+        monkeypatch.setattr(numtheory, "is_prime", no_test)
+        p, q = (1 << 2048) + 1, (1 << 2048) + 3
+        key = tmp_path / "big.key"
+        key.write_text(rsa.write_private_key(rsa.RsaPrivateKey(p * q, 5, p, q)))
+        code, out, err = invoke([command, "--key", str(key)], stdin=b"msg")
+        assert (code, out) == (1, "")
+        assert err == f"toycrypt {command}: modulus has 4097 bits, above the limit of 4096\n"
 
     def test_keygen_seeded_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

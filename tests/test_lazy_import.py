@@ -2,8 +2,9 @@
 
 The in-process suite imports every module, so each check here starts a new
 interpreter: importing the CLI loads neither dataclasses nor dh and ecc, a
-bare `import toycrypt` loads no submodule until one is used, and the CLI
-commands that import dh and ecc on demand still print their goldens.
+bare `import toycrypt` loads no submodule until one is used, each command
+of the keygen -> seal -> open chain loads only the modules it uses, and the
+CLI commands that import modules on demand still print their goldens.
 """
 
 import json
@@ -14,20 +15,39 @@ from pathlib import Path
 
 import pytest
 
-from vectors import DH_DEMO_SEED_7
+from vectors import DH_DEMO_SEED_7, KEYGEN_256_SEED_1_KEY, KEYGEN_256_SEED_1_PUB
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["bigmod", "classical", "dh", "ecc", "envelope", "numtheory", "rsa", "sha1"]
 
 
-def fresh(argv):
+def fresh(argv, cwd=None):
     """Run python with argv in a new process that imports toycrypt from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                            timeout=120, env=env)
+                            timeout=120, env=env, cwd=cwd)
     assert result.stderr == "", result.stderr
     return result
+
+
+def command_loads(argv, cwd):
+    """The toycrypt submodules loaded once `python -m toycrypt argv` has run; it must exit 0.
+
+    runpy runs the package's __main__ as -m does, and the loaded set is read
+    in the same process after the command has exited.
+    """
+    result = fresh(["-c", (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['toycrypt', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('toycrypt', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('toycrypt.'))))"
+    )], cwd)
+    assert result.returncode == 0
+    return {name.removeprefix("toycrypt.") for name in json.loads(result.stdout)}
 
 
 def fresh_json(code):
@@ -76,6 +96,21 @@ def test_star_import_binds_every_module():
         "print(json.dumps([bound, [n for n in names if n in dir(toycrypt)]]))"
     )
     assert bound == listed == MODULES
+
+
+def test_keygen_seal_open_load_only_what_they_use(tmp_path):
+    (tmp_path / "msg").write_bytes(b"one process per command")
+    loaded = command_loads(["keygen", "--bits", "256", "--seed", "1", "--out", "k"], tmp_path)
+    assert not {"envelope", "sha1", "classical", "dh", "ecc"} & loaded
+    assert {"cli", "rsa", "numtheory"} <= loaded
+    assert (tmp_path / "k.pub").read_text() == KEYGEN_256_SEED_1_PUB
+    assert (tmp_path / "k.key").read_text() == KEYGEN_256_SEED_1_KEY
+
+    loaded = command_loads(["seal", "--key", "k.pub", "--in", "msg", "--out", "env"], tmp_path)
+    assert "numtheory" not in loaded and "envelope" in loaded
+
+    command_loads(["open", "--key", "k.key", "--in", "env", "--out", "out"], tmp_path)
+    assert (tmp_path / "out").read_bytes() == b"one process per command"
 
 
 def test_dh_demo_golden_in_a_fresh_process():

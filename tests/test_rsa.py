@@ -460,6 +460,21 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             rsa.read_private_key(f"n={n:#x}\nd=5\np={p:#x}\nq={q:#x}\n")
 
+    def test_private_key_above_the_maximum_refused_before_any_primality_test(self, monkeypatch):
+        def no_test(*args):
+            raise AssertionError("tested a factor for primality")
+
+        monkeypatch.setattr(numtheory, "is_prime", no_test)
+        # 4097 bits; the factors are not prime, and need not be
+        p, q = (1 << 2048) + 1, (1 << 2048) + 3
+        text = f"n={p * q:#x}\nd=5\np={p:#x}\nq={q:#x}\n"
+        with pytest.raises(ValueError, match="modulus has 4097 bits, above the limit of 4096"):
+            rsa.read_private_key(text)
+        # one bit less is read, and its factors tested
+        p, q = (1 << 2047) + 1, (1 << 2048) + 3
+        with pytest.raises(AssertionError, match="primality"):
+            rsa.read_private_key(f"n={p * q:#x}\nd=5\np={p:#x}\nq={q:#x}\n")
+
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
             rsa.read_public_key("n=0x143\n")
