@@ -10,6 +10,7 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from ._record import record
@@ -39,6 +40,21 @@ def _check_modulus(m: int) -> None:
 def _check_natural(n: int, what: str = "value") -> None:
     if n < 0:
         raise ValueError(f"{what} must be non-negative, got {n}")
+
+
+# The largest modulus an RSA key, a Diffie-Hellman group or a curve's field
+# may have.  Checking a caller's modulus (40 Miller-Rabin rounds on a prime)
+# and using it cost ten times or more per doubling of its size, so above
+# this bound a hand-written number would hold a command for minutes.
+MAX_MODULUS_BITS = 4096
+
+
+def check_modulus_bits(m: int, what: str = "modulus") -> None:
+    """Refuse m above MAX_MODULUS_BITS, before any work that grows with its size."""
+    if m.bit_length() > MAX_MODULUS_BITS:
+        raise ValueError(
+            f"{what} has {m.bit_length()} bits, above the limit of {MAX_MODULUS_BITS}"
+        )
 
 
 @record
@@ -95,6 +111,15 @@ def mod_mul(a: Residue, b: Residue) -> Residue:
 _WINDOWS = ((672, 6), (240, 5), (64, 4), (32, 3))
 
 
+@functools.cache  # compiled on first use: every width at import would cost each CLI process
+def _window_split(width: int):
+    # findall of this pattern over an exponent's bits gives, per window, the
+    # run of 0 bits before it and the window: the longest run of at most
+    # `width` bits that starts and ends in a 1.  Trailing 0 bits match nothing.
+    window = "1" if width == 1 else f"1(?:[01]{{0,{width - 2}}}1)?"
+    return re.compile(f"(0*)({window})").findall
+
+
 def mod_pow(base: int, exp: int, m: int) -> Residue:
     """base**exp mod m by left-to-right sliding-window exponentiation.
 
@@ -104,6 +129,8 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
     width w grows with the exponent's length (_WINDOWS).  Short exponents
     get w = 1, where every window is a single 1 bit and the table is just
     [b]: plain square-and-multiply, with no product spent on the table.
+    One regex pass splits the exponent's bits into windows, so the loop
+    runs once per window, not once per bit.
 
     Never materializes base**exp; runtime is polynomial in the bit lengths.
     An exponent of 0 yields 1 for every m >= 2.
@@ -120,20 +147,13 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
         for _ in range((1 << (width - 1)) - 1):
             odd.append(odd[-1] * b2 % m)
     bits = f"{exp:b}"
-    result, i = 1, 0
-    while i < n:
-        if bits[i] == "0":
+    result = 1
+    for zeros, window in _window_split(width)(bits):
+        for _ in range(len(zeros) + len(window)):
             result = result * result % m
-            i += 1
-            continue
-        # the longest window of at most `width` bits from here that ends in a 1
-        j = min(i + width, n)
-        while bits[j - 1] == "0":
-            j -= 1
-        for _ in range(j - i):
-            result = result * result % m
-        result = result * odd[int(bits[i:j], 2) >> 1] % m
-        i = j
+        result = result * odd[int(window, 2) >> 1] % m
+    for _ in range(len(bits) - len(bits.rstrip("0"))):
+        result = result * result % m
     return Residue(result, m)
 
 

@@ -59,7 +59,11 @@ class DlogResult:
 
 
 def make_params(p: int, g: int) -> DhParams:
-    """Validate group parameters: p prime, 2 < g < p - 2."""
+    """Validate group parameters: p prime, 2 < g < p - 2.
+
+    A p above bigmod.MAX_MODULUS_BITS is refused before the primality test.
+    """
+    bigmod.check_modulus_bits(p)
     if not numtheory.is_prime(p).is_prime:
         raise ValueError(f"modulus {p} is not prime")
     if not 2 < g < p - 2:

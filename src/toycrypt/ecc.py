@@ -53,8 +53,10 @@ def make_curve(a: int, b: int, p: int) -> EccCurve:
     """Validate and build y**2 = x**3 + ax + b over GF(p).
 
     a and b may be negative and are reduced mod p.  The curve must be
-    nonsingular: 4a**3 + 27b**2 != 0 (mod p).
+    nonsingular: 4a**3 + 27b**2 != 0 (mod p).  A p above
+    bigmod.MAX_MODULUS_BITS is refused before the primality test.
     """
+    bigmod.check_modulus_bits(p, "field order")
     if p < 5 or p % 2 == 0 or not numtheory.is_prime(p).is_prime:
         raise ValueError(f"field order must be an odd prime >= 5, got {p}")
     a, b = a % p, b % p

@@ -31,6 +31,50 @@ def exponents_of_length(n):
     return st.integers(min_value=1 << (n - 1), max_value=(1 << n) - 1)
 
 
+# (width, least and largest exponent bit length at which mod_pow picks it)
+WIDTH_BANDS = [
+    (w, lo, hi - 1)
+    for (w, lo), hi in zip(
+        [(1, 1)] + [(w, bits) for bits, w in reversed(bigmod._WINDOWS)],
+        [bits for bits, _ in reversed(bigmod._WINDOWS)] + [2 * bigmod._WINDOWS[0][0]],
+    )
+]
+# runs of equal bits up to one past twice the widest window, so zero runs
+# longer than every width and runs of ones spanning several windows occur
+bit_runs = st.lists(
+    st.tuples(st.sampled_from("01"), st.integers(1, 2 * bigmod._WINDOWS[0][1] + 1)),
+    min_size=1, max_size=12,
+)
+# the exponent's last bits: none, a window ending on the last bit, trailing zeros
+tails = st.sampled_from(["", "1", "0", "101", "1" * 9, "0" * 13, "1000001" + "0" * 5])
+
+
+@st.composite
+def exponents_from_runs(draw):
+    """(width, exponent): a 1, the drawn runs repeated, cut to a length in width's band, a tail."""
+    width, lo, hi = draw(st.sampled_from(WIDTH_BANDS))
+    length = draw(st.integers(lo, hi))
+    body = "".join(bit * count for bit, count in draw(bit_runs))
+    tail = draw(tails)[: length - 1]
+    head = ("1" + body * length)[: length - len(tail)]
+    return width, int(head + tail, 2)
+
+
+def per_bit_windows(bits, width):
+    """(zeros, window) pairs of a sliding window scanned bit by bit, as mod_pow once did."""
+    windows, i, zeros = [], 0, 0
+    while i < len(bits):
+        if bits[i] == "0":
+            zeros, i = zeros + 1, i + 1
+            continue
+        j = min(i + width, len(bits))
+        while bits[j - 1] == "0":
+            j -= 1
+        windows.append(("0" * zeros, bits[i:j]))
+        zeros, i = 0, j
+    return windows
+
+
 def three_sequence_extended_gcd(a, b):
     """Extended Euclid carrying both Bezout sequences, as bigmod once did."""
     r0, r1 = a, b
@@ -146,6 +190,23 @@ class TestModPow:
     @example(base=(1 << 64) + 3, exp=65537, m=(1 << 64) - 59)
     def test_window_edges_against_builtin_pow(self, base, exp, m):
         assert bigmod.mod_pow(base, exp, m) == Residue(pow(base, exp, m), m)
+
+    @given(drawn=exponents_from_runs(), base=naturals, m=moduli)
+    def test_window_split_against_builtin_pow(self, drawn, base, m):
+        width, exp = drawn
+        bits = f"{exp:b}"
+        assert bigmod._window_split(width)(bits) == per_bit_windows(bits, width)
+        assert bigmod.mod_pow(base, exp, m) == Residue(pow(base, exp, m), m)
+
+    @pytest.mark.parametrize("width, lo, hi", WIDTH_BANDS)
+    def test_window_split_at_band_edges(self, width, lo, hi):
+        for n in (lo, hi):
+            # a lone top bit, all ones, and lone 1 bits between zero runs
+            # longer than the width
+            for exp in (1 << (n - 1), (1 << n) - 1, int((("1" + "0" * (width + 1)) * n)[:n], 2)):
+                bits = f"{exp:b}"
+                assert bigmod._window_split(width)(bits) == per_bit_windows(bits, width)
+                assert bigmod.mod_pow(3, exp, 1009).value == pow(3, exp, 1009)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), bits=st.sampled_from([512, 1024]),

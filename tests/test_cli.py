@@ -489,6 +489,23 @@ class TestDemos:
         assert fields["alice-shared"] == fields["bob-shared"]
 
 
+# 2**4423 - 1 is a Mersenne prime of 4423 bits: without a size bound its
+# 40 Miller-Rabin rounds alone held each of these commands past 10 s
+@pytest.mark.parametrize("argv, message", [
+    (["dlog", str(2**4423 - 1), "3", "5"], "modulus"),
+    (["dh-demo", "--p", str(2**4423 - 1)], "modulus"),
+    (["ecc", "--curve", f"1,1,{2**4423 - 1}", "mul", "5", "1,2"], "field order"),
+])
+def test_group_above_the_maximum_refused_before_any_primality_test(monkeypatch, argv, message):
+    def no_test(*args, **kwargs):
+        raise AssertionError("tested p for primality")
+
+    monkeypatch.setattr(numtheory, "is_prime", no_test)
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err == f"toycrypt {argv[0]}: {message} has 4423 bits, above the limit of 4096\n"
+
+
 class TestRsaPipelines:
     def test_keygen_encrypt_decrypt(self, tmp_path):
         prefix = tmp_path / "alice"
@@ -534,6 +551,16 @@ class TestRsaPipelines:
         code, out, err = invoke([command, "--key", str(key)], stdin=b"msg")
         assert (code, out) == (1, "")
         assert err == f"toycrypt {command}: modulus has 4097 bits, above the limit of 4096\n"
+
+    @pytest.mark.parametrize("command", ["encrypt", "seal", "verify"])
+    def test_public_key_file_above_the_maximum_refused(self, tmp_path, command):
+        # without the bound, encrypt with this key ran for seconds at 8192 bits
+        k = 8192
+        key = tmp_path / "big.pub"
+        key.write_text(rsa.write_public_key(rsa.RsaPublicKey(2**k + 1, 2 ** (k - 1) + 1)))
+        code, out, err = invoke([command, "--key", str(key)], stdin=b"msg")
+        assert (code, out) == (1, "")
+        assert err == f"toycrypt {command}: modulus has 8193 bits, above the limit of 4096\n"
 
     def test_keygen_seeded_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from decimal import Decimal, localcontext
@@ -16,7 +17,12 @@ from toycrypt.numtheory import (
     PrimalityVerdict,
     SieveLimitError,
 )
-from vectors import KEYGEN_1024_SEED_KEYGEN_0_P, KEYGEN_1024_SEED_KEYGEN_0_Q, PRIMES_BELOW_1000
+from vectors import (
+    KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1,
+    KEYGEN_1024_SEED_KEYGEN_0_P,
+    KEYGEN_1024_SEED_KEYGEN_0_Q,
+    PRIMES_BELOW_1000,
+)
 
 
 class TestSieve:
@@ -87,6 +93,30 @@ class CountingRandom(random.Random):
         return super().randrange(*args)
 
 
+class NoDraws:
+    """An rng that fails the test on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used")
+
+
+# primes below 2**16, by trial division: is_prime divides by those below
+# 2**11 and takes one gcd with the product of those in [2**11, 2**15)
+PRIMES_BELOW_2_16 = [
+    n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))
+]
+PRIMES_FROM_2_11 = [p for p in PRIMES_BELOW_2_16 if p >= 1 << 11]
+GCD_RANGE_PRIMES = [p for p in PRIMES_FROM_2_11 if p < 1 << 15]
+PRIMES_BELOW_2_11 = [p for p in PRIMES_BELOW_2_16 if p < 1 << 11]
+# the first and the last prime of each of is_prime's trial-division groups
+GROUP_EDGE_PRIMES = sorted({primes[i] for _, primes in numtheory._SMALL_GROUPS for i in (0, -1)})
+
+
+def plain_trial_division(n: int) -> int | None:
+    """The least prime below 2**11 that divides n, one division at a time."""
+    return next((p for p in PRIMES_BELOW_2_11 if n % p == 0), None)
+
+
 class TestIsPrime:
     def test_factor_pair_of_171371(self):
         assert numtheory.is_prime(409).kind == PROVEN_PRIME
@@ -144,14 +174,32 @@ class TestIsPrime:
         with pytest.raises(ValueError):
             numtheory.is_prime((2**89 - 1) * (2**61 - 1), rounds=rounds)
 
+    # f on each side of every boundary between is_prime's groups; c has no
+    # prime factor below f, so f is the smallest prime factor of n = f * c
+    @given(st.sampled_from(GROUP_EDGE_PRIMES).flatmap(
+        lambda f: st.tuples(st.just(f), st.one_of(
+            st.sampled_from([p for p in PRIMES_BELOW_2_16 if p >= f]),
+            st.sampled_from([2**61 - 1, 2**89 - 1, 2**127 - 1]),
+            st.integers(0, 3).map(lambda k: f**k * (2**89 - 1)),
+        ))))
+    def test_grouped_division_finds_the_smallest_factor(self, drawn):
+        f, c = drawn
+        n = f * c
+        assert plain_trial_division(n) == f
+        assert numtheory.is_prime(n, rng=NoDraws()) == PrimalityVerdict(COMPOSITE, f, 0)
 
-# primes below 2**16, by trial division: is_prime divides by those below
-# 2**11 and takes one gcd with the product of those in [2**11, 2**15)
-PRIMES_BELOW_2_16 = [
-    n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))
-]
-PRIMES_FROM_2_11 = [p for p in PRIMES_BELOW_2_16 if p >= 1 << 11]
-GCD_RANGE_PRIMES = [p for p in PRIMES_FROM_2_11 if p < 1 << 15]
+    def test_every_small_prime_proven(self):
+        for p in numtheory._SMALL_PRIMES:
+            assert numtheory.is_prime(p, rng=NoDraws()) == PrimalityVerdict(PROVEN_PRIME), p
+
+    def test_group_products_rejected_by_their_least_prime(self):
+        for product, primes in numtheory._SMALL_GROUPS:
+            assert plain_trial_division(product) == primes[0]
+            # a group of one prime, such as the last (2039 alone), is that prime
+            expected = PrimalityVerdict(COMPOSITE, primes[0], 0) if primes[1:] else (
+                PrimalityVerdict(PROVEN_PRIME))
+            assert numtheory.is_prime(product, rng=NoDraws()) == expected, product
+
 
 
 def reference_verdict(n: int) -> tuple[str, int | None]:
@@ -222,6 +270,8 @@ class TestGcdFilter:
     def test_seeded_key_unchanged(self):
         _, key = rsa.keygen_random(1024, 65537, random.Random("keygen-0"))
         assert (key.p, key.q) == (KEYGEN_1024_SEED_KEYGEN_0_P, KEYGEN_1024_SEED_KEYGEN_0_Q)
+        digest = hashlib.sha1(rsa.write_private_key(key).encode()).hexdigest()
+        assert digest == KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1
 
 
 class TestFactorTrial:

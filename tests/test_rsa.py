@@ -475,6 +475,13 @@ class TestTextFormats:
         with pytest.raises(AssertionError, match="primality"):
             rsa.read_private_key(f"n={p * q:#x}\nd=5\np={p:#x}\nq={q:#x}\n")
 
+    def test_public_key_above_the_maximum_refused(self):
+        n = (1 << 4096) + 1  # 4097 bits
+        with pytest.raises(ValueError, match="modulus has 4097 bits, above the limit of 4096"):
+            rsa.read_public_key(f"n={n:#x}\ne=0x10001\n")
+        # one bit less is read
+        assert rsa.read_public_key(f"n={n >> 1:#x}\ne=0x10001\n").n == n >> 1
+
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
             rsa.read_public_key("n=0x143\n")

@@ -72,3 +72,6 @@ KEYGEN_1024_SEED_KEYGEN_0_Q = int(
     "e38ac27d5370c3c6c68d51afc23725639214c8c1f2d7c5bdba26ad61490371d8"
     "13be220653e5ce2afa5718201144de27196faefa28e1b96f2ef7a1fc666711bf", 16
 )
+# SHA-1 (by hashlib, in the test only) of rsa.write_private_key of that key:
+# pins n, d, p and q of a 1024-bit seeded key byte for byte
+KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1 = "d71288e008a903f5f721ec98f29b91117409bd81"
