@@ -5,19 +5,18 @@ formats so any emitting invocation can be fed back to its inverse in a
 fresh process.  `--seed N` pins every randomized command to a reproducible
 stream; without it, OS entropy is used.  Exit codes: 0 success, 1 domain
 error, 2 usage error, 3 failed signature verification.
-
-Each command runs in a fresh process, so start-up is paid per command: a
-process builds the parser of its own command only (the full parser just
-for top-level help and usage errors), and imports beyond bigmod and rsa
-the library modules that command uses.
 """
+
+# Each command runs in a fresh process, so start-up is paid per command: a
+# process builds the parser of its own command only (the full parser just
+# for top-level help and usage errors that name no command), and imports
+# beyond bigmod and rsa the library modules that command uses.
 
 from __future__ import annotations
 
 import argparse
 import contextlib
 import importlib
-import io
 import random
 import sys
 import warnings
@@ -30,6 +29,11 @@ from . import bigmod, rsa
 # a 64-bit DH group and 20 us on a 64-bit curve, so the default scan ends
 # within about 1.3 s; trial division up to it takes a few milliseconds.
 DEFAULT_SCAN_CAP = 1 << 16
+
+# Largest limit of the primes command; its output grows with the limit.
+# 10**7 prints 664579 lines in about 1.2 s, and the library's sieve cap of
+# 10**8 would take more than 10 s (2 CPUs, Python 3.11.7, output to /dev/null).
+PRIMES_LIMIT = 10**7
 
 
 def demo_rsa_paper() -> str:
@@ -62,10 +66,6 @@ def demo_rsa_paper() -> str:
 def _scan_cap(cap: int | None, bound: int) -> int:
     """--cap if given, else the group's bound, at most DEFAULT_SCAN_CAP."""
     return cap if cap is not None else min(bound, DEFAULT_SCAN_CAP)
-
-
-def _make_rng(seed: int | None):
-    return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
 def _read_bytes(path: str | None, stdin) -> bytes:
@@ -118,12 +118,6 @@ def _add_base_selector(parser: argparse.ArgumentParser) -> None:
                        help="print numbers in decimal (default)")
 
 
-def _add_divisor_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cap", type=_integer, default=DEFAULT_SCAN_CAP,
-                        help="largest trial divisor (default %(default)s; past it, exit 1 "
-                             "with the factors found so far)")
-
-
 def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
     """Add the arguments of subcommand `name` to its parser p."""
     if name == "keygen":
@@ -156,7 +150,9 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
         _add_base_selector(p)
     elif name in ("factor", "totient"):
         p.add_argument("n", type=_natural)
-        _add_divisor_cap(p)
+        p.add_argument("--cap", type=_integer, default=DEFAULT_SCAN_CAP,
+                       help="largest trial divisor (default %(default)s; past it, exit 1 "
+                            "with the factors found so far)")
         _add_base_selector(p)
     elif name == "primes":
         p.add_argument("limit", type=_natural)
@@ -201,12 +197,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The toycrypt parser; given a command name, with only that subcommand.
 
     Both are built from the same _COMMANDS and _add_arguments, so a
-    subcommand parses and prints its help alike in either.
+    subcommand parses and prints its help alike in either.  The one-command
+    parser lists every command in its usage line too, so a usage error it
+    reports itself, such as unrecognized arguments, reads as the full
+    parser's.  The full parser leaves the metavar unset: only it reports an
+    invalid or missing command, and those messages name the argument by it.
     """
-    # --help shows the docstring without its last paragraph, which is about start-up
-    description = (__doc__ or "").rpartition("\n\n")[0]
-    parser = argparse.ArgumentParser(prog="toycrypt", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = argparse.ArgumentParser(prog="toycrypt", description=__doc__)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, handler) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
@@ -319,6 +318,8 @@ def _cmd_factor(args, stdin, stdout, rng) -> int:
 def _cmd_primes(args, stdin, stdout, rng) -> int:
     from . import numtheory
 
+    if args.limit > PRIMES_LIMIT:
+        raise ValueError(f"limit {args.limit} above the maximum of {PRIMES_LIMIT}")
     for p in numtheory.sieve_primes(args.limit):
         stdout.write(bigmod.render_natural(p, args.hex) + "\n")
     return 0
@@ -451,21 +452,9 @@ _COMMANDS = {
 
 
 def _parse_args(argv: list[str], stderr) -> argparse.Namespace:
-    """Parse argv with only the parser of the command it names, if it names one.
-
-    For some usage errors, such as unrecognized arguments, argparse prints
-    the top-level usage, which lists every command.  So a parse that fails
-    is repeated with the full parser, and only its message is shown.
-    """
-    if argv and argv[0] in _COMMANDS:
-        try:
-            with contextlib.redirect_stderr(io.StringIO()):
-                return build_parser(argv[0]).parse_args(argv)
-        except SystemExit as exc:
-            if exc.code == 0:  # the subcommand's help, already on stdout
-                raise
+    """Parse argv with only the parser of the command it names, if it names one."""
     with contextlib.redirect_stderr(stderr):
-        return build_parser().parse_args(argv)
+        return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
@@ -476,7 +465,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv), stderr)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    rng = _make_rng(getattr(args, "seed", None))
+    seed = getattr(args, "seed", None)
+    rng = random.Random(seed) if seed is not None else random.SystemRandom()
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, category, *_: stderr.write(
             f"toycrypt {args.command}: {category.__name__}: {message}\n"

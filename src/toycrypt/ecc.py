@@ -57,7 +57,7 @@ def make_curve(a: int, b: int, p: int) -> EccCurve:
     bigmod.MAX_MODULUS_BITS is refused before the primality test.
     """
     bigmod.check_modulus_bits(p, "field order")
-    if p < 5 or p % 2 == 0 or not numtheory.is_prime(p).is_prime:
+    if p < 5 or not numtheory.is_prime(p).is_prime:
         raise ValueError(f"field order must be an odd prime >= 5, got {p}")
     a, b = a % p, b % p
     if (4 * a * a * a + 27 * b * b) % p == 0:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from toycrypt import envelope, numtheory, rsa
+from toycrypt import cli, envelope, numtheory, rsa
 from toycrypt.cli import _integer, _natural, _parse_args, build_parser, demo_rsa_paper, run
 from vectors import (
     CAESAR_CIPHER,
@@ -32,16 +32,18 @@ def invoke(argv, stdin=b""):
 
 class TestDispatch:
     def test_unknown_subcommand_is_usage_error(self):
-        code, out, _ = invoke(["no-such-command"])
+        code, out, err = invoke(["no-such-command"])
         assert code == 2
+        assert "error: argument command: invalid choice: 'no-such-command'" in err
 
     def test_unknown_flag_is_usage_error(self):
         code, _, _ = invoke(["factor", "--bogus", "12"])
         assert code == 2
 
     def test_missing_subcommand(self):
-        code, _, _ = invoke([])
+        code, _, err = invoke([])
         assert code == 2
+        assert err.endswith("error: the following arguments are required: command\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["caesar", "--shift", "+3", "abc"], "argument --shift: not an integer: '+3'"),
@@ -78,23 +80,36 @@ def _subcommands(parser):
 COMMAND_PREFIXES = [[name] for name in _subcommands(build_parser())] + [
     ["ecc", "--curve", "2,3,97", op] for op in _subcommands(_subcommands(build_parser())["ecc"])
 ]
-PARSER_ARGVS = [[], ["--help"], ["nope"]] + [
-    prefix + tail for prefix in COMMAND_PREFIXES for tail in (["-h"], [], ["--no-such-flag"])
+PARSER_ARGVS = [[], ["--help"], ["nope"], ["--x", "keygen"]] + [
+    prefix + tail
+    for prefix in COMMAND_PREFIXES
+    for tail in (["-h"], [], ["--no-such-flag"], ["stray"])
 ]
 
 
+def _parse_through_run(argv):
+    """What run prints and returns for argv, or what _parse_args gives where argv
+    parses: a command that needs no argument, which run would go on to execute."""
+    if isinstance(captured(lambda: build_parser().parse_args(argv))[0], argparse.Namespace):
+        return captured(lambda: _parse_args(argv, sys.stderr))
+    return captured(lambda: run(argv, stdin=io.BytesIO()))
+
+
 class TestOneSubcommandParser:
-    """run builds only the parser of the command argv names, and must parse,
-    print help and fail exactly as the full parser does."""
+    """run builds only the parser of the command argv names, once, and must
+    parse, print help and fail exactly as the full parser does."""
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
     def test_same_outcome_as_the_full_parser(self, argv):
-        full = captured(lambda: build_parser().parse_args(argv))
-        if isinstance(full[0], argparse.Namespace):
-            # a command that needs no argument: run would go on to execute it
-            assert captured(lambda: _parse_args(argv, sys.stderr)) == full
-        else:
-            assert captured(lambda: run(argv, stdin=io.BytesIO())) == full
+        assert _parse_through_run(argv) == captured(lambda: build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_builds_one_parser(self, argv, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: builds.append(command) or build_parser(command))
+        _parse_through_run(argv)
+        assert builds == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
 
     @pytest.mark.parametrize("name", list(_subcommands(build_parser())))
     def test_holds_only_that_command_with_the_same_arguments(self, name):
@@ -138,6 +153,18 @@ class TestNumberCommands:
         code, out, _ = invoke(["primes", "30"])
         assert code == 0
         assert out.split() == ["2", "3", "5", "7", "11", "13", "17", "19", "23", "29"]
+
+    def test_primes_limit_above_the_cli_bound_is_refused_at_once(self):
+        start = time.perf_counter()
+        code, out, err = invoke(["primes", "10000001"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == "toycrypt primes: limit 10000001 above the maximum of 10000000\n"
+
+    def test_primes_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "PRIMES_LIMIT", 30)
+        assert invoke(["primes", "30"])[0] == 0
+        assert invoke(["primes", "31"])[0] == 1
 
     def test_prime_count_single(self):
         code, out, _ = invoke(["prime-count", "1000"])
