@@ -4,7 +4,7 @@ import random
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toycrypt import bigmod, dh, ecc, numtheory, rsa
@@ -22,6 +22,7 @@ from vectors import (
     KEYGEN_1024_SEED_KEYGEN_0_P,
     KEYGEN_1024_SEED_KEYGEN_0_Q,
     PRIMES_BELOW_1000,
+    RANDOM_PRIME_SEEDED_SHA1,
 )
 
 
@@ -202,6 +203,62 @@ class TestIsPrime:
 
 
 
+POW2_CHUNK = numtheory._POW2_CHUNK
+
+
+def pow2_exponents():
+    """e = 1, and exponents of k*j - 1, k*j and k*j + 1 bits, k = _POW2_CHUNK.
+
+    With k*j bits the chunks split evenly; with one bit fewer or more, the
+    leading chunk has k - 1 bits or a single one.
+    """
+    lengths = st.integers(1, 80).flatmap(
+        lambda j: st.sampled_from([POW2_CHUNK * j - 1, POW2_CHUNK * j, POW2_CHUNK * j + 1]))
+    return st.one_of(st.just(1), lengths.flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Strong probable-prime test of odd n >= 5 to base a, on built-in pow."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any((x := x * x % n) == n - 1 for _ in range(s - 1))
+
+
+class TestBase2Test:
+    @settings(deadline=None)
+    @given(n=st.one_of(st.integers(1, 1 << 12), st.integers(1, (1 << 4095) - 1)).map(lambda m: 2 * m + 1),
+           e=pow2_exponents())
+    # the least and the largest modulus, with a leading chunk of all ones:
+    # a shift of 2**k - 1 bits, far past n = 3
+    @example(n=3, e=(1 << 3 * POW2_CHUNK) - 1)
+    @example(n=(1 << 4096) - 1, e=(1 << 3 * POW2_CHUNK) - 1)
+    def test_kernel_against_builtin_pow(self, n, e):
+        assert numtheory._pow2(e, n) == pow(2, e, n)
+
+    # no factor below 2**11, nor one that the gcd finds
+    @pytest.mark.parametrize("n", [
+        2053 * 2063, 32719 * 32749, 32771 * (2**61 - 1), (2**89 - 1) * (2**61 - 1),
+    ])
+    def test_composite_rejected_by_base_2_after_one_draw(self, n):
+        assert not strong_probable_prime(n, 2)
+        rng = CountingRandom(4)
+        assert numtheory.is_prime(n, rng=rng) == PrimalityVerdict(COMPOSITE, 2, 1)
+        assert rng.draws == 1
+
+    def test_base_2_pseudoprime_rejected_by_random_round(self):
+        # 32779 * 131113: a strong pseudoprime to base 2 with no prime factor
+        # below 2**15, so neither trial division nor the gcd finds a factor
+        n = 4297753027
+        assert n == 32779 * 131113 and strong_probable_prime(n, 2)
+        rng = CountingRandom(5)
+        verdict = numtheory.is_prime(n, rng=rng)
+        assert verdict.kind == COMPOSITE
+        assert 2 <= verdict.witness <= n - 2
+        assert verdict.rounds == rng.draws >= 1
+
+
 def reference_verdict(n: int) -> tuple[str, int | None]:
     """Kind and divisor witness is_prime should give for 2**22 <= n < 2**81.
 
@@ -218,14 +275,9 @@ def reference_verdict(n: int) -> tuple[str, int | None]:
     g = math.prod(p for p in GCD_RANGE_PRIMES if n % p == 0)
     if 1 < g < n:
         return COMPOSITE, g
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in PRIMES_BELOW_1000[:13]:
-        x = pow(a, d, n)
-        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
-            return COMPOSITE, None
-    return PROBABLY_PRIME, None
+    if all(strong_probable_prime(n, a) for a in PRIMES_BELOW_1000[:13]):
+        return PROBABLY_PRIME, None
+    return COMPOSITE, None
 
 
 class TestGcdFilter:
@@ -245,7 +297,8 @@ class TestGcdFilter:
     # 32771 is the least prime above 2**15, so no gcd finds it
     @pytest.mark.parametrize("n", [2053 * 2063, 32719 * 32749, 32771 * (2**61 - 1)])
     def test_composite_left_to_miller_rabin(self, n):
-        # the gcd finds no proper divisor (it is n or 1); the drawn base rejects n
+        # the gcd finds no proper divisor (it is n or 1); base 2 rejects n as
+        # round 1, after the one draw taken before the gcd
         rng = CountingRandom(3)
         verdict = numtheory.is_prime(n, rng=rng)
         assert verdict.kind == COMPOSITE
@@ -392,6 +445,12 @@ class TestRandomPrime:
     def test_too_few_bits(self):
         with pytest.raises(ValueError):
             numtheory.random_prime(3, random.Random(0))
+
+    @pytest.mark.parametrize("bits", sorted(RANDOM_PRIME_SEEDED_SHA1))
+    def test_seeded_primes_unchanged(self, bits):
+        primes = [numtheory.random_prime(bits, random.Random(f"prime-{bits}-{i}")) for i in range(10)]
+        digest = hashlib.sha1("\n".join(map(str, primes)).encode()).hexdigest()
+        assert digest == RANDOM_PRIME_SEEDED_SHA1[bits]
 
 
 def spy_is_prime(monkeypatch):

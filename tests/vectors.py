@@ -75,3 +75,14 @@ KEYGEN_1024_SEED_KEYGEN_0_Q = int(
 # SHA-1 (by hashlib, in the test only) of rsa.write_private_key of that key:
 # pins n, d, p and q of a 1024-bit seeded key byte for byte
 KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1 = "d71288e008a903f5f721ec98f29b91117409bd81"
+# SHA-1 (by hashlib, in the test only) of the decimal primes of
+# numtheory.random_prime(bits, random.Random(f"prime-{bits}-{i}")) for i in
+# 0..9, one a line: pins the prime search's draws from a seeded rng, so a
+# change to is_prime's checks cannot move a seeded prime unnoticed
+RANDOM_PRIME_SEEDED_SHA1 = {
+    64: "8f02eee3a38c55221d0924b5f6dc00d2a0b280de",
+    128: "0192581ce45af8e58addc53efdb527f24fedc312",
+    256: "84df09d7d027f4d47107713d95f862c7a850df76",
+    512: "207a320868ac85f55f7390c5cc9e0f365ce4de2f",
+    1024: "ec2d6ff8e137f26b899defe5d7d2f2bb2b148605",
+}
