@@ -43,12 +43,10 @@ class RsaPublicKey:
 class RsaPrivateKey:
     """n = p*q for distinct primes p, q, and 0 < d < n; phi follows from p and q.
 
-    Construction checks everything but primality, which costs a Miller-Rabin
-    test per factor: read_private_key and keygen_from_primes test it with 40
-    rounds, and keygen_random draws random probable primes whose chance of
-    being composite is at most 2**-100 each (numtheory.random_prime).  Every
-    key gets one cheaper check on its first private use (crt), which is what
-    a key built by hand relies on.
+    Construction checks everything but primality.  read_private_key and
+    keygen_from_primes test each factor with 40 Miller-Rabin rounds,
+    numtheory.random_prime tests keygen_random's, and every key, one built by
+    hand too, gets one is_prime round per factor on first private use (crt).
     """
 
     n: int
@@ -73,19 +71,14 @@ class RsaPrivateKey:
         dP is d reduced into [1, p-1] rather than [0, p-2]: it is congruent
         to d mod p-1, and never 0, so a block divisible by p still maps to 0.
 
-        The CRT is exact only for prime p and q, so each factor must first
-        pass one base-2 Fermat test, or this raises ValueError.  That costs
-        one exponentiation per factor, once per key (about 1 ms at 512 bits),
-        where 40 Miller-Rabin rounds would cost more than a whole 1024-bit
-        keygen_random.  It is not a proof: a base-2 pseudoprime such as
-        341 = 11 * 31 still passes.
+        The CRT is exact only for prime p and q, so this first runs
+        _require_primes with one is_prime round per factor (40 would cost
+        more than a whole 1024-bit keygen_random), or raises ValueError and
+        caches nothing.  A composite factor with a prime factor below 2**11
+        never passes; any other passes with probability at most 1/4.
         """
-        from . import numtheory  # loads on first use: encrypt and seal never need it
-
+        _require_primes(self.p, self.q, 1)
         d, p, q = self.d, self.p, self.q
-        for name, f in (("p", p), ("q", q)):
-            if f > 3 and (f % 2 == 0 or not numtheory.fermat_probable_prime(f, 2)):
-                raise ValueError(f"{name} = {f} fails a base-2 Fermat test, so it is not prime")
         return (d - 1) % (p - 1) + 1, (d - 1) % (q - 1) + 1, bigmod.mod_inv(q, p).value
 
 
@@ -121,11 +114,18 @@ def _key_pair(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
     return RsaPublicKey(n, e), RsaPrivateKey(n, bigmod.mod_inv(e, phi).value, p, q)
 
 
-def _require_primes(p: int, q: int) -> None:
+def _require_primes(p: int, q: int, rounds: int) -> None:
+    """Refuse p*q above MAX_MODULUS_BITS, then any factor is_prime calls composite.
+
+    rounds is 40 for numbers a caller supplies and 1 on a key's first
+    private use.  A composite factor with a prime factor below 2**11 never
+    passes; any other passes with probability at most 4**-rounds.
+    """
+    bigmod.check_modulus_bits(p * q)
     from . import numtheory
 
     for name, value in (("p", p), ("q", q)):
-        if not numtheory.is_prime(value).is_prime:
+        if not numtheory.is_prime(value, rounds).is_prime:
             raise ValueError(f"{name} = {value} is not prime")
 
 
@@ -133,7 +133,7 @@ def keygen_from_primes(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivate
     """Build a key pair from two distinct primes and a public exponent."""
     if p == q:
         raise ValueError("p and q must be distinct")
-    _require_primes(p, q)
+    _require_primes(p, q, 40)
     return _key_pair(p, q, e)
 
 
@@ -322,7 +322,7 @@ def read_public_key(text: str) -> RsaPublicKey:
 
 
 def read_private_key(text: str) -> RsaPrivateKey:
-    """The key in text; a modulus above MAX_MODULUS_BITS is refused at once.
+    """The key in text; a modulus above MAX_MODULUS_BITS is refused before any primality test.
 
     Each factor gets 40 Miller-Rabin rounds.  One round takes about 0.23 s on
     a 4096-bit factor and 1.7 s on an 8192-bit one, so without the bound a
@@ -330,9 +330,8 @@ def read_private_key(text: str) -> RsaPrivateKey:
     key over two minutes.
     """
     f = _parse_fields(text, ("n", "d", "p", "q"))
-    bigmod.check_modulus_bits(f["n"])
     key = RsaPrivateKey(f["n"], f["d"], f["p"], f["q"])
-    _require_primes(key.p, key.q)
+    _require_primes(key.p, key.q, 40)
     return key
 
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toycrypt import numtheory, rsa
+from toycrypt.numtheory import PROBABLY_PRIME, PrimalityVerdict
 from toycrypt.rsa import BlockStream
+from test_numtheory import spy_is_prime
 
 
 SMALL = st.integers(0, 60)
@@ -287,9 +289,27 @@ class TestCrtPrivateOp:
             with pytest.raises(ValueError, match="not prime"):
                 rsa.private_op(3, priv)
 
-    def test_base_2_pseudoprime_passes_the_check(self):
-        # 341 = 11 * 31 passes the base-2 Fermat test, the documented limit
-        assert rsa.RsaPrivateKey(341 * 3, 7, 341, 3).crt == (7, 1, 114)
+    @pytest.mark.parametrize("p", [2047, 341, 561])
+    def test_base_2_pseudoprime_refused_on_first_use(self, p):
+        # each passes a base-2 Fermat test, and 2047 = 23 * 89 is the least
+        # strong pseudoprime to base 2; with a Fermat check in its place,
+        # private_op with p = 2047 was wrong on 7590 of the 10235 blocks
+        priv = rsa.RsaPrivateKey(p * 5, p * 5 - 2, p, 5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+                rsa.private_op(3, priv)
+        assert "crt" not in vars(priv)
+
+    @pytest.mark.parametrize("make_key", [
+        lambda: rsa.RsaPrivateKey((2**61 - 1) * (2**89 - 1), 3, 2**61 - 1, 2**89 - 1),
+        lambda: rsa.keygen_random(256, rng=random.Random(8021))[1],
+    ], ids=["by_hand", "keygen_random"])
+    def test_first_use_gives_each_factor_one_round(self, monkeypatch, make_key):
+        priv = make_key()
+        verdicts = spy_is_prime(monkeypatch)
+        rsa.private_op(2, priv)
+        rsa.private_op(3, priv)
+        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=1)] * 2
 
     def test_parameters_are_not_fields(self, small_keys):
         # a fresh copy of the fixture key, which other tests may already have used
@@ -474,6 +494,21 @@ class TestTextFormats:
         p, q = (1 << 2047) + 1, (1 << 2048) + 3
         with pytest.raises(AssertionError, match="primality"):
             rsa.read_private_key(f"n={p * q:#x}\nd=5\np={p:#x}\nq={q:#x}\n")
+
+    def test_supplied_or_hand_built_factors_above_the_maximum_refused_before_any_test(
+        self, monkeypatch
+    ):
+        def no_test(*args):
+            raise AssertionError("tested a factor for primality")
+
+        monkeypatch.setattr(numtheory, "is_prime", no_test)
+        p, q = (1 << 2048) + 1, (1 << 2048) + 3  # odd, 2049 bits each
+        with pytest.raises(ValueError, match="modulus has 4097 bits, above the limit of 4096"):
+            rsa.keygen_from_primes(p, q, 65537)
+        q = (1 << 2049) + 1
+        priv = rsa.RsaPrivateKey(p * q, 5, p, q)
+        with pytest.raises(ValueError, match="modulus has 4098 bits, above the limit of 4096"):
+            rsa.private_op(3, priv)
 
     def test_public_key_above_the_maximum_refused(self):
         n = (1 << 4096) + 1  # 4097 bits
