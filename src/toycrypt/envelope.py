@@ -17,7 +17,9 @@ of the same big-int operands.  The hash under sign/verify is one streaming
 SHA-1, which chains each 64-byte block on the state the previous one left.
 Only its rounds are chained, though: the message schedules of a run of
 blocks are expanded side by side in the same lanes, and then the rounds
-run once per block, in order.
+run once per block, in order, in a kernel of their own that holds words
+doubled (the word in both 32-bit halves) so that each rotation is one
+shift; the garbage above the low word never reaches it.
 """
 
 from __future__ import annotations

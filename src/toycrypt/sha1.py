@@ -4,11 +4,24 @@ SHA-1 is cryptographically deprecated; collision weaknesses drove the
 migration to longer digests.  It is kept here because this toolkit
 demonstrates the hash-then-sign workflow, not because it should protect
 anything.
+
+It has one schedule kernel and two round kernels.  `_schedule` expands the
+message schedules of many blocks side by side, one block per 64-bit lane
+of the same big-int operands.  `_rounds` is the lane kernel: `digests`
+runs it on independent equal-length messages, one per lane, and every
+lane stays below 2**64.  `_chained_rounds` is the kernel of a streaming
+hash (`Sha1`, and so `sha1`): one message, whose blocks chain.  It holds a
+and b as doubled words, the word in both 32-bit halves, so each rotation
+is one shift.  The bits above the low word are garbage, and harmless: only
+the exact doubled words are shifted right, every other step is bitwise or
+an addition whose carries only move upward, and a mask cuts them off.
+Every operand stays below 2**65.
 """
 
 from __future__ import annotations
 
 import struct
+from operator import add
 
 from ._record import record
 
@@ -18,6 +31,9 @@ MAX_MESSAGE_BYTES = 1 << 61
 
 _INITIAL_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
 _MASK = 0xFFFFFFFF
+_K = (0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6)  # each for 20 rounds
+_KT = [k for k in _K for _ in range(20)]  # K_t of round t
+_DOUBLE = (1 << 32) + 1  # word * _DOUBLE holds the word in both 32-bit halves
 
 
 @record
@@ -61,32 +77,67 @@ def _rounds(state: tuple[int, ...], w, mask: int, ones: int) -> tuple[int, ...]:
     every lane.  A rotation or sum stays inside its lane until it is masked:
     the largest shifted operand, `b << 30`, reaches bit 61 and a sum of five
     words bit 34, so both stay below 2**64 and every lane computes its own
-    SHA-1.  Plain SHA-1 is the one-lane case (mask 0xFFFFFFFF, ones 1): a
-    streaming hash expands the schedules of a run of blocks side by side,
-    then runs these chained rounds once per block, in order.
+    SHA-1.  This is the lane kernel of `digests`; a streaming hash, one
+    message, runs `_chained_rounds` instead.
     """
     a, b, c, d, e = state
-    k = 0x5A827999 * ones
+    k = _K[0] * ones
     for x in w[:20]:
         a, b, c, d, e = (
             (((a << 5) | (a >> 27)) & mask) + (d ^ (b & (c ^ d))) + e + k + x
         ) & mask, a, ((b << 30) | (b >> 2)) & mask, c, d
-    k = 0x6ED9EBA1 * ones
+    k = _K[1] * ones
     for x in w[20:40]:
         a, b, c, d, e = (
             (((a << 5) | (a >> 27)) & mask) + (b ^ c ^ d) + e + k + x
         ) & mask, a, ((b << 30) | (b >> 2)) & mask, c, d
-    k = 0x8F1BBCDC * ones
+    k = _K[2] * ones
     for x in w[40:60]:
         a, b, c, d, e = (
             (((a << 5) | (a >> 27)) & mask) + ((b & c) | (d & (b | c))) + e + k + x
         ) & mask, a, ((b << 30) | (b >> 2)) & mask, c, d
-    k = 0xCA62C1D6 * ones
+    k = _K[3] * ones
     for x in w[60:]:
         a, b, c, d, e = (
             (((a << 5) | (a >> 27)) & mask) + (b ^ c ^ d) + e + k + x
         ) & mask, a, ((b << 30) | (b >> 2)) & mask, c, d
     return tuple((s + v) & mask for s, v in zip(state, (a, b, c, d, e)))
+
+
+def _chained_rounds(state: tuple[int, ...], wk) -> tuple[int, ...]:
+    """The 80 rounds of one SHA-1 compression of one message, on doubled words.
+
+    `a` and `b` are held doubled, as `aa = a * (2**32 + 1)`: the word in both
+    32-bit halves.  Then the low word of `aa >> 27` is rotl5(a) and that of
+    `bb >> 2` is rotl30(b), the next c, so each rotation is one shift, and
+    only the new a and the final sums are masked.  The bits above the low
+    word are garbage, and harmless: only aa and bb are shifted right, and
+    they are exact; every other step is bitwise or an addition, whose
+    carries only move upward, so the low 32 bits of every result are
+    exact.  aa and bb stay below 2**64, c, d and e below 2**62, wk below
+    2**33, and a sum of four terms below 2**65, so every operand is a small
+    int of at most three 30-bit digits.
+
+    `wk[t]` is `w[t] + K_t`: the caller adds the round constants to the
+    schedule, which a run of blocks does once for all of them, in lanes.
+    The result is that of `_rounds(state, w, _MASK, 1)`.
+    """
+    a, b, c, d, e = state
+    mask, double = _MASK, _DOUBLE
+    aa, bb = a * double, b * double
+    for x in wk[:20]:
+        aa, bb, c, d, e = (
+            ((aa >> 27) + (d ^ (bb & (c ^ d))) + e + x) & mask
+        ) * double, aa, bb >> 2, c, d
+    for x in wk[20:40]:
+        aa, bb, c, d, e = (((aa >> 27) + (bb ^ c ^ d) + e + x) & mask) * double, aa, bb >> 2, c, d
+    for x in wk[40:60]:
+        aa, bb, c, d, e = (
+            ((aa >> 27) + ((bb & c) | (d & (bb | c))) + e + x) & mask
+        ) * double, aa, bb >> 2, c, d
+    for x in wk[60:]:
+        aa, bb, c, d, e = (((aa >> 27) + (bb ^ c ^ d) + e + x) & mask) * double, aa, bb >> 2, c, d
+    return tuple((s + v) & mask for s, v in zip(state, (aa, bb, c, d, e)))
 
 
 def _lane_ones(count: int) -> int:
@@ -118,23 +169,27 @@ def _padding(length: int) -> bytes:
     return b"\x80" + bytes((55 - length) % BLOCK_BYTES) + struct.pack(">Q", 8 * length)
 
 
-# Most blocks whose schedules _compress expands in one _schedule call.  A
-# 16 KiB message hashed as fast with runs of 16 to 256 blocks, and a 1 MB one
-# fastest with 32: longer runs make operands that spill out of the CPU cache.
+# Most blocks whose schedules _compress expands in one _schedule call.  Timed
+# again with the doubled-word rounds (paired, against 32): a 16 KiB message
+# hashed as fast with runs of 64 to 256 blocks and 3% slower with 16, 7% with
+# 8; 64 KiB and 1 MB hashed no faster with runs of 64 or 128, whose operands
+# spill out of the CPU cache.
 _RUN_BLOCKS = 32
 
 
 def _schedules(run: bytes):
-    """The schedule of each 64-byte block of run, all expanded side by side.
+    """The schedule of each 64-byte block of run plus K_t, expanded side by side.
 
     Its own function so that one run's lanes are freed before the next run
     is packed, which keeps the extra memory bounded by _RUN_BLOCKS.
     """
     count = len(run) // BLOCK_BYTES
     (words,) = _lane_words(run, BLOCK_BYTES)  # block i in lane i
-    w = _schedule(words, _MASK * _lane_ones(count))
+    ones = _lane_ones(count)
+    # each W_t + K_t < 2**33 stays in its lane
+    w = [x + k * ones for x, k in zip(_schedule(words, _MASK * ones), _KT)]
     flat = struct.unpack(f">{80 * count}Q", b"".join([x.to_bytes(8 * count, "big") for x in w]))
-    # W_t of block i is flat[t * count + i]
+    # W_t + K_t of block i is flat[t * count + i]
     return [flat[i::count] for i in range(count)]
 
 
@@ -142,19 +197,21 @@ def _compress(state: tuple[int, ...], data: bytes) -> tuple[tuple[int, ...], byt
     """Compress each whole 64-byte block of data in turn: (new state, the rest).
 
     The schedules of a run of up to _RUN_BLOCKS blocks are expanded side by
-    side; only the rounds are chained, block by block.  One or two blocks,
-    as digest() and short updates bring, go one at a time as one-lane
-    operands: packing them into lanes costs more than it saves.
+    side; only the rounds are chained, block by block, in _chained_rounds.
+    One or two blocks, as digest() and short updates bring, go one at a time
+    as one-lane operands: packing them into lanes costs more than it saves
+    (timed again with the doubled-word rounds: packing 2 blocks cost 5%
+    more, and leaving 3 unpacked cost 3% more).
     """
     whole = len(data) - len(data) % BLOCK_BYTES
     if whole <= 2 * BLOCK_BYTES:
         for off in range(0, whole, BLOCK_BYTES):
             w = _schedule(struct.unpack_from(">16I", data, off), _MASK)
-            state = _rounds(state, w, _MASK, 1)
+            state = _chained_rounds(state, list(map(add, w, _KT)))
         return state, data[whole:]
     for start in range(0, whole, _RUN_BLOCKS * BLOCK_BYTES):
         for w in _schedules(data[start : min(start + _RUN_BLOCKS * BLOCK_BYTES, whole)]):
-            state = _rounds(state, w, _MASK, 1)
+            state = _chained_rounds(state, w)
     return state, data[whole:]
 
 

@@ -74,6 +74,19 @@ RUN_EDGES = [0, 1, 2, 3, RUN - 1, RUN, RUN + 1, 2 * RUN + 1]
 TAIL_EDGES = [0, 55, 56, 63, 64]  # bytes after the whole blocks: one or two padding blocks
 
 
+def ff_tailed(length):
+    """Messages of one length: a drawn head, then 0xFF bytes up to length.
+
+    The 0xFF tails make words near 2**32 - 1, so the round sums carry as
+    far as they can: into the top bits of each lane, and through the bits
+    above the low word of the doubled words.
+    """
+    return st.binary(max_size=length).map(lambda head: (head + b"\xff" * length)[:length])
+
+
+WORD = st.integers(0, sha1._MASK)
+
+
 class TestRuns:
     @given(blocks=st.sampled_from(RUN_EDGES), tail=st.sampled_from(TAIL_EDGES),
            seed=st.integers(0, 2**32))
@@ -110,19 +123,31 @@ class TestRuns:
         assert all(w >> 64 * count == 0 for w in lanes)
 
 
+class TestChainedRounds:
+    @given(state=st.tuples(*[WORD] * 5), w=st.lists(WORD, min_size=80, max_size=80))
+    @example(state=(0xFFFFFFFF,) * 5, w=[0xFFFFFFFF] * 80)
+    @example(state=(0xFFFFFFFF,) * 5, w=[0] * 80)
+    @example(state=(0,) * 5, w=[0xFFFFFFFF] * 80)
+    def test_equals_one_lane_rounds(self, state, w):
+        wk = [x + k for x, k in zip(w, sha1._KT)]  # the caller adds K_t
+        assert sha1._chained_rounds(state, wk) == sha1._rounds(state, w, sha1._MASK, 1)
+
+    @given(message=st.tuples(st.sampled_from(RUN_EDGES), st.sampled_from(TAIL_EDGES))
+           .flatmap(lambda edge: ff_tailed(64 * edge[0] + edge[1])))
+    @example(message=b"\xff" * (64 * (RUN + 1)))
+    @settings(max_examples=40, deadline=None)
+    def test_ff_tailed_runs_match_hashlib(self, message):
+        assert Sha1(message).digest().data == hashlib.sha1(message).digest()
+
+
 PADDING_EDGES = [0, 55, 56, 63, 64, 119, 120, 200]
 
 
 @st.composite
 def equal_length_messages(draw):
-    """1..40 messages of one length in 0..200, each a drawn head then 0xFF bytes.
-
-    The 0xFF tails make words near 2**32 - 1, so the round sums carry into
-    the top bits of each lane.
-    """
+    """1..40 messages of one length in 0..200, each a drawn head then 0xFF bytes."""
     length = draw(st.one_of(st.sampled_from(PADDING_EDGES), st.integers(0, 200)))
-    heads = st.binary(max_size=length).map(lambda head: (head + b"\xff" * length)[:length])
-    return draw(st.lists(heads, min_size=1, max_size=40))
+    return draw(st.lists(ff_tailed(length), min_size=1, max_size=40))
 
 
 class TestSideBySide:
