@@ -130,13 +130,17 @@ def _chained_rounds(state: tuple[int, ...], wk) -> tuple[int, ...]:
             ((aa >> 27) + (d ^ (bb & (c ^ d))) + e + x) & mask
         ) * double, aa, bb >> 2, c, d
     for x in wk[20:40]:
-        aa, bb, c, d, e = (((aa >> 27) + (bb ^ c ^ d) + e + x) & mask) * double, aa, bb >> 2, c, d
+        aa, bb, c, d, e = (
+            ((aa >> 27) + (bb ^ c ^ d) + e + x) & mask
+        ) * double, aa, bb >> 2, c, d
     for x in wk[40:60]:
         aa, bb, c, d, e = (
             ((aa >> 27) + ((bb & c) | (d & (bb | c))) + e + x) & mask
         ) * double, aa, bb >> 2, c, d
     for x in wk[60:]:
-        aa, bb, c, d, e = (((aa >> 27) + (bb ^ c ^ d) + e + x) & mask) * double, aa, bb >> 2, c, d
+        aa, bb, c, d, e = (
+            ((aa >> 27) + (bb ^ c ^ d) + e + x) & mask
+        ) * double, aa, bb >> 2, c, d
     return tuple((s + v) & mask for s, v in zip(state, (aa, bb, c, d, e)))
 
 
@@ -171,7 +175,7 @@ def _padding(length: int) -> bytes:
 
 # Most blocks whose schedules _compress expands in one _schedule call.  Timed
 # again with the doubled-word rounds (paired, against 32): a 16 KiB message
-# hashed as fast with runs of 64 to 256 blocks and 3% slower with 16, 7% with
+# hashed as fast with runs of 64 to 256 blocks, 4% slower with 16 and 7% with
 # 8; 64 KiB and 1 MB hashed no faster with runs of 64 or 128, whose operands
 # spill out of the CPU cache.
 _RUN_BLOCKS = 32
@@ -201,7 +205,7 @@ def _compress(state: tuple[int, ...], data: bytes) -> tuple[tuple[int, ...], byt
     One or two blocks, as digest() and short updates bring, go one at a time
     as one-lane operands: packing them into lanes costs more than it saves
     (timed again with the doubled-word rounds: packing 2 blocks cost 5%
-    more, and leaving 3 unpacked cost 3% more).
+    more, and leaving 3 unpacked cost 7% more).
     """
     whole = len(data) - len(data) % BLOCK_BYTES
     if whole <= 2 * BLOCK_BYTES:

@@ -75,7 +75,7 @@ TAIL_EDGES = [0, 55, 56, 63, 64]  # bytes after the whole blocks: one or two pad
 
 
 def ff_tailed(length):
-    """Messages of one length: a drawn head, then 0xFF bytes up to length.
+    """Draws messages of one length: a drawn head, then 0xFF bytes up to length.
 
     The 0xFF tails make words near 2**32 - 1, so the round sums carry as
     far as they can: into the top bits of each lane, and through the bits
