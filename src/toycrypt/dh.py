@@ -61,11 +61,14 @@ class DlogResult:
 def make_params(p: int, g: int) -> DhParams:
     """Validate group parameters: p prime, 2 < g < p - 2.
 
-    A p above bigmod.MAX_MODULUS_BITS is refused before the primality test.
+    A p above bigmod.MAX_MODULUS_BITS is refused before the primality test,
+    and the primes 2, 3 and 5 after it: they leave no g in that range.
     """
     bigmod.check_modulus_bits(p)
     if not numtheory.is_prime(p).is_prime:
         raise ValueError(f"modulus {p} is not prime")
+    if p < 7:
+        raise ValueError(f"modulus {p} leaves no generator in the range (2, {p - 2}); need p >= 7")
     if not 2 < g < p - 2:
         raise ValueError(f"generator must satisfy 2 < g < {p - 2}, got {g}")
     return DhParams(p, g)

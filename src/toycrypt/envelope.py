@@ -25,6 +25,7 @@ shift; the garbage above the low word never reaches it.
 from __future__ import annotations
 
 import random
+import re
 
 from . import bigmod, rsa
 from ._record import record
@@ -38,6 +39,7 @@ _MIN_SIGNER_MODULUS = 1 << (8 * DIGEST_BYTES)
 
 _ENVELOPE_MAGIC = "envelope v1"
 _SIGNED_MAGIC = b"signed v1"
+_HEX_BODY = re.compile("[0-9a-fA-F]*")  # either case, as bigmod.parse_natural
 
 
 class WrongKeyError(ValueError):
@@ -149,7 +151,10 @@ def read_envelope(text: str) -> Envelope:
     if len(lines) < 3:
         raise ValueError("truncated envelope file")
     wrapped = rsa.read_block_stream("\n".join(lines[1:-1]))
-    return Envelope(wrapped_key=wrapped, body=bytes.fromhex(lines[-1].strip()))
+    body = lines[-1].strip()
+    if not _HEX_BODY.fullmatch(body):  # bytes.fromhex would skip inner whitespace
+        raise ValueError("envelope body must be hex digits only")
+    return Envelope(wrapped_key=wrapped, body=bytes.fromhex(body))
 
 
 def write_signed(msg: SignedMessage) -> bytes:

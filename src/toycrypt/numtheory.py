@@ -105,26 +105,6 @@ def sieve_primes(limit: int) -> list[int]:
 _SMALL_PRIME_BOUND = 1 << 11
 _SMALL_PRIMES = tuple(sieve_primes(_SMALL_PRIME_BOUND))
 
-
-def _group_primes(primes: tuple[int, ...], bound: int) -> tuple:
-    # runs of consecutive primes, each with its product, kept below bound
-    groups, run, product = [], [], 1
-    for p in primes:
-        if product * p >= bound:
-            groups.append((product, tuple(run)))
-            run, product = [], 1
-        run.append(p)
-        product *= p
-    groups.append((product, tuple(run)))
-    return tuple(groups)
-
-
-# (product, primes) for runs of _SMALL_PRIMES, in order.  A product below
-# 2**30 is one CPython digit, so is_prime takes one long remainder per run,
-# 121 in all rather than one per prime (309), and divides that one-digit
-# remainder by the run's primes.
-_SMALL_GROUPS = _group_primes(_SMALL_PRIMES, 1 << 30)
-
 # A quarter of the candidates that pass that division have a prime factor
 # in [2**11, 2**15), which one gcd with their product finds.  Sized by
 # measurement on 512-bit candidates (2 vCPUs, Python 3.11), where one
@@ -202,9 +182,8 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
 
     Trial division settles every n below 2**22 (PROVEN_PRIME, or COMPOSITE
     with the smallest prime factor as witness) and rejects most larger
-    composites without drawing from the rng.  It divides n once by each
-    product in _SMALL_GROUPS and tests the small remainder against that
-    run's primes in order.  A larger n with no factor below 2**11 draws
+    composites without drawing from the rng.  It divides n by each prime
+    in _SMALL_PRIMES in order.  A larger n with no factor below 2**11 draws
     the first Miller-Rabin base, then takes one gcd with the product of
     the primes in [2**11, 2**15): a proper divisor makes it
     COMPOSITE with that divisor as witness and rounds 0.
@@ -230,13 +209,11 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
         return PrimalityVerdict(COMPOSITE)
     # composite and probably-prime verdicts pass kind, witness and rounds by
     # position, a record's fast path: keygen makes hundreds of them per key
-    for product, primes in _SMALL_GROUPS:
-        r = n % product
-        for p in primes:
-            if r % p == 0:  # p is n's smallest prime factor, or n itself
-                if p == n:
-                    return PrimalityVerdict(PROVEN_PRIME)
-                return PrimalityVerdict(COMPOSITE, p, 0)
+    for p in _SMALL_PRIMES:
+        if n % p == 0:  # p is n's smallest prime factor, or n itself
+            if p == n:
+                return PrimalityVerdict(PROVEN_PRIME)
+            return PrimalityVerdict(COMPOSITE, p, 0)
     if n < _SMALL_PRIME_BOUND**2:
         # a composite below 2**22 has a prime factor below 2**11
         return PrimalityVerdict(PROVEN_PRIME)

@@ -21,7 +21,6 @@ Every operand stays below 2**65.
 from __future__ import annotations
 
 import struct
-from operator import add
 
 from ._record import record
 
@@ -202,17 +201,8 @@ def _compress(state: tuple[int, ...], data: bytes) -> tuple[tuple[int, ...], byt
 
     The schedules of a run of up to _RUN_BLOCKS blocks are expanded side by
     side; only the rounds are chained, block by block, in _chained_rounds.
-    One or two blocks, as digest() and short updates bring, go one at a time
-    as one-lane operands: packing them into lanes costs more than it saves
-    (timed again with the doubled-word rounds: packing 2 blocks cost 5%
-    more, and leaving 3 unpacked cost 7% more).
     """
     whole = len(data) - len(data) % BLOCK_BYTES
-    if whole <= 2 * BLOCK_BYTES:
-        for off in range(0, whole, BLOCK_BYTES):
-            w = _schedule(struct.unpack_from(">16I", data, off), _MASK)
-            state = _chained_rounds(state, list(map(add, w, _KT)))
-        return state, data[whole:]
     for start in range(0, whole, _RUN_BLOCKS * BLOCK_BYTES):
         for w in _schedules(data[start : min(start + _RUN_BLOCKS * BLOCK_BYTES, whole)]):
             state = _chained_rounds(state, w)

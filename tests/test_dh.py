@@ -44,6 +44,11 @@ class TestMakeParams:
         with pytest.raises(ValueError):
             dh.make_params(23, 21)  # must be strictly below p - 2
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_prime_below_7_leaves_no_generator(self, p):
+        with pytest.raises(ValueError, match=rf"no generator in the range \(2, {p - 2}\)"):
+            dh.make_params(p, 1)
+
 
 class TestKeypairs:
     def test_alice_public(self, classroom_params):

@@ -252,9 +252,14 @@ class TestFileFormats:
             assert data.startswith(b"signed v1\n")
             assert envelope.read_signed(data) == msg
 
-    def test_envelope_garbage_rejected(self):
+    @pytest.mark.parametrize("text", [
+        "not an envelope\n",
+        # bytes.fromhex skips whitespace, which write_envelope would not write back
+        "envelope v1\nrsa-blocks v1 width=1 pad=0 count=1\n0x5\nAB cd\t0F\n",
+    ])
+    def test_envelope_garbage_rejected(self, text):
         with pytest.raises(ValueError):
-            envelope.read_envelope("not an envelope\n")
+            envelope.read_envelope(text)
 
     def test_signed_garbage_rejected(self):
         with pytest.raises(ValueError):

@@ -109,8 +109,6 @@ PRIMES_BELOW_2_16 = [
 PRIMES_FROM_2_11 = [p for p in PRIMES_BELOW_2_16 if p >= 1 << 11]
 GCD_RANGE_PRIMES = [p for p in PRIMES_FROM_2_11 if p < 1 << 15]
 PRIMES_BELOW_2_11 = [p for p in PRIMES_BELOW_2_16 if p < 1 << 11]
-# the first and the last prime of each of is_prime's trial-division groups
-GROUP_EDGE_PRIMES = sorted({primes[i] for _, primes in numtheory._SMALL_GROUPS for i in (0, -1)})
 
 
 def plain_trial_division(n: int) -> int | None:
@@ -175,9 +173,9 @@ class TestIsPrime:
         with pytest.raises(ValueError):
             numtheory.is_prime((2**89 - 1) * (2**61 - 1), rounds=rounds)
 
-    # f on each side of every boundary between is_prime's groups; c has no
-    # prime factor below f, so f is the smallest prime factor of n = f * c
-    @given(st.sampled_from(GROUP_EDGE_PRIMES).flatmap(
+    # f is any prime trial division tries; c has no prime factor below f,
+    # so f is the smallest prime factor of n = f * c
+    @given(st.sampled_from(PRIMES_BELOW_2_11).flatmap(
         lambda f: st.tuples(st.just(f), st.one_of(
             st.sampled_from([p for p in PRIMES_BELOW_2_16 if p >= f]),
             st.sampled_from([2**61 - 1, 2**89 - 1, 2**127 - 1]),
@@ -192,15 +190,6 @@ class TestIsPrime:
     def test_every_small_prime_proven(self):
         for p in numtheory._SMALL_PRIMES:
             assert numtheory.is_prime(p, rng=NoDraws()) == PrimalityVerdict(PROVEN_PRIME), p
-
-    def test_group_products_rejected_by_their_least_prime(self):
-        for product, primes in numtheory._SMALL_GROUPS:
-            assert plain_trial_division(product) == primes[0]
-            # a group of one prime, such as the last (2039 alone), is that prime
-            expected = PrimalityVerdict(COMPOSITE, primes[0], 0) if primes[1:] else (
-                PrimalityVerdict(PROVEN_PRIME))
-            assert numtheory.is_prime(product, rng=NoDraws()) == expected, product
-
 
 
 POW2_CHUNK = numtheory._POW2_CHUNK

@@ -67,8 +67,8 @@ class TestStreaming:
         assert Sha1().update(b"ab").update(b"c").digest() == sha1.sha1(b"abc")
 
 
-# Sha1 compresses one or two whole blocks one at a time, and expands the
-# schedules of three or more side by side, up to RUN at once
+# Sha1 expands the schedules of its whole blocks side by side, up to RUN at
+# once; these block counts sit on either side of a run's edges
 RUN = sha1._RUN_BLOCKS
 RUN_EDGES = [0, 1, 2, 3, RUN - 1, RUN, RUN + 1, 2 * RUN + 1]
 TAIL_EDGES = [0, 55, 56, 63, 64]  # bytes after the whole blocks: one or two padding blocks
