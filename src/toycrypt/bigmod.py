@@ -157,65 +157,87 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
     return Residue(result, m)
 
 
-# Digit width of fixed_base tables.  A t-bit exponent costs about
-# t/w + 2**(w+1) products; w = 5 is least at 1024 bits and within a few
-# percent of it from 512 to 2048.
-_FIXED_WIDTH = 5
+# Shape of fixed_base tables: a Lim-Lee comb of _COMB_ROWS rows, each cut
+# into _COMB_BLOCKS blocks.  Timed for 4 to 8 blocks on random exponents
+# from 16 to 4096 bits, 8 was the fastest from 64 bits up (at 1024 bits,
+# 0.93 ms a call against 1.03 ms with 4 blocks); below 64 bits the five
+# timings differed by less than their noise.
+_COMB_ROWS = 8
+_COMB_BLOCKS = 8
 
 
 @record
 class FixedBase:
-    """powers[i] = base**(2**(5*i)) mod modulus: a fixed_base table."""
+    """A fixed_base table: a Lim-Lee comb for one base modulo one modulus.
+
+    With h rows of a = width * len(blocks) bits each, blocks[j][i] is the
+    product of base**(2**(r*a + j*width)) over the set bits r of i, for
+    i < 2**h.  The table covers exponents of up to h*a bits.
+    """
 
     modulus: int
-    powers: tuple[int, ...]
+    width: int
+    blocks: tuple[tuple[int, ...], ...]
 
 
 def fixed_base(base: int, exp_bits: int, m: int) -> FixedBase:
     """Table for raising base to any exponent of up to exp_bits bits mod m.
 
-    Built once for a fixed base, such as a Diffie-Hellman generator, by
-    about exp_bits squarings; fixed_base_pow then needs no squarings.
+    Built once for a fixed base, such as a Diffie-Hellman generator.  The
+    exponent is cut into h = 8 rows, each of v = 8 blocks of b bits; a
+    short exponent (exp_bits below 64) takes fewer rows, and a short row
+    fewer blocks.  The table holds v * 2**h entries, 2048 for 1024-bit
+    exponents: about exp_bits squarings give the powers base**(2**s), and
+    2**h - 1 products per block combine them.
     """
     _check_modulus(m)
     _check_natural(base, "base")
     _check_natural(exp_bits, "exponent bits")
-    powers = [base % m]
-    while len(powers) * _FIXED_WIDTH < exp_bits:
-        x = powers[-1]
-        for _ in range(_FIXED_WIDTH):
-            x = x * x % m
-        powers.append(x)
-    return FixedBase(m, tuple(powers))
+    rows = min(_COMB_ROWS, max(1, exp_bits // _COMB_BLOCKS))
+    row_bits = max(1, -(-exp_bits // rows))
+    width = -(-row_bits // _COMB_BLOCKS)
+    row_bits = width * -(-row_bits // width)  # whole blocks, none empty
+    powers = [base % m]  # powers[s] = base**(2**s)
+    for _ in range(rows * row_bits - 1):
+        powers.append(powers[-1] * powers[-1] % m)
+    blocks = []
+    for start in range(0, row_bits, width):
+        entries = [1]
+        for power in powers[start::row_bits]:  # one per row
+            entries += [e * power % m for e in entries]
+        blocks.append(tuple(entries))
+    return FixedBase(m, width, tuple(blocks))
 
 
 def fixed_base_pow(table: FixedBase, exp: int) -> Residue:
-    """base**exp mod m from a fixed_base table, by fixed-base windowing.
+    """base**exp mod m from a fixed_base table, by the Lim-Lee comb.
 
-    HAC Alg. 14.109 (Brickell-Gordon-McCurley-Wilson): with exp written
-    in base h = 2**w as digits e_i, base**exp is the product over j of
-    (product of powers[i] with e_i = j)**j.  One product per digit fills
-    those buckets, and 2(h - 1) more fold in the powers j by running
-    products, so a t-bit exponent costs about t/w + 2h products.
+    HAC Alg. 14.117: write exp as h rows of a bits, each cut into v blocks
+    of b bits.  Column k of block j (bit j*b + k of every row) indexes
+    blocks[j], so one product per nonzero column and one squaring between
+    consecutive k give base**exp: b - 1 squarings and at most a = v*b
+    products.  For a 1024-bit exponent that is 15 squarings and at most
+    128 products.  One string pass transposes the rows' bits into columns.
     """
     _check_natural(exp, "exponent")
-    m, w = table.modulus, _FIXED_WIDTH
-    if exp.bit_length() > w * len(table.powers):
-        raise ValueError(
-            f"exponent of {exp.bit_length()} bits exceeds the table's "
-            f"{w * len(table.powers)}"
-        )
-    mask = (1 << w) - 1
-    buckets = [1] * (mask + 1)
-    for power in table.powers:
-        digit = exp & mask
-        if digit:
-            buckets[digit] = buckets[digit] * power % m
-        exp >>= w
-    result = running = 1
-    for j in range(mask, 0, -1):
-        running = running * buckets[j] % m
-        result = result * running % m
+    m, width, blocks = table.modulus, table.width, table.blocks
+    row_bits = width * len(blocks)
+    n = row_bits * (len(blocks[0]).bit_length() - 1)
+    if exp.bit_length() > n:
+        raise ValueError(f"exponent of {exp.bit_length()} bits exceeds the table's {n}")
+    bits = f"{exp:0{n}b}"
+    # columns[q] = bit q of every row, the top row's bit the index's top bit
+    columns = [
+        int("".join(column), 2)
+        for column in zip(*(bits[i:i + row_bits] for i in range(0, n, row_bits)))
+    ][::-1]
+    result = 1
+    for k in range(width - 1, -1, -1):
+        for entries, i in zip(blocks, columns[k::width]):
+            if i:
+                result = result * entries[i] % m
+        if k:
+            result = result * result % m
     return Residue(result, m)
 
 

@@ -6,9 +6,10 @@ brute-force discrete-log scan shows what the eavesdropper is up against,
 at moduli small enough to watch it run.
 
 Public values all raise the same generator, so they come from a table of
-its powers built once per group (fixed-base windowing, HAC Alg. 14.109).
-The agreed secret raises the peer's value, which changes from call to
-call, by bigmod.mod_pow's sliding window (HAC Alg. 14.85).
+its powers built once per group (the Lim-Lee fixed-base comb, HAC Alg.
+14.117): a 1024-bit public value then costs 15 squarings and at most 128
+products.  The agreed secret raises the peer's value, which changes from
+call to call, by bigmod.mod_pow's sliding window (HAC Alg. 14.85).
 
 Textbook caveats apply: the group is taken as given (no safe-prime or
 subgroup-order checks), so a degenerate peer value like 1 or p-1 only

@@ -11,7 +11,9 @@ point_add is the affine law with one modular inversion per addition, kept
 as the readable form.  scalar_mul doubles and adds in Jacobian coordinates
 (X, Y, Z) standing for the affine point (X/Z**2, Y/Z**3), which need no
 division, and inverts once at the end (Hankerson-Menezes-Vanstone, Guide to
-Elliptic Curve Cryptography, Alg. 3.21-3.22).  No named curves.  The public
+Elliptic Curve Cryptography, Alg. 3.21-3.22), reading the scalar as
+signed digits that add P or -P (the non-adjacent form, Alg. 3.30-3.31):
+-P = (x, -y) comes free on a curve.  No named curves.  The public
 functions check that every point they are given lies on the curve;
 scalar_mul and brute_force_ecdlog check their points once and then add
 without re-checking, since sums of points on the curve stay on it.
@@ -149,11 +151,30 @@ def _jacobian_add_affine(a: int, p: int, x: int, y: int, z: int,
     return x3, (r * (v - x3) - y * hhh) % p, z * h % p
 
 
-def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
-    """kP by left-to-right double-and-add; 0P is the point at infinity.
+def _naf(k: int) -> tuple[int, int]:
+    """(plus, minus): the bits where k's non-adjacent form has digit 1 and -1.
 
-    The loop runs in Jacobian coordinates, so the whole product costs one
-    modular inversion, made when converting the result back to affine form.
+    2k = 3k - k, so subtracting k's bits from 3k's, digit by digit, writes
+    2k with digits in {-1, 0, 1}, a 1 where only 3k has the bit and a -1
+    where only k has it.  One place down, these are k's non-adjacent form:
+    no two neighbouring digits are nonzero (HMV Alg. 3.30 gives the same
+    digits, one bit at a time).  plus - minus = k.
+    """
+    half, three_halves = k >> 1, (3 * k) >> 1
+    differ = half ^ three_halves
+    return three_halves & differ, half & differ
+
+
+def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
+    """kP by left-to-right double-and-add over k's signed digits; 0P is infinity.
+
+    k is recoded into its non-adjacent form (HMV Alg. 3.31), whose digits
+    are -1, 0 or 1 with no two neighbours nonzero, so about a third of them
+    are nonzero against half of k's bits: a digit 1 adds P, a digit -1 adds
+    -P.  On a curve -P = (x, -y) costs one subtraction; in Z_p* g**-1 costs
+    a modular inversion, so mod_pow's windows stay unsigned.  The loop runs
+    in Jacobian coordinates, so the whole product costs one modular
+    inversion, made when converting the result back to affine form.
     """
     if k < 0:
         raise ValueError(f"scalar must be non-negative, got {k}")
@@ -161,11 +182,15 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     if point.is_infinity:
         return INFINITY
     a, p = curve.a, curve.p
+    negated = (point.x, -point.y % p)
+    plus, minus = _naf(k)
     acc = (0, 1, 0)
-    for i in range(k.bit_length() - 1, -1, -1):
+    for add, sub in zip(f"{plus:b}", f"{minus:0{plus.bit_length()}b}"):
         acc = _jacobian_double(a, p, *acc)
-        if (k >> i) & 1:
+        if add == "1":
             acc = _jacobian_add_affine(a, p, *acc, point.x, point.y)
+        elif sub == "1":
+            acc = _jacobian_add_affine(a, p, *acc, *negated)
     x, y, z = acc
     if z == 0:
         return INFINITY

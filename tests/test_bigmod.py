@@ -237,16 +237,35 @@ class TestFixedBase:
         table = bigmod.fixed_base(base, exp.bit_length() + spare, m)
         assert bigmod.fixed_base_pow(table, exp) == Residue(pow(base, exp, m), m)
 
-    def test_table_holds_powers_of_two_to_the_fifth(self):
-        table = bigmod.fixed_base(3, 64, 1009)
-        assert table.modulus == 1009 and len(table.powers) == 13
-        assert table.powers == tuple(pow(3, 2 ** (5 * i), 1009) for i in range(13))
+    @pytest.mark.parametrize("exp_bits", [0, 5, 10, 64, 100])
+    def test_blocks_hold_products_of_row_powers(self, exp_bits):
+        table = bigmod.fixed_base(3, exp_bits, 1009)
+        rows = len(table.blocks[0]).bit_length() - 1
+        row_bits = table.width * len(table.blocks)
+        assert table.modulus == 1009
+        for j, entries in enumerate(table.blocks):
+            assert len(entries) == 1 << rows
+            for i, entry in enumerate(entries):
+                expected = 1
+                for r in range(rows):
+                    if i >> r & 1:
+                        expected = expected * pow(3, 2 ** (r * row_bits + j * table.width), 1009) % 1009
+                assert entry == expected
 
-    def test_exponent_longer_than_table_rejected(self):
-        table = bigmod.fixed_base(5, 10, 23)
-        covered = 5 * len(table.powers)
-        assert bigmod.fixed_base_pow(table, (1 << covered) - 1).value == pow(
-            5, (1 << covered) - 1, 23)
+    def test_short_exponents_take_fewer_rows(self):
+        # 5 one-bit blocks of one row: 2 entries each, not 8 rows' 256
+        table = bigmod.fixed_base(5, 5, 23)
+        assert sum(len(entries) for entries in table.blocks) == 10
+        assert len(bigmod.fixed_base(5, 63, 23).blocks[0]) == 2**7
+        assert len(bigmod.fixed_base(5, 64, 23).blocks[0]) == 2**8
+
+    @pytest.mark.parametrize("exp_bits", [0, 5, 10, 63, 100, 1024])
+    def test_longest_covered_exponent_and_one_bit_more(self, exp_bits):
+        table = bigmod.fixed_base(5, exp_bits, 1019)
+        covered = table.width * len(table.blocks) * (len(table.blocks[0]).bit_length() - 1)
+        assert covered >= exp_bits
+        longest = (1 << covered) - 1
+        assert bigmod.fixed_base_pow(table, longest).value == pow(5, longest, 1019)
         with pytest.raises(ValueError, match="exceeds"):
             bigmod.fixed_base_pow(table, 1 << covered)
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toycrypt import bigmod, ecc
@@ -181,6 +181,7 @@ class TestScalarMul:
                 k for k in range(1, 101) if ecc.scalar_mul(curve97, k, pt) == INFINITY
             )
             assert 100 % order == 0
+            assert ecc.scalar_mul(curve97, order - 1, pt) == ecc.point_neg(curve97, pt)
             assert ecc.scalar_mul(curve97, order, pt) == INFINITY
             assert ecc.scalar_mul(curve97, order + 1, pt) == pt
 
@@ -223,6 +224,18 @@ class TestScalarMul:
                 expected = affine_scalar_mul(curve97.a, 97, k, oracle_point)
                 assert result == (INFINITY if expected is None else EccPoint(*expected))
             assert ecc.scalar_mul(curve97, 100, pt) == INFINITY
+
+    @given(k=st.integers(0, 2**260))
+    @example(k=0)
+    @example(k=3)
+    @example(k=2**130 - 1)
+    def test_naf_recoding(self, k):
+        plus, minus = ecc._naf(k)
+        assert plus & minus == 0  # one digit per place: 1, -1 or 0
+        digits = [(plus >> i & 1) - (minus >> i & 1) for i in range((plus | minus).bit_length())]
+        assert all(d == 0 or e == 0 for d, e in zip(digits, digits[1:]))
+        assert sum(d << i for i, d in enumerate(digits)) == k
+        assert len(digits) <= k.bit_length() + 1
 
     def test_one_inversion_per_call(self, monkeypatch):
         calls = []
