@@ -42,19 +42,24 @@ def _check_natural(n: int, what: str = "value") -> None:
         raise ValueError(f"{what} must be non-negative, got {n}")
 
 
-# The largest modulus an RSA key, a Diffie-Hellman group or a curve's field
-# may have.  Checking a caller's modulus (40 Miller-Rabin rounds on a prime)
-# and using it cost ten times or more per doubling of its size, so above
-# this bound a hand-written number would hold a command for minutes.
+# The largest modulus an RSA key may have.  Checking a caller's modulus (40
+# Miller-Rabin rounds on a prime) and using it cost ten times or more per
+# doubling of its size, so above this bound a hand-written number would
+# hold a command for minutes.
 MAX_MODULUS_BITS = 4096
 
+# The largest prime a Diffie-Hellman group or a curve's field may have.
+# Each of dlog, dh-demo and ecc spends nearly all its time in the 40
+# Miller-Rabin rounds on a caller's p: on 2**2047 + 1919 they took 1.1 to
+# 1.4 s in a fresh process, on 2**3071 + 2291 3.0 to 3.6 s, and at 4096
+# bits about 10 s (2 CPUs, Python 3.11.7).
+MAX_GROUP_BITS = 2048
 
-def check_modulus_bits(m: int, what: str = "modulus") -> None:
-    """Refuse m above MAX_MODULUS_BITS, before any work that grows with its size."""
-    if m.bit_length() > MAX_MODULUS_BITS:
-        raise ValueError(
-            f"{what} has {m.bit_length()} bits, above the limit of {MAX_MODULUS_BITS}"
-        )
+
+def check_modulus_bits(m: int, what: str = "modulus", limit: int = MAX_MODULUS_BITS) -> None:
+    """Refuse m above limit bits, before any work that grows with its size."""
+    if m.bit_length() > limit:
+        raise ValueError(f"{what} has {m.bit_length()} bits, above the limit of {limit}")
 
 
 @record
@@ -209,6 +214,22 @@ def fixed_base(base: int, exp_bits: int, m: int) -> FixedBase:
     return FixedBase(m, width, tuple(blocks))
 
 
+def comb_columns(exp: int, rows: int, row_bits: int) -> list[int]:
+    """exp's bits read down the columns of a comb, lowest column first.
+
+    exp, of at most rows * row_bits bits, is written as `rows` rows of
+    row_bits bits, the top row holding its top bits.  Item q gathers bit q
+    of every row, the top row's bit as its top bit: the index of column q
+    into a Lim-Lee table.  One string pass transposes the rows.
+    """
+    n = rows * row_bits
+    bits = f"{exp:0{n}b}"
+    return [
+        int("".join(column), 2)
+        for column in zip(*(bits[i:i + row_bits] for i in range(0, n, row_bits)))
+    ][::-1]
+
+
 def fixed_base_pow(table: FixedBase, exp: int) -> Residue:
     """base**exp mod m from a fixed_base table, by the Lim-Lee comb.
 
@@ -217,7 +238,7 @@ def fixed_base_pow(table: FixedBase, exp: int) -> Residue:
     blocks[j], so one product per nonzero column and one squaring between
     consecutive k give base**exp: b - 1 squarings and at most a = v*b
     products.  For a 1024-bit exponent that is 15 squarings and at most
-    128 products.  One string pass transposes the rows' bits into columns.
+    128 products.  comb_columns reads the columns.
     """
     _check_natural(exp, "exponent")
     m, width, blocks = table.modulus, table.width, table.blocks
@@ -225,12 +246,7 @@ def fixed_base_pow(table: FixedBase, exp: int) -> Residue:
     n = row_bits * (len(blocks[0]).bit_length() - 1)
     if exp.bit_length() > n:
         raise ValueError(f"exponent of {exp.bit_length()} bits exceeds the table's {n}")
-    bits = f"{exp:0{n}b}"
-    # columns[q] = bit q of every row, the top row's bit the index's top bit
-    columns = [
-        int("".join(column), 2)
-        for column in zip(*(bits[i:i + row_bits] for i in range(0, n, row_bits)))
-    ][::-1]
+    columns = comb_columns(exp, n // row_bits, row_bits)
     result = 1
     for k in range(width - 1, -1, -1):
         for entries, i in zip(blocks, columns[k::width]):

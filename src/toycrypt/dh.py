@@ -62,10 +62,10 @@ class DlogResult:
 def make_params(p: int, g: int) -> DhParams:
     """Validate group parameters: p prime, 2 < g < p - 2.
 
-    A p above bigmod.MAX_MODULUS_BITS is refused before the primality test,
+    A p above bigmod.MAX_GROUP_BITS is refused before the primality test,
     and the primes 2, 3 and 5 after it: they leave no g in that range.
     """
-    bigmod.check_modulus_bits(p)
+    bigmod.check_modulus_bits(p, limit=bigmod.MAX_GROUP_BITS)
     if not numtheory.is_prime(p).is_prime:
         raise ValueError(f"modulus {p} is not prime")
     if p < 7:

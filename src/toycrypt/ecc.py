@@ -13,7 +13,11 @@ as the readable form.  scalar_mul doubles and adds in Jacobian coordinates
 division, and inverts once at the end (Hankerson-Menezes-Vanstone, Guide to
 Elliptic Curve Cryptography, Alg. 3.21-3.22), reading the scalar as
 signed digits that add P or -P (the non-adjacent form, Alg. 3.30-3.31):
--P = (x, -y) comes free on a curve.  No named curves.  The public
+-P = (x, -y) comes free on a curve.  A point object multiplied a second
+time on a curve gets a fixed-base comb table (Alg. 3.44), kept on the
+point, and from then on costs about a quarter of the signed-digit loop; a
+point multiplied once never builds one.  Both paths are variable-time, like
+everything here.  No named curves.  The public
 functions check that every point they are given lies on the curve;
 scalar_mul and brute_force_ecdlog check their points once and then add
 without re-checking, since sums of points on the curve stay on it.
@@ -21,13 +25,21 @@ without re-checking, since sums of points on the curve stay on it.
 
 from __future__ import annotations
 
+import functools
+
 from . import bigmod, numtheory
 from ._record import record
 
 
 @record
 class EccPoint:
-    """Affine point, or the point at infinity when both coordinates are None."""
+    """Affine point, or the point at infinity when both coordinates are None.
+
+    combs, filled by scalar_mul, is not a field: equality, hash and repr
+    ignore it.  It maps each curve the point was multiplied on to None
+    after the first multiplication, then to the point's comb table there:
+    2**_COMB_ROWS affine entries, about 38 KiB at 128 bits.
+    """
 
     x: int | None
     y: int | None
@@ -39,6 +51,11 @@ class EccPoint:
     @property
     def is_infinity(self) -> bool:
         return self.x is None
+
+    @functools.cached_property
+    def combs(self) -> dict:
+        """Curve -> None after a first multiplication on it, then the comb table."""
+        return {}
 
 
 INFINITY = EccPoint(None, None)
@@ -56,9 +73,9 @@ def make_curve(a: int, b: int, p: int) -> EccCurve:
 
     a and b may be negative and are reduced mod p.  The curve must be
     nonsingular: 4a**3 + 27b**2 != 0 (mod p).  A p above
-    bigmod.MAX_MODULUS_BITS is refused before the primality test.
+    bigmod.MAX_GROUP_BITS is refused before the primality test.
     """
-    bigmod.check_modulus_bits(p, "field order")
+    bigmod.check_modulus_bits(p, "field order", bigmod.MAX_GROUP_BITS)
     if p < 5 or not numtheory.is_prime(p).is_prime:
         raise ValueError(f"field order must be an odd prime >= 5, got {p}")
     a, b = a % p, b % p
@@ -165,8 +182,109 @@ def _naf(k: int) -> tuple[int, int]:
     return three_halves & differ, half & differ
 
 
+# Rows of scalar_mul's comb tables.  Timed at 128 bits against the NAF
+# loop (300 paired calls): 4, 6 and 8 rows of one block took 0.46, 0.34 and
+# 0.28 of its time, and 4, 6 and 8 rows of two blocks 0.37, 0.27 and 0.23,
+# for twice the table.  8 rows of one block: 256 entries, about 38 KiB and
+# 2.6 ms to build at 128 bits, and a single loop over the columns.
+_COMB_ROWS = 8
+
+
 def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
-    """kP by left-to-right double-and-add over k's signed digits; 0P is infinity.
+    """kP, by signed-digit double-and-add or, for a point multiplied before, a comb.
+
+    The first multiplication of a point object on a curve runs the NAF
+    loop (_naf_mul) and notes the curve in point.combs.  The second builds
+    the point's comb table for that curve (_comb_table), and it and every
+    later one whose k fits the table's width, p.bit_length() + 1 bits
+    rounded up to whole rows, take the fixed-base comb (HMV Alg. 3.44; Lim and Lee, CRYPTO '94):
+    one doubling and at most one mixed addition per column of k written as
+    _COMB_ROWS rows, then one inversion.  Any k below the group order fits,
+    since by Hasse's bound the order is below 2**(p.bit_length() + 1); a
+    wider k takes the NAF loop.  A point multiplied once, such as a peer's
+    public point, never pays for a table.  0P is infinity.
+    """
+    if k < 0:
+        raise ValueError(f"scalar must be non-negative, got {k}")
+    _require_on_curve(curve, point, "point")
+    if point.is_infinity:
+        return INFINITY
+    combs = point.combs
+    if curve not in combs:
+        combs[curve] = None
+        return _naf_mul(curve, k, point)
+    row_bits = -(-(curve.p.bit_length() + 1) // _COMB_ROWS)
+    table = combs[curve]
+    if table is None:
+        table = combs[curve] = _comb_table(curve, point, row_bits)
+    if k.bit_length() > _COMB_ROWS * row_bits:
+        return _naf_mul(curve, k, point)
+    a, p = curve.a, curve.p
+    acc = (0, 1, 0)
+    for i in reversed(bigmod.comb_columns(k, _COMB_ROWS, row_bits)):
+        acc = _jacobian_double(a, p, *acc)
+        if table[i] is not None:
+            acc = _jacobian_add_affine(a, p, *acc, *table[i])
+    return _affine(p, *acc)
+
+
+def _comb_table(curve: EccCurve, point: EccPoint, row_bits: int) -> tuple:
+    """Entry i: the sum of 2**(r*row_bits) P over the set bits r of i, as affine (x, y).
+
+    The powers come from doublings in Jacobian coordinates and are made
+    affine together, so that the sums can be mixed additions; the sums are
+    made affine together again.  An entry at infinity, which a point of
+    small order gives, is None.
+    """
+    a, p = curve.a, curve.p
+    acc = (point.x, point.y, 1)
+    powers = [acc]
+    for _ in range(_COMB_ROWS - 1):
+        for _ in range(row_bits):
+            acc = _jacobian_double(a, p, *acc)
+        powers.append(acc)
+    entries = [(0, 1, 0)]
+    for power in _batch_affine(p, powers):
+        if power is None:
+            entries += entries
+        else:
+            entries += [_jacobian_add_affine(a, p, *e, *power) for e in entries]
+    return tuple(_batch_affine(p, entries))
+
+
+def _batch_affine(p: int, points: list) -> list:
+    # affine (x, y) of each Jacobian (X, Y, Z), None where Z = 0, with one
+    # inversion (Montgomery's trick): invert the product of every Z, then
+    # peel one Z at a time off that inverse, from the last point back
+    prefix = []  # prefix[i]: the product of the nonzero Z up to points[i]
+    product = 1
+    for _, _, z in points:
+        if z:
+            product = product * z % p
+        prefix.append(product)
+    inverse = bigmod.mod_inv(product, p).value
+    affine = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        if z:
+            z_inv = inverse * (prefix[i - 1] if i else 1) % p
+            inverse = inverse * z % p
+            zz_inv = z_inv * z_inv % p
+            affine[i] = (x * zz_inv % p, y * zz_inv * z_inv % p)
+    return affine
+
+
+def _affine(p: int, x: int, y: int, z: int) -> EccPoint:
+    # the affine point (X/Z**2, Y/Z**3), with the product's one inversion
+    if z == 0:
+        return INFINITY
+    z_inv = bigmod.mod_inv(z, p).value
+    zz_inv = z_inv * z_inv % p
+    return EccPoint(x * zz_inv % p, y * zz_inv * z_inv % p)
+
+
+def _naf_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
+    """kP by left-to-right double-and-add over k's signed digits.
 
     k is recoded into its non-adjacent form (HMV Alg. 3.31), whose digits
     are -1, 0 or 1 with no two neighbours nonzero, so about a third of them
@@ -176,11 +294,6 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     in Jacobian coordinates, so the whole product costs one modular
     inversion, made when converting the result back to affine form.
     """
-    if k < 0:
-        raise ValueError(f"scalar must be non-negative, got {k}")
-    _require_on_curve(curve, point, "point")
-    if point.is_infinity:
-        return INFINITY
     a, p = curve.a, curve.p
     negated = (point.x, -point.y % p)
     plus, minus = _naf(k)
@@ -191,12 +304,7 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
             acc = _jacobian_add_affine(a, p, *acc, point.x, point.y)
         elif sub == "1":
             acc = _jacobian_add_affine(a, p, *acc, *negated)
-    x, y, z = acc
-    if z == 0:
-        return INFINITY
-    z_inv = bigmod.mod_inv(z, p).value
-    zz_inv = z_inv * z_inv % p
-    return EccPoint(x * zz_inv % p, y * zz_inv * z_inv % p)
+    return _affine(p, *acc)
 
 
 @record

@@ -530,7 +530,33 @@ def test_group_above_the_maximum_refused_before_any_primality_test(monkeypatch, 
     monkeypatch.setattr(numtheory, "is_prime", no_test)
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
-    assert err == f"toycrypt {argv[0]}: {message} has 4423 bits, above the limit of 4096\n"
+    assert err == f"toycrypt {argv[0]}: {message} has 4423 bits, above the limit of 2048\n"
+
+
+# the least prime above 2**2047, so of the most bits a group prime may have:
+# 40 Miller-Rabin rounds on it take each command about a second
+P2048 = 2**2047 + 1919
+
+
+@pytest.mark.parametrize("argv, message, output", [
+    (lambda p: ["dlog", str(p), "5", "125"], "modulus", "k=3 steps=3\n"),
+    (lambda p: ["dh-demo", "--p", str(p), "--g", "5", "--seed", "1", "--cap", "0"], "modulus",
+     "eve-steps=0\n"),
+    (lambda p: ["ecc", "--curve", f"1,2,{p}", "mul", "1", "1,2"], "field order", "1,2\n"),
+], ids=["dlog", "dh-demo", "ecc"])
+def test_group_at_the_maximum_runs_and_one_bit_more_is_refused(monkeypatch, argv, message,
+                                                               output):
+    code, out, err = invoke(argv(P2048))
+    assert (code, err) == (0, "") and out.endswith(output)
+    wider = 2**2048 + 1919
+
+    def no_test(*args, **kwargs):
+        raise AssertionError("tested p for primality")
+
+    monkeypatch.setattr(numtheory, "is_prime", no_test)
+    code, out, err = invoke(argv(wider))
+    assert (code, out) == (1, "")
+    assert err == f"toycrypt {argv(wider)[0]}: {message} has 2049 bits, above the limit of 2048\n"
 
 
 class TestRsaPipelines:

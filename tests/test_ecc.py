@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -250,13 +251,23 @@ class TestScalarMul:
         x, y, a = 3, 5, 7
         curve = ecc.make_curve(a, y * y - x * x * x - a * x, p)
         rng = random.Random(74)
-        for k in [0, 1, 2, 3] + [rng.getrandbits(128) for _ in range(20)]:
+        scalars = [0, 1, 2, 3] + [rng.getrandbits(128) for _ in range(20)]
+        for k in scalars:
             calls.clear()
             ecc.scalar_mul(curve, k, EccPoint(x, y))
             assert len(calls) <= 1, k
         calls.clear()
         assert ecc.scalar_mul(curve, 2**128, INFINITY) == INFINITY
         assert calls == []
+        # once a point's table exists, the comb and the wide-scalar NAF
+        # loop invert once too; only 0P, at infinity, inverts nothing
+        reused = EccPoint(x, y)
+        ecc.scalar_mul(curve, 1, reused)
+        ecc.scalar_mul(curve, 1, reused)
+        for k in scalars + [2**128, 2**130 - 1]:
+            calls.clear()
+            ecc.scalar_mul(curve, k, reused)
+            assert len(calls) == (k != 0), k
 
     def test_off_curve_point_rejected(self, curve97):
         with pytest.raises(ValueError):
@@ -265,6 +276,89 @@ class TestScalarMul:
     def test_negative_scalar_rejected(self, curve97, points97):
         with pytest.raises(ValueError):
             ecc.scalar_mul(curve97, -1, points97[0])
+
+
+def comb_reach(p):
+    # the widest scalar a comb table on a curve over GF(p) takes, in bits
+    return ecc._COMB_ROWS * -(-(p.bit_length() + 1) // ecc._COMB_ROWS)
+
+
+# y**2 = x**3 + 7x + b over GF(2**127 - 1) through (3, 5)
+P127 = 2**127 - 1
+CURVE127 = ecc.make_curve(7, 25 - 27 - 21, P127)
+REUSED127 = EccPoint(3, 5)  # one object for every example of the test below
+
+
+class TestComb:
+    def test_exhaustive_against_affine_oracle(self, curve97, points97):
+        # a fresh object per point: k = 0 runs the NAF loop, k = 1 builds the
+        # table, the comb takes every k it can hold, and 2**reach falls back
+        reach = comb_reach(97)
+        orders = set()
+        for pt in points97:
+            point = EccPoint(pt.x, pt.y)
+            for k in range(2**reach + 1):
+                expected = affine_scalar_mul(curve97.a, 97, k, (pt.x, pt.y))
+                assert ecc.scalar_mul(curve97, k, point) == (
+                    INFINITY if expected is None else EccPoint(*expected)), (pt, k)
+            # entry i sums i's bits' multiples of P, at infinity just where
+            # the point's order divides i
+            table = point.combs[curve97]
+            order = table.index(None, 1)
+            assert affine_scalar_mul(curve97.a, 97, order, (pt.x, pt.y)) is None
+            assert all((entry is None) == (i % order == 0) for i, entry in enumerate(table))
+            orders.add(order)
+        assert orders == {2, 5, 10, 25, 50}
+
+    @given(k=st.integers(0, 2**130))
+    @example(k=0)
+    @example(k=2**128 - 1)  # the widest scalar the table holds
+    @example(k=2**128)
+    @settings(max_examples=60, deadline=None)
+    def test_reused_point_against_affine_oracle(self, k):
+        result = ecc.scalar_mul(CURVE127, k, REUSED127)
+        expected = affine_scalar_mul(CURVE127.a, P127, k, (3, 5))
+        assert result == (INFINITY if expected is None else EccPoint(*expected))
+
+    @pytest.mark.parametrize("p", [97, 10007, 2**61 - 1, P127, 2**128 - 159])
+    def test_every_scalar_below_the_hasse_bound_takes_the_comb(self, monkeypatch, p):
+        # the group order is at most p + 1 + 2 sqrt(p), below 2**(p.bit_length() + 1)
+        assert (p + 1 + 2 * math.isqrt(p)).bit_length() <= p.bit_length() + 1
+        curve = ecc.make_curve(7, 25 - 27 - 21, p)
+        point = EccPoint(3, 5)
+        ecc.scalar_mul(curve, 1, point)
+        ecc.scalar_mul(curve, 1, point)
+        naf = []
+        real_naf_mul = ecc._naf_mul
+        monkeypatch.setattr(ecc, "_naf_mul", lambda *args: naf.append(args[1]) or real_naf_mul(*args))
+        wide = 2**comb_reach(p)  # one bit wider than the table holds
+        for k in (2**(p.bit_length() + 1) - 1, wide):
+            expected = affine_scalar_mul(curve.a, p, k, (3, 5))
+            assert ecc.scalar_mul(curve, k, point) == (
+                INFINITY if expected is None else EccPoint(*expected))
+        assert naf == [wide]
+
+    def test_one_build_per_point_and_curve(self, monkeypatch):
+        builds = []
+        real_comb_table = ecc._comb_table
+
+        def counting_comb_table(curve, point, row_bits):
+            builds.append(curve)
+            return real_comb_table(curve, point, row_bits)
+
+        monkeypatch.setattr(ecc, "_comb_table", counting_comb_table)
+        point = EccPoint(3, 5)
+        other = ecc.make_curve(11, 25 - 27 - 33, P127)  # through the same point
+        for curve in (CURVE127, other):
+            expected = EccPoint(*affine_scalar_mul(curve.a, P127, 12345, (3, 5)))
+            for n in range(1, 6):
+                assert ecc.scalar_mul(curve, 12345, point) == expected
+                assert builds.count(curve) == (n >= 2), n
+        assert builds == [CURVE127, other]
+        assert point.combs[CURVE127] != point.combs[other]
+        # a point multiplied once, like a peer's public point, builds nothing
+        ecc.scalar_mul(CURVE127, 5, EccPoint(3, 5))
+        assert len(builds) == 2
 
 
 class TestBruteForceDlog:

@@ -170,6 +170,22 @@ def test_cached_properties_fill_the_instance_dict():
     # a cached value is not a field: equality, hash and repr ignore it
     assert params == dh.DhParams(23, 5) and hash(params) == hash(dh.DhParams(23, 5))
     assert repr(priv) == "RsaPrivateKey(n=323, d=173, p=17, q=19)"
+    # a point's comb memo appears with its first multiplication, not before
+    curve = ecc.make_curve(2, 3, 97)
+    point = ecc.EccPoint(3, 6)
+    assert ecc.on_curve(curve, point) and ecc.render_point(point) == "3,6"
+    assert "combs" not in vars(point)
+    ecc.scalar_mul(curve, 2, point)
+    assert vars(point)["combs"] == {curve: None}
+    ecc.scalar_mul(curve, 3, point)
+    assert vars(point)["combs"][curve] is not None
+    assert point == ecc.EccPoint(3, 6) and hash(point) == hash(ecc.EccPoint(3, 6))
+    assert repr(point) == "EccPoint(x=3, y=6)"
+    with pytest.raises(AttributeError):
+        point.x = 4
+    with pytest.raises(AttributeError):
+        del point.y
+    assert (point.x, point.y) == (3, 6)
 
 
 def test_pinned_reprs():
