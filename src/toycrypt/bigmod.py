@@ -189,21 +189,20 @@ def fixed_base(base: int, exp_bits: int, m: int) -> FixedBase:
     """Table for raising base to any exponent of up to exp_bits bits mod m.
 
     Built once for a fixed base, such as a Diffie-Hellman generator.  The
-    exponent is cut into h = 8 rows, each of v = 8 blocks of b bits; a
-    short exponent (exp_bits below 64) takes fewer rows, and a short row
-    fewer blocks.  The table holds v * 2**h entries, 2048 for 1024-bit
-    exponents: about exp_bits squarings give the powers base**(2**s), and
+    exponent is cut into h = 8 rows, each of v = 8 blocks of b bits; a row
+    of fewer than 8 bits takes fewer blocks, one bit each.  The table holds
+    v * 2**h entries, 2048 for 1024-bit exponents and 256 for exponents of
+    up to 8 bits: about exp_bits squarings give the powers base**(2**s), and
     2**h - 1 products per block combine them.
     """
     _check_modulus(m)
     _check_natural(base, "base")
     _check_natural(exp_bits, "exponent bits")
-    rows = min(_COMB_ROWS, max(1, exp_bits // _COMB_BLOCKS))
-    row_bits = max(1, -(-exp_bits // rows))
+    row_bits = max(1, -(-exp_bits // _COMB_ROWS))
     width = -(-row_bits // _COMB_BLOCKS)
     row_bits = width * -(-row_bits // width)  # whole blocks, none empty
     powers = [base % m]  # powers[s] = base**(2**s)
-    for _ in range(rows * row_bits - 1):
+    for _ in range(_COMB_ROWS * row_bits - 1):
         powers.append(powers[-1] * powers[-1] % m)
     blocks = []
     for start in range(0, row_bits, width):

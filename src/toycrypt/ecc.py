@@ -11,13 +11,11 @@ point_add is the affine law with one modular inversion per addition, kept
 as the readable form.  scalar_mul doubles and adds in Jacobian coordinates
 (X, Y, Z) standing for the affine point (X/Z**2, Y/Z**3), which need no
 division, and inverts once at the end (Hankerson-Menezes-Vanstone, Guide to
-Elliptic Curve Cryptography, Alg. 3.21-3.22), reading the scalar as
-signed digits that add P or -P (the non-adjacent form, Alg. 3.30-3.31):
--P = (x, -y) comes free on a curve.  A point object multiplied a second
-time on a curve gets a fixed-base comb table (Alg. 3.44), kept on the
-point, and from then on costs about a quarter of the signed-digit loop; a
-point multiplied once never builds one.  Both paths are variable-time, like
-everything here.  No named curves.  The public
+Elliptic Curve Cryptography, Alg. 3.21-3.22 and 3.27).  A point object
+multiplied a second time on a curve gets a fixed-base comb table (Alg.
+3.44), kept on the point, and from then on costs about a quarter of the
+double-and-add loop; a point multiplied once never builds one.  Both paths
+are variable-time, like everything here.  No named curves.  The public
 functions check that every point they are given lies on the curve;
 scalar_mul and brute_force_ecdlog check their points once and then add
 without re-checking, since sums of points on the curve stay on it.
@@ -168,41 +166,28 @@ def _jacobian_add_affine(a: int, p: int, x: int, y: int, z: int,
     return x3, (r * (v - x3) - y * hhh) % p, z * h % p
 
 
-def _naf(k: int) -> tuple[int, int]:
-    """(plus, minus): the bits where k's non-adjacent form has digit 1 and -1.
-
-    2k = 3k - k, so subtracting k's bits from 3k's, digit by digit, writes
-    2k with digits in {-1, 0, 1}, a 1 where only 3k has the bit and a -1
-    where only k has it.  One place down, these are k's non-adjacent form:
-    no two neighbouring digits are nonzero (HMV Alg. 3.30 gives the same
-    digits, one bit at a time).  plus - minus = k.
-    """
-    half, three_halves = k >> 1, (3 * k) >> 1
-    differ = half ^ three_halves
-    return three_halves & differ, half & differ
-
-
-# Rows of scalar_mul's comb tables.  Timed at 128 bits against the NAF
-# loop (300 paired calls): 4, 6 and 8 rows of one block took 0.46, 0.34 and
-# 0.28 of its time, and 4, 6 and 8 rows of two blocks 0.37, 0.27 and 0.23,
-# for twice the table.  8 rows of one block: 256 entries, about 38 KiB and
-# 2.6 ms to build at 128 bits, and a single loop over the columns.
+# Rows of scalar_mul's comb tables.  Timed at 128 bits against the
+# double-and-add loop (300 paired calls): 4, 6 and 8 rows of one block took
+# 0.40, 0.30 and 0.25 of its time, and two blocks 0.34, 0.25 and 0.22, for
+# twice the table and its build.  8 rows of one block: 256 entries, about
+# 38 KiB and 2-3 ms to build at 128 bits, and a single loop over the columns.
 _COMB_ROWS = 8
 
 
 def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
-    """kP, by signed-digit double-and-add or, for a point multiplied before, a comb.
+    """kP, by double-and-add or, for a point multiplied before, a comb.
 
-    The first multiplication of a point object on a curve runs the NAF
-    loop (_naf_mul) and notes the curve in point.combs.  The second builds
-    the point's comb table for that curve (_comb_table), and it and every
-    later one whose k fits the table's width, p.bit_length() + 1 bits
-    rounded up to whole rows, take the fixed-base comb (HMV Alg. 3.44; Lim and Lee, CRYPTO '94):
-    one doubling and at most one mixed addition per column of k written as
-    _COMB_ROWS rows, then one inversion.  Any k below the group order fits,
-    since by Hasse's bound the order is below 2**(p.bit_length() + 1); a
-    wider k takes the NAF loop.  A point multiplied once, such as a peer's
-    public point, never pays for a table.  0P is infinity.
+    The first multiplication of a point object on a curve runs the
+    double-and-add loop (_double_and_add) and notes the curve in
+    point.combs.  The second builds the point's comb table for that curve
+    (_comb_table), and it and every later one whose k fits the table's
+    width, p.bit_length() + 1 bits rounded up to whole rows, take the
+    fixed-base comb (HMV Alg. 3.44; Lim and Lee, CRYPTO '94): one doubling
+    and at most one mixed addition per column of k written as _COMB_ROWS
+    rows, then one inversion.  Any k below the group order fits, since by
+    Hasse's bound the order is below 2**(p.bit_length() + 1); a wider k
+    takes the double-and-add loop.  A point multiplied once, such as a
+    peer's public point, never pays for a table.  0P is infinity.
     """
     if k < 0:
         raise ValueError(f"scalar must be non-negative, got {k}")
@@ -212,13 +197,13 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     combs = point.combs
     if curve not in combs:
         combs[curve] = None
-        return _naf_mul(curve, k, point)
+        return _double_and_add(curve, k, point)
     row_bits = -(-(curve.p.bit_length() + 1) // _COMB_ROWS)
     table = combs[curve]
     if table is None:
         table = combs[curve] = _comb_table(curve, point, row_bits)
     if k.bit_length() > _COMB_ROWS * row_bits:
-        return _naf_mul(curve, k, point)
+        return _double_and_add(curve, k, point)
     a, p = curve.a, curve.p
     acc = (0, 1, 0)
     for i in reversed(bigmod.comb_columns(k, _COMB_ROWS, row_bits)):
@@ -283,27 +268,18 @@ def _affine(p: int, x: int, y: int, z: int) -> EccPoint:
     return EccPoint(x * zz_inv % p, y * zz_inv * z_inv % p)
 
 
-def _naf_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
-    """kP by left-to-right double-and-add over k's signed digits.
+def _double_and_add(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
+    """kP by left-to-right double-and-add over k's bits (HMV Alg. 3.27).
 
-    k is recoded into its non-adjacent form (HMV Alg. 3.31), whose digits
-    are -1, 0 or 1 with no two neighbours nonzero, so about a third of them
-    are nonzero against half of k's bits: a digit 1 adds P, a digit -1 adds
-    -P.  On a curve -P = (x, -y) costs one subtraction; in Z_p* g**-1 costs
-    a modular inversion, so mod_pow's windows stay unsigned.  The loop runs
-    in Jacobian coordinates, so the whole product costs one modular
-    inversion, made when converting the result back to affine form.
+    One Jacobian doubling per bit of k and one mixed addition of P per set
+    bit, then the one modular inversion of converting back to affine form.
     """
     a, p = curve.a, curve.p
-    negated = (point.x, -point.y % p)
-    plus, minus = _naf(k)
     acc = (0, 1, 0)
-    for add, sub in zip(f"{plus:b}", f"{minus:0{plus.bit_length()}b}"):
+    for bit in f"{k:b}":
         acc = _jacobian_double(a, p, *acc)
-        if add == "1":
+        if bit == "1":
             acc = _jacobian_add_affine(a, p, *acc, point.x, point.y)
-        elif sub == "1":
-            acc = _jacobian_add_affine(a, p, *acc, *negated)
     return _affine(p, *acc)
 
 

@@ -252,12 +252,11 @@ class TestFixedBase:
                         expected = expected * pow(3, 2 ** (r * row_bits + j * table.width), 1009) % 1009
                 assert entry == expected
 
-    def test_short_exponents_take_fewer_rows(self):
-        # 5 one-bit blocks of one row: 2 entries each, not 8 rows' 256
+    def test_every_table_has_eight_rows(self):
+        # a 5-bit exponent takes 8 one-bit rows: one block of 2**8 entries
         table = bigmod.fixed_base(5, 5, 23)
-        assert sum(len(entries) for entries in table.blocks) == 10
-        assert len(bigmod.fixed_base(5, 63, 23).blocks[0]) == 2**7
-        assert len(bigmod.fixed_base(5, 64, 23).blocks[0]) == 2**8
+        assert (table.width, [len(entries) for entries in table.blocks]) == (1, [2**8])
+        assert [len(entries) for entries in bigmod.fixed_base(5, 63, 23).blocks] == [2**8] * 8
 
     @pytest.mark.parametrize("exp_bits", [0, 5, 10, 63, 100, 1024])
     def test_longest_covered_exponent_and_one_bit_more(self, exp_bits):

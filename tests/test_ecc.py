@@ -226,18 +226,6 @@ class TestScalarMul:
                 assert result == (INFINITY if expected is None else EccPoint(*expected))
             assert ecc.scalar_mul(curve97, 100, pt) == INFINITY
 
-    @given(k=st.integers(0, 2**260))
-    @example(k=0)
-    @example(k=3)
-    @example(k=2**130 - 1)
-    def test_naf_recoding(self, k):
-        plus, minus = ecc._naf(k)
-        assert plus & minus == 0  # one digit per place: 1, -1 or 0
-        digits = [(plus >> i & 1) - (minus >> i & 1) for i in range((plus | minus).bit_length())]
-        assert all(d == 0 or e == 0 for d, e in zip(digits, digits[1:]))
-        assert sum(d << i for i, d in enumerate(digits)) == k
-        assert len(digits) <= k.bit_length() + 1
-
     def test_one_inversion_per_call(self, monkeypatch):
         calls = []
         real_mod_inv = bigmod.mod_inv
@@ -259,8 +247,8 @@ class TestScalarMul:
         calls.clear()
         assert ecc.scalar_mul(curve, 2**128, INFINITY) == INFINITY
         assert calls == []
-        # once a point's table exists, the comb and the wide-scalar NAF
-        # loop invert once too; only 0P, at infinity, inverts nothing
+        # once a point's table exists, the comb and the wide-scalar
+        # double-and-add invert once too; only 0P, at infinity, inverts nothing
         reused = EccPoint(x, y)
         ecc.scalar_mul(curve, 1, reused)
         ecc.scalar_mul(curve, 1, reused)
@@ -269,6 +257,31 @@ class TestScalarMul:
             ecc.scalar_mul(curve, k, reused)
             assert len(calls) == (k != 0), k
 
+    def test_first_multiplication_doubles_per_bit_and_adds_per_set_bit(self, monkeypatch):
+        calls = count_jacobian_calls(monkeypatch)
+        rng = random.Random(75)
+        for k in [0, 1, 2, 3, 2**128 - 1] + [rng.getrandbits(128) for _ in range(20)]:
+            calls.clear()
+            ecc.scalar_mul(CURVE127, k, EccPoint(3, 5))
+            # k = 0 reads as the one bit "0": one doubling of infinity
+            assert (calls.count("double"), calls.count("add")) == (
+                max(k.bit_length(), 1), bin(k).count("1")), k
+
+    def test_comb_doubles_per_row_bit_and_adds_per_nonzero_column(self, monkeypatch):
+        point = EccPoint(3, 5)
+        ecc.scalar_mul(CURVE127, 1, point)
+        ecc.scalar_mul(CURVE127, 1, point)  # builds the table
+        calls = count_jacobian_calls(monkeypatch)
+        row_bits = comb_reach(P127) // ecc._COMB_ROWS
+        assert row_bits == 16
+        rng = random.Random(76)
+        for k in [0, 1, 2**128 - 1] + [rng.getrandbits(128) for _ in range(20)]:
+            calls.clear()
+            ecc.scalar_mul(CURVE127, k, point)
+            columns = bigmod.comb_columns(k, ecc._COMB_ROWS, row_bits)
+            assert (calls.count("double"), calls.count("add")) == (
+                row_bits, sum(map(bool, columns))), k
+
     def test_off_curve_point_rejected(self, curve97):
         with pytest.raises(ValueError):
             ecc.scalar_mul(curve97, 5, EccPoint(0, 1))
@@ -276,6 +289,18 @@ class TestScalarMul:
     def test_negative_scalar_rejected(self, curve97, points97):
         with pytest.raises(ValueError):
             ecc.scalar_mul(curve97, -1, points97[0])
+
+
+def count_jacobian_calls(monkeypatch):
+    # "double" or "add" for each _jacobian_double or _jacobian_add_affine call
+    calls = []
+
+    def counting(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(ecc, "_jacobian_double", counting("double", ecc._jacobian_double))
+    monkeypatch.setattr(ecc, "_jacobian_add_affine", counting("add", ecc._jacobian_add_affine))
+    return calls
 
 
 def comb_reach(p):
@@ -291,7 +316,7 @@ REUSED127 = EccPoint(3, 5)  # one object for every example of the test below
 
 class TestComb:
     def test_exhaustive_against_affine_oracle(self, curve97, points97):
-        # a fresh object per point: k = 0 runs the NAF loop, k = 1 builds the
+        # a fresh object per point: k = 0 runs double-and-add, k = 1 builds the
         # table, the comb takes every k it can hold, and 2**reach falls back
         reach = comb_reach(97)
         orders = set()
@@ -328,15 +353,16 @@ class TestComb:
         point = EccPoint(3, 5)
         ecc.scalar_mul(curve, 1, point)
         ecc.scalar_mul(curve, 1, point)
-        naf = []
-        real_naf_mul = ecc._naf_mul
-        monkeypatch.setattr(ecc, "_naf_mul", lambda *args: naf.append(args[1]) or real_naf_mul(*args))
+        fallback = []
+        real_double_and_add = ecc._double_and_add
+        monkeypatch.setattr(ecc, "_double_and_add",
+                            lambda *args: fallback.append(args[1]) or real_double_and_add(*args))
         wide = 2**comb_reach(p)  # one bit wider than the table holds
         for k in (2**(p.bit_length() + 1) - 1, wide):
             expected = affine_scalar_mul(curve.a, p, k, (3, 5))
             assert ecc.scalar_mul(curve, k, point) == (
                 INFINITY if expected is None else EccPoint(*expected))
-        assert naf == [wide]
+        assert fallback == [wide]
 
     def test_one_build_per_point_and_curve(self, monkeypatch):
         builds = []
