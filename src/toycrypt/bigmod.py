@@ -5,6 +5,11 @@ representatives in [0, modulus).  Signed integers are accepted only at the
 reduction edge (mod_reduce) and in the Bezout coefficients returned by
 extended_gcd; everything else consumes and produces non-negative values.
 
+comb and comb_pow are the package's one fixed-base Lim-Lee comb, for any
+group given by its identity and operations: fixed_base is the group of
+residues mod m (a Diffie-Hellman generator), and ecc.scalar_mul gives it
+curve points.
+
 All functions are pure and safe for concurrent use.
 """
 
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Callable
 
 from ._record import record
 
@@ -162,66 +168,64 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
     return Residue(result, m)
 
 
-# Shape of fixed_base tables: a Lim-Lee comb of _COMB_ROWS rows, each cut
-# into _COMB_BLOCKS blocks.  Timed for 4 to 8 blocks on random exponents
-# from 16 to 4096 bits, 8 was the fastest from 64 bits up (at 1024 bits,
-# 0.93 ms a call against 1.03 ms with 4 blocks); below 64 bits the five
-# timings differed by less than their noise.
+# Rows of every comb table; each caller of comb fixes its group's blocks.
 _COMB_ROWS = 8
-_COMB_BLOCKS = 8
 
 
 @record
-class FixedBase:
-    """A fixed_base table: a Lim-Lee comb for one base modulo one modulus.
-
-    With h rows of a = width * len(blocks) bits each, blocks[j][i] is the
-    product of base**(2**(r*a + j*width)) over the set bits r of i, for
-    i < 2**h.  The table covers exponents of up to h*a bits.
+class Comb:
+    """A comb table: with h = _COMB_ROWS rows of a = width * len(blocks)
+    bits, blocks[j][i] is the group product of base**(2**(r*a + j*width))
+    over the set bits r of i < 2**h, after the group's finish.  one, square
+    and multiply are the group's identity and operations.
     """
 
-    modulus: int
     width: int
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: tuple
+    one: object
+    square: Callable
+    multiply: Callable
 
 
-def fixed_base(base: int, exp_bits: int, m: int) -> FixedBase:
-    """Table for raising base to any exponent of up to exp_bits bits mod m.
+def comb(base, exp_bits: int, block_count: int, one, square, multiply, finish=tuple) -> Comb:
+    """Lim-Lee comb table of base, for any exponent of up to exp_bits bits.
 
-    Built once for a fixed base, such as a Diffie-Hellman generator.  The
-    exponent is cut into h = 8 rows, each of v = 8 blocks of b bits; a row
-    of fewer than 8 bits takes fewer blocks, one bit each.  The table holds
-    v * 2**h entries, 2048 for 1024-bit exponents and 256 for exponents of
-    up to 8 bits: about exp_bits squarings give the powers base**(2**s), and
-    2**h - 1 products per block combine them.
+    The exponent is cut into h = 8 rows, each of v = block_count blocks of
+    b bits; a row of fewer than v bits takes fewer blocks, one bit each.
+    one is the group's identity, and square(x) and multiply(x, y) its
+    operations (on a curve: doubling and addition).  About exp_bits
+    squarings give the powers base**(2**s); finish takes each block's h
+    powers, then its 2**h entries, which 2**h - 1 products make.
     """
-    _check_modulus(m)
-    _check_natural(base, "base")
-    _check_natural(exp_bits, "exponent bits")
     row_bits = max(1, -(-exp_bits // _COMB_ROWS))
-    width = -(-row_bits // _COMB_BLOCKS)
+    width = -(-row_bits // block_count)
     row_bits = width * -(-row_bits // width)  # whole blocks, none empty
-    powers = [base % m]  # powers[s] = base**(2**s)
-    for _ in range(_COMB_ROWS * row_bits - 1):
-        powers.append(powers[-1] * powers[-1] % m)
+    powers = [base]  # powers[s] = base**(2**s), up to the last block's top row
+    for _ in range(_COMB_ROWS * row_bits - width):
+        powers.append(square(powers[-1]))
     blocks = []
     for start in range(0, row_bits, width):
-        entries = [1]
-        for power in powers[start::row_bits]:  # one per row
-            entries += [e * power % m for e in entries]
-        blocks.append(tuple(entries))
-    return FixedBase(m, width, tuple(blocks))
+        entries = [one]
+        for power in finish(powers[start::row_bits]):  # one per row
+            entries += [multiply(e, power) for e in entries]
+        blocks.append(finish(entries))
+    return Comb(width, tuple(blocks), one, square, multiply)
 
 
-def comb_columns(exp: int, rows: int, row_bits: int) -> list[int]:
+def comb_reach(table: Comb) -> int:
+    """The most bits an exponent of comb_pow(table, exp) may have."""
+    return _COMB_ROWS * table.width * len(table.blocks)
+
+
+def comb_columns(exp: int, row_bits: int) -> list[int]:
     """exp's bits read down the columns of a comb, lowest column first.
 
-    exp, of at most rows * row_bits bits, is written as `rows` rows of
-    row_bits bits, the top row holding its top bits.  Item q gathers bit q
-    of every row, the top row's bit as its top bit: the index of column q
-    into a Lim-Lee table.  One string pass transposes the rows.
+    exp, of at most _COMB_ROWS * row_bits bits, is written as _COMB_ROWS
+    rows of row_bits bits, the top row holding its top bits.  Item q
+    gathers bit q of every row, the top row's bit as its top bit: the index
+    of column q into a Lim-Lee table.  One string pass transposes the rows.
     """
-    n = rows * row_bits
+    n = _COMB_ROWS * row_bits
     bits = f"{exp:0{n}b}"
     return [
         int("".join(column), 2)
@@ -229,31 +233,44 @@ def comb_columns(exp: int, rows: int, row_bits: int) -> list[int]:
     ][::-1]
 
 
-def fixed_base_pow(table: FixedBase, exp: int) -> Residue:
-    """base**exp mod m from a fixed_base table, by the Lim-Lee comb.
+def comb_pow(table: Comb, exp: int):
+    """base**exp in the table's group, by the Lim-Lee comb.
 
     HAC Alg. 14.117: write exp as h rows of a bits, each cut into v blocks
     of b bits.  Column k of block j (bit j*b + k of every row) indexes
     blocks[j], so one product per nonzero column and one squaring between
     consecutive k give base**exp: b - 1 squarings and at most a = v*b
-    products.  For a 1024-bit exponent that is 15 squarings and at most
-    128 products.  comb_columns reads the columns.
+    products.  For a 1024-bit exponent and 8 blocks that is 15 squarings
+    and at most 128 products.  comb_columns reads the columns.
     """
     _check_natural(exp, "exponent")
-    m, width, blocks = table.modulus, table.width, table.blocks
-    row_bits = width * len(blocks)
-    n = row_bits * (len(blocks[0]).bit_length() - 1)
+    n = comb_reach(table)
     if exp.bit_length() > n:
         raise ValueError(f"exponent of {exp.bit_length()} bits exceeds the table's {n}")
-    columns = comb_columns(exp, n // row_bits, row_bits)
-    result = 1
+    width, blocks, square, multiply = table.width, table.blocks, table.square, table.multiply
+    columns = comb_columns(exp, width * len(blocks))
+    result = table.one
     for k in range(width - 1, -1, -1):
         for entries, i in zip(blocks, columns[k::width]):
             if i:
-                result = result * entries[i] % m
+                result = multiply(result, entries[i])
         if k:
-            result = result * result % m
-    return Residue(result, m)
+            result = square(result)
+    return result
+
+
+def fixed_base(base: int, exp_bits: int, m: int) -> Comb:
+    """comb table of base mod m, such as a Diffie-Hellman generator.
+
+    8 blocks: timed for 4 to 8 on random exponents from 16 to 4096 bits, 8
+    was the fastest from 64 bits up (at 1024 bits, 0.93 ms a call against
+    1.03 ms with 4); below 64 bits the five differed by less than their
+    noise.  That is 2048 entries for 1024-bit exponents.
+    """
+    _check_modulus(m)
+    _check_natural(base, "base")
+    _check_natural(exp_bits, "exponent bits")
+    return comb(base % m, exp_bits, 8, 1, lambda x: x * x % m, lambda x, y: x * y % m)
 
 
 def gcd(a: int, b: int) -> int:

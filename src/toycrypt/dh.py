@@ -6,10 +6,11 @@ brute-force discrete-log scan shows what the eavesdropper is up against,
 at moduli small enough to watch it run.
 
 Public values all raise the same generator, so they come from a table of
-its powers built once per group (the Lim-Lee fixed-base comb, HAC Alg.
-14.117): a 1024-bit public value then costs 15 squarings and at most 128
-products.  The agreed secret raises the peer's value, which changes from
-call to call, by bigmod.mod_pow's sliding window (HAC Alg. 14.85).
+its powers built once per group (bigmod.fixed_base, the Lim-Lee comb of
+HAC Alg. 14.117 with 8 blocks): a 1024-bit public value then costs 15
+squarings and at most 128 products.  The agreed secret raises the peer's
+value, which changes from call to call, by bigmod.mod_pow's sliding window
+(HAC Alg. 14.85).
 
 Textbook caveats apply: the group is taken as given (no safe-prime or
 subgroup-order checks), so a degenerate peer value like 1 or p-1 only
@@ -36,8 +37,8 @@ class DhParams:
     g: int
 
     @functools.cached_property
-    def generator_table(self) -> bigmod.FixedBase:
-        """Fixed-base table of g for every exponent below 2**bits(p), built on first use."""
+    def generator_table(self) -> bigmod.Comb:
+        """Comb table of g mod p for every exponent below 2**bits(p), built on first use."""
         return bigmod.fixed_base(self.g, self.p.bit_length(), self.p)
 
 
@@ -62,16 +63,17 @@ class DlogResult:
 def make_params(p: int, g: int) -> DhParams:
     """Validate group parameters: p prime, 2 < g < p - 2.
 
-    A p above bigmod.MAX_GROUP_BITS is refused before the primality test,
-    and the primes 2, 3 and 5 after it: they leave no g in that range.
+    The primality test, 40 Miller-Rabin rounds, comes last: a p above
+    bigmod.MAX_GROUP_BITS, a p below 7 (which leaves no g in that range)
+    and a g out of range are each refused before it.
     """
     bigmod.check_modulus_bits(p, limit=bigmod.MAX_GROUP_BITS)
-    if not numtheory.is_prime(p).is_prime:
-        raise ValueError(f"modulus {p} is not prime")
     if p < 7:
         raise ValueError(f"modulus {p} leaves no generator in the range (2, {p - 2}); need p >= 7")
     if not 2 < g < p - 2:
         raise ValueError(f"generator must satisfy 2 < g < {p - 2}, got {g}")
+    if not numtheory.is_prime(p).is_prime:
+        raise ValueError(f"modulus {p} is not prime")
     return DhParams(p, g)
 
 
@@ -79,7 +81,7 @@ def public_of(params: DhParams, secret: int) -> int:
     """Public value g**secret mod p, from the group's fixed-base table."""
     if not 1 <= secret <= params.p - 2:
         raise ValueError(f"secret must lie in [1, {params.p - 2}], got {secret}")
-    return bigmod.fixed_base_pow(params.generator_table, secret).value
+    return bigmod.comb_pow(params.generator_table, secret)
 
 
 def gen_keypair(params: DhParams, rng=None) -> DhKeyPair:

@@ -13,7 +13,9 @@ as the readable form.  scalar_mul doubles and adds in Jacobian coordinates
 division, and inverts once at the end (Hankerson-Menezes-Vanstone, Guide to
 Elliptic Curve Cryptography, Alg. 3.21-3.22 and 3.27).  A point object
 multiplied a second time on a curve gets a fixed-base comb table (Alg.
-3.44), kept on the point, and from then on costs about a quarter of the
+3.44): bigmod's Lim-Lee comb, with one block and the curve's doubling and
+mixed addition as its group operations.  The table is kept on the point,
+and from then on a multiplication costs about a quarter of the
 double-and-add loop; a point multiplied once never builds one.  Both paths
 are variable-time, like everything here.  No named curves.  The public
 functions check that every point they are given lies on the curve;
@@ -35,8 +37,8 @@ class EccPoint:
 
     combs, filled by scalar_mul, is not a field: equality, hash and repr
     ignore it.  It maps each curve the point was multiplied on to None
-    after the first multiplication, then to the point's comb table there:
-    2**_COMB_ROWS affine entries, about 38 KiB at 128 bits.
+    after the first multiplication, then to the point's bigmod.comb table
+    there: one block of 2**8 affine entries, about 38 KiB at 128 bits.
     """
 
     x: int | None
@@ -70,15 +72,19 @@ def make_curve(a: int, b: int, p: int) -> EccCurve:
     """Validate and build y**2 = x**3 + ax + b over GF(p).
 
     a and b may be negative and are reduced mod p.  The curve must be
-    nonsingular: 4a**3 + 27b**2 != 0 (mod p).  A p above
-    bigmod.MAX_GROUP_BITS is refused before the primality test.
+    nonsingular: 4a**3 + 27b**2 != 0 (mod p).  The primality test, 40
+    Miller-Rabin rounds, comes last: a p above bigmod.MAX_GROUP_BITS, a p
+    below 5 and a singular curve are each refused before it.
     """
     bigmod.check_modulus_bits(p, "field order", bigmod.MAX_GROUP_BITS)
-    if p < 5 or not numtheory.is_prime(p).is_prime:
-        raise ValueError(f"field order must be an odd prime >= 5, got {p}")
+    prime = f"field order must be an odd prime >= 5, got {p}"
+    if p < 5:
+        raise ValueError(prime)
     a, b = a % p, b % p
     if (4 * a * a * a + 27 * b * b) % p == 0:
         raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p}")
+    if not numtheory.is_prime(p).is_prime:
+        raise ValueError(prime)
     return EccCurve(a, b, p)
 
 
@@ -166,25 +172,17 @@ def _jacobian_add_affine(a: int, p: int, x: int, y: int, z: int,
     return x3, (r * (v - x3) - y * hhh) % p, z * h % p
 
 
-# Rows of scalar_mul's comb tables.  Timed at 128 bits against the
-# double-and-add loop (300 paired calls): 4, 6 and 8 rows of one block took
-# 0.40, 0.30 and 0.25 of its time, and two blocks 0.34, 0.25 and 0.22, for
-# twice the table and its build.  8 rows of one block: 256 entries, about
-# 38 KiB and 2-3 ms to build at 128 bits, and a single loop over the columns.
-_COMB_ROWS = 8
-
-
 def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     """kP, by double-and-add or, for a point multiplied before, a comb.
 
     The first multiplication of a point object on a curve runs the
     double-and-add loop (_double_and_add) and notes the curve in
-    point.combs.  The second builds the point's comb table for that curve
-    (_comb_table), and it and every later one whose k fits the table's
-    width, p.bit_length() + 1 bits rounded up to whole rows, take the
-    fixed-base comb (HMV Alg. 3.44; Lim and Lee, CRYPTO '94): one doubling
-    and at most one mixed addition per column of k written as _COMB_ROWS
-    rows, then one inversion.  Any k below the group order fits, since by
+    point.combs.  The second builds the point's bigmod.comb table for that
+    curve, and it and every later one whose k fits the table's reach,
+    p.bit_length() + 1 bits rounded up to whole rows, take bigmod.comb_pow
+    (HMV Alg. 3.44; Lim and Lee, CRYPTO '94): one doubling between
+    consecutive columns of k and at most one mixed addition per column,
+    then one inversion.  Any k below the group order fits, since by
     Hasse's bound the order is below 2**(p.bit_length() + 1); a wider k
     takes the double-and-add loop.  A point multiplied once, such as a
     peer's public point, never pays for a table.  0P is infinity.
@@ -198,43 +196,22 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     if curve not in combs:
         combs[curve] = None
         return _double_and_add(curve, k, point)
-    row_bits = -(-(curve.p.bit_length() + 1) // _COMB_ROWS)
+    a, p = curve.a, curve.p
     table = combs[curve]
     if table is None:
-        table = combs[curve] = _comb_table(curve, point, row_bits)
-    if k.bit_length() > _COMB_ROWS * row_bits:
+        # One block: timed at 128 bits against double-and-add (300 paired
+        # calls), 4, 6 and 8 rows of one block took 0.40, 0.30 and 0.25 of
+        # its time, and two blocks 0.34, 0.25 and 0.22, for twice the table.
+        # The entries are made affine together, None at infinity (a point of
+        # small order), so that the comb adds them by mixed additions.
+        table = combs[curve] = bigmod.comb(
+            (point.x, point.y, 1), p.bit_length() + 1, 1, (0, 1, 0),
+            lambda q: _jacobian_double(a, p, *q),
+            lambda q, e: q if e is None else _jacobian_add_affine(a, p, *q, *e),
+            lambda points: _batch_affine(p, points))
+    if k.bit_length() > bigmod.comb_reach(table):
         return _double_and_add(curve, k, point)
-    a, p = curve.a, curve.p
-    acc = (0, 1, 0)
-    for i in reversed(bigmod.comb_columns(k, _COMB_ROWS, row_bits)):
-        acc = _jacobian_double(a, p, *acc)
-        if table[i] is not None:
-            acc = _jacobian_add_affine(a, p, *acc, *table[i])
-    return _affine(p, *acc)
-
-
-def _comb_table(curve: EccCurve, point: EccPoint, row_bits: int) -> tuple:
-    """Entry i: the sum of 2**(r*row_bits) P over the set bits r of i, as affine (x, y).
-
-    The powers come from doublings in Jacobian coordinates and are made
-    affine together, so that the sums can be mixed additions; the sums are
-    made affine together again.  An entry at infinity, which a point of
-    small order gives, is None.
-    """
-    a, p = curve.a, curve.p
-    acc = (point.x, point.y, 1)
-    powers = [acc]
-    for _ in range(_COMB_ROWS - 1):
-        for _ in range(row_bits):
-            acc = _jacobian_double(a, p, *acc)
-        powers.append(acc)
-    entries = [(0, 1, 0)]
-    for power in _batch_affine(p, powers):
-        if power is None:
-            entries += entries
-        else:
-            entries += [_jacobian_add_affine(a, p, *e, *power) for e in entries]
-    return tuple(_batch_affine(p, entries))
+    return _affine(p, *bigmod.comb_pow(table, k))
 
 
 def _batch_affine(p: int, points: list) -> list:

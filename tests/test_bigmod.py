@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -235,14 +236,13 @@ class TestFixedBase:
     @example(base=1 << 70, exp=(1 << 300) - 1, m=2, spare=0)
     def test_against_builtin_pow(self, base, exp, m, spare):
         table = bigmod.fixed_base(base, exp.bit_length() + spare, m)
-        assert bigmod.fixed_base_pow(table, exp) == Residue(pow(base, exp, m), m)
+        assert bigmod.comb_pow(table, exp) == pow(base, exp, m)
 
     @pytest.mark.parametrize("exp_bits", [0, 5, 10, 64, 100])
     def test_blocks_hold_products_of_row_powers(self, exp_bits):
         table = bigmod.fixed_base(3, exp_bits, 1009)
         rows = len(table.blocks[0]).bit_length() - 1
         row_bits = table.width * len(table.blocks)
-        assert table.modulus == 1009
         for j, entries in enumerate(table.blocks):
             assert len(entries) == 1 << rows
             for i, entry in enumerate(entries):
@@ -264,9 +264,10 @@ class TestFixedBase:
         covered = table.width * len(table.blocks) * (len(table.blocks[0]).bit_length() - 1)
         assert covered >= exp_bits
         longest = (1 << covered) - 1
-        assert bigmod.fixed_base_pow(table, longest).value == pow(5, longest, 1019)
+        assert covered == bigmod.comb_reach(table)
+        assert bigmod.comb_pow(table, longest) == pow(5, longest, 1019)
         with pytest.raises(ValueError, match="exceeds"):
-            bigmod.fixed_base_pow(table, 1 << covered)
+            bigmod.comb_pow(table, 1 << covered)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidModulusError):
@@ -274,7 +275,26 @@ class TestFixedBase:
         with pytest.raises(ValueError):
             bigmod.fixed_base(-2, 8, 23)
         with pytest.raises(ValueError):
-            bigmod.fixed_base_pow(bigmod.fixed_base(2, 8, 23), -1)
+            bigmod.comb_pow(bigmod.fixed_base(2, 8, 23), -1)
+
+
+class TestComb:
+    # the additive group of the integers: base**e is e * b, so every entry
+    # and result is exact and the layout is pinned apart from both groups
+    @given(b=st.integers(1, 1 << 64), bits=st.integers(0, 300), blocks=st.sampled_from([1, 8]),
+           e=st.integers(0, 1 << 300))
+    @example(b=1, bits=0, blocks=1, e=0)
+    @example(b=3, bits=128, blocks=1, e=(1 << 128) - 1)
+    @example(b=3, bits=1024, blocks=8, e=(1 << 1024) - 1)
+    def test_integers_under_addition(self, b, bits, blocks, e):
+        table = bigmod.comb(b, bits, blocks, 0, lambda x: 2 * x, operator.add)
+        e &= (1 << bits) - 1  # at most bits bits
+        assert bigmod.comb_pow(table, e) == e * b
+        reach = bigmod.comb_reach(table)
+        assert reach >= bits and len(table.blocks) <= blocks
+        assert bigmod.comb_pow(table, (1 << reach) - 1) == ((1 << reach) - 1) * b
+        with pytest.raises(ValueError, match="exceeds"):
+            bigmod.comb_pow(table, 1 << reach)
 
 
 class TestGcdFamily:

@@ -516,13 +516,26 @@ class TestDemos:
         assert fields["alice-shared"] == fields["bob-shared"]
 
 
+# the least prime above 2**2047, so of the most bits a group prime may have:
+# 40 Miller-Rabin rounds on it take each command about a second
+P2048 = 2**2047 + 1919
+OVER = "has 4423 bits, above the limit of 2048"
+
+
 # 2**4423 - 1 is a Mersenne prime of 4423 bits: without a size bound its
-# 40 Miller-Rabin rounds alone held each of these commands past 10 s
+# 40 Miller-Rabin rounds alone held each of these commands past 10 s.  A g
+# out of range and a singular curve on P2048 are refused before the rounds
+# as well, which took over a second.
 @pytest.mark.parametrize("argv, message", [
-    (["dlog", str(2**4423 - 1), "3", "5"], "modulus"),
-    (["dh-demo", "--p", str(2**4423 - 1)], "modulus"),
-    (["ecc", "--curve", f"1,1,{2**4423 - 1}", "mul", "5", "1,2"], "field order"),
-])
+    (["dlog", str(2**4423 - 1), "3", "5"], f"modulus {OVER}"),
+    (["dh-demo", "--p", str(2**4423 - 1)], f"modulus {OVER}"),
+    (["ecc", "--curve", f"1,1,{2**4423 - 1}", "mul", "5", "1,2"], f"field order {OVER}"),
+    (["dlog", str(P2048), "1", "5"], f"generator must satisfy 2 < g < {P2048 - 2}, got 1"),
+    (["dh-demo", "--p", str(P2048), "--g", "1"],
+     f"generator must satisfy 2 < g < {P2048 - 2}, got 1"),
+    (["ecc", "--curve", f"0,0,{P2048}", "mul", "1", "1,2"],
+     f"singular curve: 4a^3 + 27b^2 = 0 mod {P2048}"),
+], ids=["dlog-4423", "dh-demo-4423", "ecc-4423", "dlog-g", "dh-demo-g", "ecc-singular"])
 def test_group_above_the_maximum_refused_before_any_primality_test(monkeypatch, argv, message):
     def no_test(*args, **kwargs):
         raise AssertionError("tested p for primality")
@@ -530,12 +543,7 @@ def test_group_above_the_maximum_refused_before_any_primality_test(monkeypatch, 
     monkeypatch.setattr(numtheory, "is_prime", no_test)
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
-    assert err == f"toycrypt {argv[0]}: {message} has 4423 bits, above the limit of 2048\n"
-
-
-# the least prime above 2**2047, so of the most bits a group prime may have:
-# 40 Miller-Rabin rounds on it take each command about a second
-P2048 = 2**2047 + 1919
+    assert err == f"toycrypt {argv[0]}: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message, output", [

@@ -272,15 +272,16 @@ class TestScalarMul:
         ecc.scalar_mul(CURVE127, 1, point)
         ecc.scalar_mul(CURVE127, 1, point)  # builds the table
         calls = count_jacobian_calls(monkeypatch)
-        row_bits = comb_reach(P127) // ecc._COMB_ROWS
+        row_bits = comb_reach(P127) // bigmod._COMB_ROWS
         assert row_bits == 16
         rng = random.Random(76)
         for k in [0, 1, 2**128 - 1] + [rng.getrandbits(128) for _ in range(20)]:
             calls.clear()
             ecc.scalar_mul(CURVE127, k, point)
-            columns = bigmod.comb_columns(k, ecc._COMB_ROWS, row_bits)
+            columns = bigmod.comb_columns(k, row_bits)
+            # a doubling between consecutive columns, none of the identity first
             assert (calls.count("double"), calls.count("add")) == (
-                row_bits, sum(map(bool, columns))), k
+                row_bits - 1, sum(map(bool, columns))), k
 
     def test_off_curve_point_rejected(self, curve97):
         with pytest.raises(ValueError):
@@ -305,7 +306,7 @@ def count_jacobian_calls(monkeypatch):
 
 def comb_reach(p):
     # the widest scalar a comb table on a curve over GF(p) takes, in bits
-    return ecc._COMB_ROWS * -(-(p.bit_length() + 1) // ecc._COMB_ROWS)
+    return bigmod._COMB_ROWS * -(-(p.bit_length() + 1) // bigmod._COMB_ROWS)
 
 
 # y**2 = x**3 + 7x + b over GF(2**127 - 1) through (3, 5)
@@ -328,7 +329,8 @@ class TestComb:
                     INFINITY if expected is None else EccPoint(*expected)), (pt, k)
             # entry i sums i's bits' multiples of P, at infinity just where
             # the point's order divides i
-            table = point.combs[curve97]
+            assert bigmod.comb_reach(point.combs[curve97]) == reach
+            (table,) = point.combs[curve97].blocks
             order = table.index(None, 1)
             assert affine_scalar_mul(curve97.a, 97, order, (pt.x, pt.y)) is None
             assert all((entry is None) == (i % order == 0) for i, entry in enumerate(table))
@@ -366,22 +368,22 @@ class TestComb:
 
     def test_one_build_per_point_and_curve(self, monkeypatch):
         builds = []
-        real_comb_table = ecc._comb_table
+        real_comb = bigmod.comb
 
-        def counting_comb_table(curve, point, row_bits):
-            builds.append(curve)
-            return real_comb_table(curve, point, row_bits)
+        def counting_comb(base, *args):
+            builds.append(base)
+            return real_comb(base, *args)
 
-        monkeypatch.setattr(ecc, "_comb_table", counting_comb_table)
+        monkeypatch.setattr(bigmod, "comb", counting_comb)
         point = EccPoint(3, 5)
         other = ecc.make_curve(11, 25 - 27 - 33, P127)  # through the same point
-        for curve in (CURVE127, other):
+        for built, curve in enumerate((CURVE127, other)):
             expected = EccPoint(*affine_scalar_mul(curve.a, P127, 12345, (3, 5)))
             for n in range(1, 6):
                 assert ecc.scalar_mul(curve, 12345, point) == expected
-                assert builds.count(curve) == (n >= 2), n
-        assert builds == [CURVE127, other]
-        assert point.combs[CURVE127] != point.combs[other]
+                assert len(builds) == built + (n >= 2), n
+        assert builds == [(3, 5, 1)] * 2
+        assert point.combs[CURVE127].blocks != point.combs[other].blocks
         # a point multiplied once, like a peer's public point, builds nothing
         ecc.scalar_mul(CURVE127, 5, EccPoint(3, 5))
         assert len(builds) == 2

@@ -19,7 +19,7 @@ STREAM = rsa.BlockStream(1, 0, (5,))
 # each record class with one valid value per field, in field order
 SAMPLES = {
     bigmod.Residue: {"value": 3, "modulus": 7},
-    bigmod.FixedBase: {"modulus": 23, "width": 1, "blocks": ((1, 5), (1, 2))},
+    bigmod.Comb: {"width": 1, "blocks": ((1, 5), (1, 2)), "one": 1, "square": abs, "multiply": pow},
     dh.DhParams: {"p": 23, "g": 5},
     dh.DhKeyPair: {"secret": 6, "public": 8},
     dh.DlogResult: {"exponent": 6, "steps": 6},
