@@ -8,7 +8,7 @@ extended_gcd; everything else consumes and produces non-negative values.
 comb and comb_pow are the package's one fixed-base Lim-Lee comb, for any
 group given by its identity and operations: fixed_base is the group of
 residues mod m (a Diffie-Hellman generator), and ecc.scalar_mul gives it
-curve points.
+curve points.  scan is the brute-force discrete log of both groups.
 
 All functions are pure and safe for concurrent use.
 """
@@ -257,6 +257,18 @@ def comb_pow(table: Comb, exp: int):
         if k:
             result = square(result)
     return result
+
+
+def scan(base, target, cap: int, one, multiply) -> int | None:
+    """Brute-force discrete log in any group: the smallest k in [1, cap] with
+    base**k = target, one multiply(acc, base) per k from one; None after cap."""
+    _check_natural(cap, "cap")
+    acc = one
+    for k in range(1, cap + 1):
+        acc = multiply(acc, base)
+        if acc == target:
+            return k
+    return None
 
 
 def fixed_base(base: int, exp_bits: int, m: int) -> Comb:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
+import math
 import random
 import sys
 import warnings
@@ -187,7 +188,7 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
         q.add_argument("base")
         q.add_argument("target")
         q.add_argument("--cap", type=_integer,
-                       help=f"scan budget (default min(p + 1, {DEFAULT_SCAN_CAP}))")
+                       help=f"scan budget (default min(p + 1 + isqrt(4p), {DEFAULT_SCAN_CAP}))")
     elif name == "keycount":
         p.add_argument("n", type=_natural)
         _add_base_selector(p)
@@ -410,7 +411,7 @@ def _cmd_ecc(args, stdin, stdout, rng) -> int:
     else:
         base = ecc.parse_point(args.base)
         target = ecc.parse_point(args.target)
-        cap = _scan_cap(args.cap, curve.p + 1)
+        cap = _scan_cap(args.cap, curve.p + 1 + math.isqrt(4 * curve.p))
         result = ecc.brute_force_ecdlog(curve, base, target, cap)
         if not result.found:
             raise ValueError(f"no scalar up to {cap} reaches {args.target}")

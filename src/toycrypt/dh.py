@@ -106,14 +106,8 @@ def shared_secret(params: DhParams, my_secret: int, their_public: int) -> int:
 
 
 def brute_force_dlog(params: DhParams, target_public: int, cap: int) -> DlogResult:
-    """Smallest k <= cap with g**k = target (mod p), by linear scan; cap must be >= 0."""
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
+    """Smallest k <= cap with g**k = target (mod p), by bigmod.scan; cap must be >= 0."""
     if not 0 < target_public < params.p:
         raise ValueError(f"target must lie in (0, {params.p}), got {target_public}")
-    acc = 1
-    for k in range(1, cap + 1):
-        acc = acc * params.g % params.p
-        if acc == target_public:
-            return DlogResult(exponent=k, steps=k)
-    return DlogResult(exponent=None, steps=cap)
+    k = bigmod.scan(params.g, target_public, cap, 1, lambda x, y, p=params.p: x * y % p)
+    return DlogResult(k, k or cap)

@@ -240,9 +240,7 @@ def _affine(p: int, x: int, y: int, z: int) -> EccPoint:
     # the affine point (X/Z**2, Y/Z**3), with the product's one inversion
     if z == 0:
         return INFINITY
-    z_inv = bigmod.mod_inv(z, p).value
-    zz_inv = z_inv * z_inv % p
-    return EccPoint(x * zz_inv % p, y * zz_inv * z_inv % p)
+    return EccPoint(*_batch_affine(p, [(x, y, z)])[0])
 
 
 def _double_and_add(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
@@ -273,17 +271,11 @@ class EcdlogResult:
 
 
 def brute_force_ecdlog(curve: EccCurve, p: EccPoint, q: EccPoint, cap: int) -> EcdlogResult:
-    """Smallest k <= cap with kP = Q, trying every k in turn; cap must be >= 0."""
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
+    """Smallest k <= cap with kP = Q, by bigmod.scan with _add; cap must be >= 0."""
     _require_on_curve(curve, p, "base point")
     _require_on_curve(curve, q, "target point")
-    acc = p
-    for k in range(1, cap + 1):
-        if acc == q:
-            return EcdlogResult(scalar=k, steps=k)
-        acc = _add(curve, acc, p)
-    return EcdlogResult(scalar=None, steps=cap)
+    k = bigmod.scan(p, q, cap, INFINITY, functools.partial(_add, curve))
+    return EcdlogResult(k, k or cap)
 
 
 def render_point(point: EccPoint) -> str:

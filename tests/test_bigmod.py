@@ -297,6 +297,28 @@ class TestComb:
             bigmod.comb_pow(table, 1 << reach)
 
 
+class TestScan:
+    # the additive group of the integers: base**k is k * g, so the one k with
+    # k * g = t is t // g, found when it lies in [1, cap]
+    @given(g=st.integers(1, 1 << 64), t=st.integers(-(1 << 20), 1 << 70), cap=st.integers(0, 300))
+    @example(g=1, t=0, cap=5)  # the identity itself is never k = 0
+    @example(g=3, t=9, cap=3)  # found at the cap
+    @example(g=3, t=12, cap=3)  # one past the cap
+    @example(g=3, t=10, cap=300)  # g does not divide t
+    @example(g=7, t=7, cap=0)  # a zero cap scans nothing
+    def test_integers_under_addition(self, g, t, cap):
+        if t % g == 0 and 1 <= t // g <= cap:
+            expected = t // g
+        else:
+            expected = None
+        assert bigmod.scan(g, t, cap, 0, operator.add) == expected
+
+    @pytest.mark.parametrize("cap", [-1, -(2**64)])
+    def test_negative_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            bigmod.scan(1, 1, cap, 0, operator.add)
+
+
 class TestGcdFamily:
     def test_lcm_of_seven_and_nine(self):
         assert bigmod.lcm(7, 9) == 63

@@ -456,6 +456,15 @@ class TestEccCommands:
         code, out, _ = invoke(["ecc", "--curve", self.CURVE, "add", point, "O"])
         assert (code, out) == (1, "")
 
+    # base points of order 13 = p + 1 + isqrt(4p) on y**2 = x**3 + 3 over GF(7),
+    # and of order 9 on y**2 = x**3 + x + 1 over GF(5): above p + 1, within Hasse's bound
+    @pytest.mark.parametrize("argv, out", [
+        (["--curve", "0,3,7", "dlog", "1,2", "1,5"], "k=12 steps=12\n"),
+        (["--curve", "1,1,5", "dlog", "0,1", "0,4"], "k=8 steps=8\n"),
+    ], ids=["0,3,7", "1,1,5"])
+    def test_dlog_default_budget_reaches_every_multiple(self, argv, out):
+        assert invoke(["ecc", *argv]) == (0, out, "")
+
     def test_dlog_negative_cap_is_domain_error(self):
         code, out, err = invoke(["ecc", "--curve", self.CURVE, "dlog", "3,6", "80,10",
                                  "--cap", "-1"])

@@ -161,6 +161,16 @@ class TestBruteForceDlog:
         with pytest.raises(ValueError, match="cap"):
             dh.brute_force_dlog(classroom_params, 8, cap)
 
+    def test_every_generator_target_and_cap_mod_23(self):
+        # the smallest k <= cap with g**k = target by the built-in pow, else
+        # not found after cap steps; g = 3..20 have orders 11 and 22
+        for g in range(3, 21):
+            params = dh.DhParams(23, g)
+            for target in range(1, 23):
+                for cap in (0, 1, 11, 22):
+                    k = next((k for k in range(1, cap + 1) if pow(g, k, 23) == target), None)
+                    assert dh.brute_force_dlog(params, target, cap) == dh.DlogResult(k, k or cap)
+
     def test_recovered_exponent_reproduces_public(self):
         rng = random.Random(602)
         for _ in range(30):

@@ -350,7 +350,7 @@ class TestComb:
     @pytest.mark.parametrize("p", [97, 10007, 2**61 - 1, P127, 2**128 - 159])
     def test_every_scalar_below_the_hasse_bound_takes_the_comb(self, monkeypatch, p):
         # the group order is at most p + 1 + 2 sqrt(p), below 2**(p.bit_length() + 1)
-        assert (p + 1 + 2 * math.isqrt(p)).bit_length() <= p.bit_length() + 1
+        assert (p + 1 + math.isqrt(4 * p)).bit_length() <= p.bit_length() + 1
         curve = ecc.make_curve(7, 25 - 27 - 21, p)
         point = EccPoint(3, 5)
         ecc.scalar_mul(curve, 1, point)
@@ -416,8 +416,9 @@ class TestBruteForceDlog:
         with pytest.raises(ValueError, match="cap"):
             ecc.brute_force_ecdlog(curve97, points97[0], points97[1], cap)
 
-    # points of order 50 (the largest), 5 and 2, and infinity
-    @pytest.mark.parametrize("base", [EccPoint(0, 10), EccPoint(3, 6), EccPoint(30, 0), INFINITY])
+    # points of every order on the curve: 50 (the largest), 25, 10, 5, 2 and 1 (infinity)
+    @pytest.mark.parametrize("base", [EccPoint(0, 10), EccPoint(21, 24), EccPoint(29, 43),
+                                      EccPoint(3, 6), EccPoint(30, 0), INFINITY])
     def test_every_target(self, curve97, points97, base):
         # the smallest k <= cap with kP = Q by the affine oracle, else not found
         cap = 101
