@@ -67,7 +67,8 @@ class PrimalityVerdict:
     kind is one of COMPOSITE, PROBABLY_PRIME, PROVEN_PRIME.  For composites
     of at least 2, witness holds either a prime factor found by trial
     division, a proper divisor found by is_prime's gcd with the primes in
-    [2**11, 2**15) (both with rounds 0), or a Miller-Rabin witness base:
+    [2**11, 2**15), taken only for n of at least _GCD_MIN_BITS bits (both
+    with rounds 0), or a Miller-Rabin witness base:
     2 with rounds 1 when is_prime's base-2 test rejects n, otherwise the
     random base of the round that rejected it.  rounds counts the
     random-base rounds run, the rejecting one included, and leaves out the
@@ -105,13 +106,29 @@ def sieve_primes(limit: int) -> list[int]:
 _SMALL_PRIME_BOUND = 1 << 11
 _SMALL_PRIMES = tuple(sieve_primes(_SMALL_PRIME_BOUND))
 
-# A quarter of the candidates that pass that division have a prime factor
+# About 27% of the candidates that pass that division have a prime factor
 # in [2**11, 2**15), which one gcd with their product finds.  Sized by
 # measurement on 512-bit candidates (2 vCPUs, Python 3.11), where one
-# Miller-Rabin round costs 1.3 ms: with the bound at 2**14, 2**15, 2**16 the
-# gcd costs 0.09, 0.14, 0.22 ms and the product takes 1.3, 3.1, 7.7 ms to
-# build, once a process; 2**15 saves the most keygen time.
+# Miller-Rabin round costs 0.9 ms: with the bound at 2**14, 2**15, 2**16 the
+# gcd costs 0.08, 0.11, 0.17 ms, finds a factor in 22%, 30%, 35% of them,
+# and the product takes 1.0, 2.4, 5.7 ms to build, once a process; 2**15
+# saved the most keygen time when the bound was chosen.
 _GCD_PRIME_BOUND = 1 << 15
+
+# Bits from which is_prime takes that gcd; below it the gcd costs more than
+# the base-2 tests it saves, and the product is never built.  Timed as
+# random_prime(b, random.Random(f"gcd-{b}-{i}")) for i in 0..99, with the
+# product built, with and without the gcd, alternating over 5 repetitions
+# (2 vCPUs, Python 3.11; medians, and repetitions the gcd won):
+#     b      with gcd   without   gcd won
+#     256    0.66 s     0.67 s    2 of 5
+#     384    1.33 s     1.18 s    1 of 5
+#     512    2.65 s     2.90 s    5 of 5
+# Per number that reaches it, the gcd costs 66, 89, 100 us at 256, 384, 512
+# bits and spares about 30% of them a base-2 test of 187, 288, 659 us.  512
+# is the least size it won 4 of 5 times, and keeps it for keygen's 512-bit
+# candidates.
+_GCD_MIN_BITS = 512
 
 
 @functools.cache  # built on first use: it costs milliseconds, import should not
@@ -184,9 +201,11 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
     with the smallest prime factor as witness) and rejects most larger
     composites without drawing from the rng.  It divides n by each prime
     in _SMALL_PRIMES in order.  A larger n with no factor below 2**11 draws
-    the first Miller-Rabin base, then takes one gcd with the product of
-    the primes in [2**11, 2**15): a proper divisor makes it
-    COMPOSITE with that divisor as witness and rounds 0.
+    the first Miller-Rabin base.  Then, if n has at least _GCD_MIN_BITS
+    bits, it takes one gcd with the product of the primes in
+    [2**11, 2**15): a proper divisor makes it COMPOSITE with that divisor
+    as witness and rounds 0.  A smaller n skips the gcd, and nothing builds
+    the product.
 
     Next comes a strong probable-prime test to base 2 (Pomerance, Selfridge
     and Wagstaff, 1980; the first step of Baillie-PSW).  _pow2 computes
@@ -197,11 +216,12 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
     rounds with random bases, the first being the one drawn before the
     gcd; a composite passes them with probability at most 4**-rounds.
 
-    The first base is drawn before the gcd, so a composite that the gcd or
-    base 2 rejects takes the one draw its first random round would have
-    taken, and a prime takes `rounds` draws.  random_prime therefore gives
-    the same primes from a seeded rng as with neither check, unless the
-    first random base was a strong liar for a composite that either rejects.
+    The first base is drawn before the gcd, whether or not the gcd runs, so
+    a composite that the gcd or base 2 rejects takes the one draw its first
+    random round would have taken, and a prime takes `rounds` draws.
+    random_prime therefore gives the same primes from a seeded rng as with
+    neither check, unless the first random base was a strong liar for a
+    composite that either rejects.
     """
     if rounds < 1:
         raise ValueError(f"need at least one Miller-Rabin round, got {rounds}")
@@ -219,9 +239,10 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
         return PrimalityVerdict(PROVEN_PRIME)
     rng = rng or random.SystemRandom()
     a = rng.randrange(2, n - 1)
-    g = bigmod.gcd(n, _gcd_primes_product() % n)
-    if 1 < g < n:  # g == n: every factor lies in the range; Miller-Rabin finds it
-        return PrimalityVerdict(COMPOSITE, g, 0)
+    if n.bit_length() >= _GCD_MIN_BITS:
+        g = bigmod.gcd(n, _gcd_primes_product() % n)
+        if 1 < g < n:  # g == n: every factor lies in the range; Miller-Rabin finds it
+            return PrimalityVerdict(COMPOSITE, g, 0)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -683,6 +683,27 @@ class TestRsaPipelines:
         assert code == 0
         assert opened.read_bytes() == message.read_bytes()
 
+    def test_gcd_product_built_only_for_keys_that_need_it(self, tmp_path):
+        # is_prime takes the gcd with the primes in [2**11, 2**15) only from
+        # numtheory._GCD_MIN_BITS bits: a 256-bit key's 128-bit primes skip
+        # it in keygen, and open's checks of the key file skip it too
+        numtheory._gcd_primes_product.cache_clear()
+        built = numtheory._gcd_primes_product.cache_info
+        prefix = tmp_path / "small"
+        assert invoke(["keygen", "--bits", "256", "--out", str(prefix), "--seed", "1"])[0] == 0
+        message = tmp_path / "msg"
+        message.write_bytes(b"no product")
+        sealed, opened = tmp_path / "sealed", tmp_path / "opened"
+        assert invoke(["seal", "--key", f"{prefix}.pub", "--in", str(message),
+                       "--out", str(sealed), "--seed", "1"])[0] == 0
+        assert invoke(["open", "--key", f"{prefix}.key", "--in", str(sealed),
+                       "--out", str(opened)])[0] == 0
+        assert opened.read_bytes() == b"no product"
+        assert built().currsize == 0
+        big = tmp_path / "big"
+        assert invoke(["keygen", "--bits", "1024", "--out", str(big), "--seed", "1"])[0] == 0
+        assert built().currsize == 1
+
     def test_open_with_inconsistent_key_exits_one(self, tmp_path):
         key = tmp_path / "bad.key"
         key.write_text("n=5\nd=3\np=11\nq=13\n")

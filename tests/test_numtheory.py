@@ -102,7 +102,8 @@ class NoDraws:
 
 
 # primes below 2**16, by trial division: is_prime divides by those below
-# 2**11 and takes one gcd with the product of those in [2**11, 2**15)
+# 2**11 and, for n of at least _GCD_MIN_BITS bits, takes one gcd with the
+# product of those in [2**11, 2**15)
 PRIMES_BELOW_2_16 = [
     n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))
 ]
@@ -226,11 +227,14 @@ class TestBase2Test:
     def test_kernel_against_builtin_pow(self, n, e):
         assert numtheory._pow2(e, n) == pow(2, e, n)
 
-    # no factor below 2**11, nor one that the gcd finds
+    # no factor below 2**11, and too few bits for the gcd, which would find
+    # the factor in [2**11, 2**15) of the last two
     @pytest.mark.parametrize("n", [
         2053 * 2063, 32719 * 32749, 32771 * (2**61 - 1), (2**89 - 1) * (2**61 - 1),
+        2053 * (2**89 - 1), 32749 * (2**61 - 1),
     ])
     def test_composite_rejected_by_base_2_after_one_draw(self, n):
+        assert n.bit_length() < numtheory._GCD_MIN_BITS
         assert not strong_probable_prime(n, 2)
         rng = CountingRandom(4)
         assert numtheory.is_prime(n, rng=rng) == PrimalityVerdict(COMPOSITE, 2, 1)
@@ -252,30 +256,26 @@ def reference_verdict(n: int) -> tuple[str, int | None]:
     """Kind and divisor witness is_prime should give for 2**22 <= n < 2**81.
 
     The witness is None where Miller-Rabin decides.  Built from trial
-    division by the primes below 2**15 and a Miller-Rabin test on built-in
+    division by the primes below 2**11 (every such n lies below
+    _GCD_MIN_BITS bits, so no gcd runs) and a Miller-Rabin test on built-in
     pow with the primes up to 41 as bases, which is exact below 3.3 * 10**24
     (Sorenson and Webster, 2015).
     """
-    for p in PRIMES_BELOW_2_16:
-        if p >= 1 << 11:
-            break
-        if n % p == 0:
-            return COMPOSITE, p
-    g = math.prod(p for p in GCD_RANGE_PRIMES if n % p == 0)
-    if 1 < g < n:
-        return COMPOSITE, g
+    assert n.bit_length() < numtheory._GCD_MIN_BITS
+    witness = plain_trial_division(n)
+    if witness is not None:
+        return COMPOSITE, witness
     if all(strong_probable_prime(n, a) for a in PRIMES_BELOW_1000[:13]):
         return PROBABLY_PRIME, None
     return COMPOSITE, None
 
 
 class TestGcdFilter:
-    # 2053 and 32749 are the least and the largest prime in [2**11, 2**15)
-    @pytest.mark.parametrize("n, factor", [
-        (2053 * (2**89 - 1), 2053),
-        (32749 * (2**61 - 1), 32749),
-    ])
-    def test_factor_in_range_found_by_gcd_after_one_draw(self, n, factor):
+    # 2053 and 32749 are the least and the largest prime in [2**11, 2**15);
+    # 2**521 - 1 is a Mersenne prime, above _GCD_MIN_BITS bits
+    @pytest.mark.parametrize("factor", [2053, 32749])
+    def test_factor_in_range_found_by_gcd_after_one_draw(self, factor):
+        n = factor * (2**521 - 1)
         rng = CountingRandom(1)
         verdict = numtheory.is_prime(n, rng=rng)
         assert verdict == PrimalityVerdict(COMPOSITE, witness=factor, rounds=0)
@@ -283,11 +283,30 @@ class TestGcdFilter:
         # the first base is drawn before the gcd, as if Miller-Rabin ran
         assert rng.draws == 1
 
-    # 32771 is the least prime above 2**15, so no gcd finds it
-    @pytest.mark.parametrize("n", [2053 * 2063, 32719 * 32749, 32771 * (2**61 - 1)])
+    def test_below_the_gcd_size_the_product_is_not_built(self):
+        numtheory._gcd_primes_product.cache_clear()
+        numtheory.is_prime(2053 * (2**89 - 1), rng=random.Random(1))
+        assert numtheory._gcd_primes_product.cache_info().currsize == 0
+
+    def test_keygen_sized_candidate_takes_the_gcd(self):
+        # random_prime(512) draws keygen_random(1024)'s candidates; a
+        # _GCD_MIN_BITS above 512 would leave this factor to base 2
+        n = 2053 * numtheory.random_prime(501, random.Random("gcd-512"))
+        assert n.bit_length() == 512
+        rng = CountingRandom(1)
+        assert numtheory.is_prime(n, rng=rng) == PrimalityVerdict(COMPOSITE, 2053, 0)
+        assert rng.draws == 1
+
+    # 32771 is the least prime above 2**15, so no gcd finds it; the product
+    # of the 40 largest primes below 2**15 has about 600 bits
+    @pytest.mark.parametrize("n", [
+        2053 * 2063, 32719 * 32749, 32771 * (2**61 - 1),
+        32771 * (2**521 - 1), math.prod(GCD_RANGE_PRIMES[-40:]),
+    ])
     def test_composite_left_to_miller_rabin(self, n):
-        # the gcd finds no proper divisor (it is n or 1); base 2 rejects n as
-        # round 1, after the one draw taken before the gcd
+        # no proper divisor from the gcd, whether it is skipped (below
+        # _GCD_MIN_BITS) or gives 1 or n; base 2 rejects n as round 1, after
+        # the one draw taken before the gcd
         rng = CountingRandom(3)
         verdict = numtheory.is_prime(n, rng=rng)
         assert verdict.kind == COMPOSITE
@@ -308,6 +327,21 @@ class TestGcdFilter:
             assert (verdict.witness, verdict.rounds) == (witness, 0)
         elif kind == COMPOSITE:
             assert 2 <= verdict.witness <= n - 2 and verdict.rounds >= 1
+
+    # from _GCD_MIN_BITS bits up, a factor in [2**11, 2**15) is found by the
+    # gcd, which gives the product of all such factors, after one draw;
+    # 2**521 - 1 and 2**607 - 1 are Mersenne primes
+    @given(st.lists(st.sampled_from(GCD_RANGE_PRIMES), min_size=1, max_size=3),
+           st.sampled_from([2**521 - 1, 2**607 - 1]),
+           st.integers(0, 2**32))
+    def test_agrees_with_reference_at_gcd_sizes(self, factors, prime, seed):
+        n = math.prod(factors) * prime
+        assert n.bit_length() >= numtheory._GCD_MIN_BITS
+        rng = CountingRandom(seed)
+        verdict = numtheory.is_prime(n, rounds=12, rng=rng)
+        divisor = math.prod(p for p in GCD_RANGE_PRIMES if n % p == 0)
+        assert verdict == PrimalityVerdict(COMPOSITE, divisor, 0)
+        assert rng.draws == 1
 
     def test_seeded_key_unchanged(self):
         _, key = rsa.keygen_random(1024, 65537, random.Random("keygen-0"))
