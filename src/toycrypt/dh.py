@@ -63,7 +63,7 @@ class DlogResult:
 def make_params(p: int, g: int) -> DhParams:
     """Validate group parameters: p prime, 2 < g < p - 2.
 
-    The primality test, 40 Miller-Rabin rounds, comes last: a p above
+    The primality test, numtheory.baillie_psw, comes last: a p above
     bigmod.MAX_GROUP_BITS, a p below 7 (which leaves no g in that range)
     and a g out of range are each refused before it.
     """
@@ -72,7 +72,7 @@ def make_params(p: int, g: int) -> DhParams:
         raise ValueError(f"modulus {p} leaves no generator in the range (2, {p - 2}); need p >= 7")
     if not 2 < g < p - 2:
         raise ValueError(f"generator must satisfy 2 < g < {p - 2}, got {g}")
-    if not numtheory.is_prime(p).is_prime:
+    if not numtheory.baillie_psw(p).is_prime:
         raise ValueError(f"modulus {p} is not prime")
     return DhParams(p, g)
 

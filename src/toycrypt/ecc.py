@@ -72,8 +72,8 @@ def make_curve(a: int, b: int, p: int) -> EccCurve:
     """Validate and build y**2 = x**3 + ax + b over GF(p).
 
     a and b may be negative and are reduced mod p.  The curve must be
-    nonsingular: 4a**3 + 27b**2 != 0 (mod p).  The primality test, 40
-    Miller-Rabin rounds, comes last: a p above bigmod.MAX_GROUP_BITS, a p
+    nonsingular: 4a**3 + 27b**2 != 0 (mod p).  The primality test,
+    numtheory.baillie_psw, comes last: a p above bigmod.MAX_GROUP_BITS, a p
     below 5 and a singular curve are each refused before it.
     """
     bigmod.check_modulus_bits(p, "field order", bigmod.MAX_GROUP_BITS)
@@ -83,7 +83,7 @@ def make_curve(a: int, b: int, p: int) -> EccCurve:
     a, b = a % p, b % p
     if (4 * a * a * a + 27 * b * b) % p == 0:
         raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p}")
-    if not numtheory.is_prime(p).is_prime:
+    if not numtheory.baillie_psw(p).is_prime:
         raise ValueError(prime)
     return EccCurve(a, b, p)
 

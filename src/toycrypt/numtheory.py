@@ -67,14 +67,16 @@ class PrimalityVerdict:
     kind is one of COMPOSITE, PROBABLY_PRIME, PROVEN_PRIME.  For composites
     of at least 2, witness holds either a prime factor found by trial
     division, a proper divisor found by is_prime's gcd with the primes in
-    [2**11, 2**15), taken only for n of at least _GCD_MIN_BITS bits (both
-    with rounds 0), or a Miller-Rabin witness base:
-    2 with rounds 1 when is_prime's base-2 test rejects n, otherwise the
-    random base of the round that rejected it.  rounds counts the
-    random-base rounds run, the rejecting one included, and leaves out the
-    base-2 test that ran before them; only a base-2 rejection reports
-    rounds 1 for that test.  The base-2 test runs on top of the random
-    rounds and leaves their 4**-rounds bound on a composite passing as it is.
+    [2**11, 2**15), taken only for n of at least _GCD_MIN_BITS bits, or
+    the square root of a perfect square that baillie_psw finds (each with
+    rounds 0), or a Miller-Rabin witness base: 2 with rounds 1 when the
+    base-2 test rejects n, otherwise the random base of the round that
+    rejected it.  A rejection by baillie_psw's strong Lucas test has
+    witness None, since that test has no base, and rounds 1 for the test,
+    as a base-2 rejection has.  rounds counts the random-base rounds run,
+    the rejecting one included, and leaves out the base-2 and Lucas tests
+    that ran before them.  Those tests run on top of the random rounds and
+    leave their 4**-rounds bound on a composite passing as it is.
     """
 
     kind: str
@@ -177,6 +179,12 @@ def _pow2(e: int, n: int) -> int:
     return r
 
 
+def _odd_part(m: int) -> tuple[int, int]:
+    # (d, s) with m = 2**s * d and d odd, for m >= 1
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
+
+
 def _is_witness(n: int, x: int, s: int) -> bool:
     # x = a**d mod n, where n - 1 = 2**s * d with d odd; True means a proves
     # n composite: x is not 1, and neither x nor its next s - 1 squarings is n - 1
@@ -189,8 +197,35 @@ def _is_witness(n: int, x: int, s: int) -> bool:
     return True
 
 
-# Miller-Rabin rounds for a number a caller supplies, which may be built to
-# fool the test: is_prime's default, and the most random_prime_rounds gives.
+def _trial_division(n: int) -> PrimalityVerdict | None:
+    # the verdict of dividing n >= 2 by each prime in _SMALL_PRIMES in order,
+    # or None when that settles nothing: n is at least 2**22 with no factor
+    # below 2**11.  Composite verdicts pass kind, witness and rounds by
+    # position, a record's fast path: keygen makes hundreds of them per key.
+    for p in _SMALL_PRIMES:
+        if n % p == 0:  # p is n's smallest prime factor, or n itself
+            if p == n:
+                return PrimalityVerdict(PROVEN_PRIME)
+            return PrimalityVerdict(COMPOSITE, p, 0)
+    if n < _SMALL_PRIME_BOUND**2:
+        # a composite below 2**22 has a prime factor below 2**11
+        return PrimalityVerdict(PROVEN_PRIME)
+    return None
+
+
+def _random_rounds(n: int, d: int, s: int, rounds: int, a: int, rng) -> PrimalityVerdict:
+    # `rounds` Miller-Rabin rounds on n, where n - 1 = 2**s * d with d odd:
+    # the first with base a, drawn by the caller, the others with bases drawn here
+    for i in range(rounds):
+        if i:
+            a = rng.randrange(2, n - 1)
+        if _is_witness(n, bigmod.mod_pow(a, d, n).value, s):
+            return PrimalityVerdict(COMPOSITE, a, i + 1)
+    return PrimalityVerdict(PROBABLY_PRIME, None, rounds)
+
+
+# The Miller-Rabin rounds is_prime runs by default, and the most
+# random_prime_rounds gives.
 _MAX_ROUNDS = 40
 
 
@@ -222,39 +257,153 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
     random_prime therefore gives the same primes from a seeded rng as with
     neither check, unless the first random base was a strong liar for a
     composite that either rejects.
+
+    Numbers a caller supplies to the package go to baillie_psw instead,
+    which puts a strong Lucas test in place of most of these rounds.
     """
     if rounds < 1:
         raise ValueError(f"need at least one Miller-Rabin round, got {rounds}")
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
-    # composite and probably-prime verdicts pass kind, witness and rounds by
-    # position, a record's fast path: keygen makes hundreds of them per key
-    for p in _SMALL_PRIMES:
-        if n % p == 0:  # p is n's smallest prime factor, or n itself
-            if p == n:
-                return PrimalityVerdict(PROVEN_PRIME)
-            return PrimalityVerdict(COMPOSITE, p, 0)
-    if n < _SMALL_PRIME_BOUND**2:
-        # a composite below 2**22 has a prime factor below 2**11
-        return PrimalityVerdict(PROVEN_PRIME)
+    verdict = _trial_division(n)
+    if verdict is not None:
+        return verdict
     rng = rng or random.SystemRandom()
     a = rng.randrange(2, n - 1)
     if n.bit_length() >= _GCD_MIN_BITS:
         g = bigmod.gcd(n, _gcd_primes_product() % n)
         if 1 < g < n:  # g == n: every factor lies in the range; Miller-Rabin finds it
             return PrimalityVerdict(COMPOSITE, g, 0)
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n - 1)
     if _is_witness(n, _pow2(d, n), s):
         return PrimalityVerdict(COMPOSITE, 2, 1)
-    for i in range(rounds):
-        if i:
-            a = rng.randrange(2, n - 1)
-        if _is_witness(n, bigmod.mod_pow(a, d, n).value, s):
-            return PrimalityVerdict(COMPOSITE, a, i + 1)
-    return PrimalityVerdict(PROBABLY_PRIME, None, rounds)
+    return _random_rounds(n, d, s, rounds, a, rng)
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n >= 1: 1 or -1, or 0 when a and n share a factor.
+
+    HAC Alg. 2.149 as a loop.  Each factor 2 taken out of a flips the sign
+    when n = 3 or 5 (mod 8); then quadratic reciprocity swaps a and n,
+    flipping the sign when both are 3 (mod 4), and reduces the new a mod
+    the new n.  For a prime n it is the Legendre symbol: 1 for a nonzero
+    square mod n, -1 for a non-square.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"the Jacobi symbol needs an odd n >= 1, got {n}")
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        if a & n & 3 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    # The strong Lucas probable-prime test with Selfridge's method A (Baillie
+    # and Wagstaff 1980), for odd n >= 3 that is not a perfect square: for a
+    # square no D has (D/n) = -1, and the search below would not end.  D is
+    # the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    # Q = (1 - D)/4.  With n + 1 = 2**s * d, d odd, n passes when U_d = 0 or
+    # V_(d * 2**r) = 0 (mod n) for some r < s.  A D that shares a factor
+    # with n proves it composite, unless |D| = n.
+    D = 5
+    while (symbol := jacobi(D, n)) != -1:
+        if symbol == 0:
+            return abs(D) == n
+        D = -D + 2 if D < 0 else -D - 2
+    Q = (1 - D) // 4
+    d, s = _odd_part(n + 1)
+    # U_k, V_k and Q**k mod n, from k = 1 along the bits of d below the top
+    # one: U_2k = U_k V_k and V_2k = V_k**2 - 2Q**k; then, for a set bit,
+    # U_k+1 = (U_k + V_k)/2 and V_k+1 = (D U_k + V_k)/2, since P = 1, where
+    # halving mod the odd n adds n to an odd value first
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u, v = (u + (u & 1) * n) // 2 % n, (v + (v & 1) * n) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+# The random-base Miller-Rabin rounds baillie_psw runs after its fixed tests.
+_BPSW_ROUNDS = 3
+
+
+def baillie_psw(n: int, rng=None) -> PrimalityVerdict:
+    """Primality verdict for a number a caller supplies: Baillie-PSW, then 3 random rounds.
+
+    This is the test for numbers that may be built to fool a primality
+    test: a group prime (dh.make_params, ecc.make_curve) and the factors of
+    a key a caller hands over (rsa.keygen_from_primes, rsa.read_private_key).
+    In order:
+    - trial division by the primes below 2**11, as in is_prime, which
+      settles every n below 2**22;
+    - is_prime's strong probable-prime test to base 2 (_pow2);
+    - a perfect-square check, with math.isqrt;
+    - a strong Lucas test with Selfridge's method A: P = 1 and
+      Q = (1 - D)/4 for the first D in 5, -7, 9, -11, ... whose Jacobi
+      symbol (D/n) is -1.  With base 2 this is the Baillie-PSW test
+      (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980;
+      Pomerance, Selfridge and Wagstaff, same volume);
+    - _BPSW_ROUNDS = 3 Miller-Rabin rounds with random bases, drawn from
+      rng only after the Lucas test.
+
+    FIPS 186-4 App. C.3 pairs Miller-Rabin rounds with a Lucas test in the
+    same way.  There is no gcd with the primes in [2**11, 2**15): on the
+    prime a caller normally supplies it can only give 1, so its product is
+    never built here.
+
+    Why 3 random rounds, where is_prime takes 40:
+    - No composite is known to pass Baillie-PSW, and none below 2**64 does
+      (checked against Feitsma's list of every base-2 pseudoprime below
+      2**64).
+    - A crafted n can be built to pass any bases fixed in advance; random
+      bases drawn after n is fixed are what it cannot anticipate.  Albrecht,
+      Massimo, Paterson and Somorovsky ("Prime and Prejudice: Primality
+      Testing Under Adversarial Conditions", ACM CCS 2018) built such
+      composites against library tests, and recommend Baillie-PSW for
+      numbers that may be adversarial.
+    - 4**-3 bounds only the random rounds: the chance that a composite
+      which Baillie-PSW let through also passes them.  It is a backstop,
+      not the reason to trust the verdict.
+
+    Verdicts: as is_prime's for n below 2**22 and for trial division.  A
+    composite that base 2 rejects is COMPOSITE with witness 2 and rounds 1,
+    a perfect square COMPOSITE with its square root as witness and rounds
+    0, one the Lucas test rejects COMPOSITE with witness None and rounds 1,
+    and one a random round rejects COMPOSITE with that base and the round's
+    number.  Otherwise n is PROBABLY_PRIME with rounds 3.  A composite that
+    a fixed test rejects draws nothing from rng.
+    """
+    if n < 2:
+        return PrimalityVerdict(COMPOSITE)
+    verdict = _trial_division(n)
+    if verdict is not None:
+        return verdict
+    d, s = _odd_part(n - 1)
+    if _is_witness(n, _pow2(d, n), s):
+        return PrimalityVerdict(COMPOSITE, 2, 1)
+    root = math.isqrt(n)
+    if root * root == n:
+        return PrimalityVerdict(COMPOSITE, root, 0)
+    if not _strong_lucas(n):
+        return PrimalityVerdict(COMPOSITE, None, 1)
+    rng = rng or random.SystemRandom()
+    return _random_rounds(n, d, s, _BPSW_ROUNDS, rng.randrange(2, n - 1), rng)
 
 
 def factor_trial(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> Factorization:
@@ -342,7 +491,7 @@ def random_prime_rounds(bits: int) -> int:
     is composite at or below 2**-101, capped at 40: 40 rounds for 64 bits,
     31 for 128, 18 for 256, 8 for 512 and 4 for 1024.  The bound holds only
     for numbers drawn at random; a number a caller supplies may be built to
-    fool Miller-Rabin, so is_prime keeps 40 rounds for it.
+    fool Miller-Rabin, so it goes to baillie_psw instead.
     """
     for t in range(2, _MAX_ROUNDS):
         if _dlp_log2_error(bits, t) <= _RANDOM_PRIME_LOG2_ERROR:

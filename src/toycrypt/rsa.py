@@ -44,7 +44,7 @@ class RsaPrivateKey:
     """n = p*q for distinct primes p, q, and 0 < d < n; phi follows from p and q.
 
     Construction checks everything but primality.  read_private_key and
-    keygen_from_primes test each factor with 40 Miller-Rabin rounds,
+    keygen_from_primes test each factor with numtheory.baillie_psw,
     numtheory.random_prime tests keygen_random's, and every key, one built by
     hand too, gets one is_prime round per factor on first private use (crt).
     """
@@ -72,12 +72,13 @@ class RsaPrivateKey:
         to d mod p-1, and never 0, so a block divisible by p still maps to 0.
 
         The CRT is exact only for prime p and q, so this first runs
-        _require_primes with one is_prime round per factor (40 would cost
-        more than a whole 1024-bit keygen_random), or raises ValueError and
-        caches nothing.  A composite factor with a prime factor below 2**11
-        never passes; any other passes with probability at most 1/4.
+        _require_primes with one is_prime round per factor (a supplied
+        number's baillie_psw costs about 7 rounds, so both factors would add
+        a quarter of a whole 1024-bit keygen_random), or raises ValueError
+        and caches nothing.  A composite factor with a prime factor below
+        2**11 never passes; any other passes with probability at most 1/4.
         """
-        _require_primes(self.p, self.q, 1)
+        _require_primes(self.p, self.q, supplied=False)
         d, p, q = self.d, self.p, self.q
         return (d - 1) % (p - 1) + 1, (d - 1) % (q - 1) + 1, bigmod.mod_inv(q, p).value
 
@@ -114,26 +115,28 @@ def _key_pair(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
     return RsaPublicKey(n, e), RsaPrivateKey(n, bigmod.mod_inv(e, phi).value, p, q)
 
 
-def _require_primes(p: int, q: int, rounds: int) -> None:
-    """Refuse p*q above MAX_MODULUS_BITS, then any factor is_prime calls composite.
+def _require_primes(p: int, q: int, supplied: bool) -> None:
+    """Refuse p*q above MAX_MODULUS_BITS, then any factor found composite.
 
-    rounds is 40 for numbers a caller supplies and 1 on a key's first
-    private use.  A composite factor with a prime factor below 2**11 never
-    passes; any other passes with probability at most 4**-rounds.
+    Numbers a caller supplies get numtheory.baillie_psw; a key's first
+    private use gets one is_prime round.  A composite factor with a prime
+    factor below 2**11 never passes either; any other passes the one round
+    with probability at most 1/4.
     """
     bigmod.check_modulus_bits(p * q)
     from . import numtheory
 
     for name, value in (("p", p), ("q", q)):
-        if not numtheory.is_prime(value, rounds).is_prime:
+        verdict = numtheory.baillie_psw(value) if supplied else numtheory.is_prime(value, 1)
+        if not verdict.is_prime:
             raise ValueError(f"{name} = {value} is not prime")
 
 
 def keygen_from_primes(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
-    """Build a key pair from two distinct primes and a public exponent."""
+    """Build a key pair from two distinct primes, each tested by numtheory.baillie_psw, and e."""
     if p == q:
         raise ValueError("p and q must be distinct")
-    _require_primes(p, q, 40)
+    _require_primes(p, q, supplied=True)
     return _key_pair(p, q, e)
 
 
@@ -324,14 +327,14 @@ def read_public_key(text: str) -> RsaPublicKey:
 def read_private_key(text: str) -> RsaPrivateKey:
     """The key in text; a modulus above MAX_MODULUS_BITS is refused before any primality test.
 
-    Each factor gets 40 Miller-Rabin rounds.  One round takes about 0.23 s on
-    a 4096-bit factor and 1.7 s on an 8192-bit one, so without the bound a
-    hand-written 8192-bit key would take some 18 s to test, and a 16384-bit
-    key over two minutes.
+    Each factor gets numtheory.baillie_psw, which costs about 7
+    Miller-Rabin rounds: about 1.4 s on a 4096-bit factor, and with one
+    round at 1.7 s on an 8192-bit factor, about 24 s to test a hand-written
+    16384-bit key without the bound.
     """
     f = _parse_fields(text, ("n", "d", "p", "q"))
     key = RsaPrivateKey(f["n"], f["d"], f["p"], f["q"])
-    _require_primes(key.p, key.q, 40)
+    _require_primes(key.p, key.q, supplied=True)
     return key
 
 

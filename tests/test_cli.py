@@ -10,6 +10,7 @@ import pytest
 
 from toycrypt import cli, envelope, numtheory, rsa
 from toycrypt.cli import _integer, _natural, _parse_args, build_parser, demo_rsa_paper, run
+from test_dh import OAKLEY_1024
 from vectors import (
     CAESAR_CIPHER,
     CAESAR_PLAIN,
@@ -526,15 +527,15 @@ class TestDemos:
 
 
 # the least prime above 2**2047, so of the most bits a group prime may have:
-# 40 Miller-Rabin rounds on it take each command about a second
+# numtheory.baillie_psw takes about 0.17 s on it, of a command's 0.25-0.45 s
 P2048 = 2**2047 + 1919
 OVER = "has 4423 bits, above the limit of 2048"
 
 
 # 2**4423 - 1 is a Mersenne prime of 4423 bits: without a size bound its
-# 40 Miller-Rabin rounds alone held each of these commands past 10 s.  A g
-# out of range and a singular curve on P2048 are refused before the rounds
-# as well, which took over a second.
+# primality test alone would hold each of these commands for about 1.2 s.
+# A g out of range and a singular curve on P2048 are refused before the test
+# as well.
 @pytest.mark.parametrize("argv, message", [
     (["dlog", str(2**4423 - 1), "3", "5"], f"modulus {OVER}"),
     (["dh-demo", "--p", str(2**4423 - 1)], f"modulus {OVER}"),
@@ -550,6 +551,7 @@ def test_group_above_the_maximum_refused_before_any_primality_test(monkeypatch, 
         raise AssertionError("tested p for primality")
 
     monkeypatch.setattr(numtheory, "is_prime", no_test)
+    monkeypatch.setattr(numtheory, "baillie_psw", no_test)
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
     assert err == f"toycrypt {argv[0]}: {message}\n"
@@ -571,9 +573,36 @@ def test_group_at_the_maximum_runs_and_one_bit_more_is_refused(monkeypatch, argv
         raise AssertionError("tested p for primality")
 
     monkeypatch.setattr(numtheory, "is_prime", no_test)
+    monkeypatch.setattr(numtheory, "baillie_psw", no_test)
     code, out, err = invoke(argv(wider))
     assert (code, out) == (1, "")
     assert err == f"toycrypt {argv(wider)[0]}: {message} has 2049 bits, above the limit of 2048\n"
+
+
+# 1287836182261 * 2575672364521, a strong pseudoprime to every prime base up
+# to 41 with no factor below 2**11 (tests/test_numtheory.py checks both on
+# built-in pow): the strong Lucas test refuses it as a group prime
+CRAFTED = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dlog", str(CRAFTED), "3", "5"], f"modulus {CRAFTED} is not prime"),
+    (["dh-demo", "--p", str(CRAFTED)], f"modulus {CRAFTED} is not prime"),
+    (["ecc", "--curve", f"1,2,{CRAFTED}", "mul", "1", "1,2"],
+     f"field order must be an odd prime >= 5, got {CRAFTED}"),
+], ids=["dlog", "dh-demo", "ecc"])
+def test_strong_pseudoprime_refused_as_group_prime(argv, message):
+    assert invoke(argv) == (1, "", f"toycrypt {argv[0]}: {message}\n")
+
+
+def test_supplied_group_prime_builds_no_gcd_product():
+    # numtheory.baillie_psw, which tests a supplied group prime, takes no gcd
+    # with the primes in [2**11, 2**15): on a prime it can only give 1
+    numtheory._gcd_primes_product.cache_clear()
+    p = str(OAKLEY_1024)
+    assert invoke(["dh-demo", "--p", p, "--g", "5", "--seed", "7", "--cap", "0"])[0] == 0
+    assert invoke(["ecc", "--curve", f"1,2,{p}", "mul", "1", "1,2"]) == (0, "1,2\n", "")
+    assert numtheory._gcd_primes_product.cache_info().currsize == 0
 
 
 class TestRsaPipelines:
@@ -615,6 +644,7 @@ class TestRsaPipelines:
             raise AssertionError("tested a factor for primality")
 
         monkeypatch.setattr(numtheory, "is_prime", no_test)
+        monkeypatch.setattr(numtheory, "baillie_psw", no_test)
         p, q = (1 << 2048) + 1, (1 << 2048) + 3
         key = tmp_path / "big.key"
         key.write_text(rsa.write_private_key(rsa.RsaPrivateKey(p * q, 5, p, q)))

@@ -17,6 +17,7 @@ from toycrypt.numtheory import (
     PrimalityVerdict,
     SieveLimitError,
 )
+from test_dh import OAKLEY_1024
 from vectors import (
     KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1,
     KEYGEN_1024_SEED_KEYGEN_0_P,
@@ -350,6 +351,161 @@ class TestGcdFilter:
         assert digest == KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1
 
 
+def bpsw_reference(n: int) -> bool:
+    """Primality of n below 2**64 by trial division and the prime bases up to 37.
+
+    The strong test to those bases, on built-in pow, is exact below
+    318665857834031151167461, the least composite that passes it (Sorenson
+    and Webster, 2015).
+    """
+    if n < 2:
+        return False
+    factor = plain_trial_division(n)
+    if factor is not None:
+        return factor == n
+    return n < 1 << 22 or all(strong_probable_prime(n, a) for a in PRIMES_BELOW_1000[:12])
+
+
+def legendre(a: int, p: int) -> int:
+    """(a/p) for an odd prime p by Euler's criterion on built-in pow."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+# composites that no trial division below 2**11 finds and that pass the
+# strong test to base 2 and more: the Lucas test is what rejects them
+LUCAS_REJECTED = {
+    3825123056546413051: 31,  # strong pseudoprime to every prime base up to 31
+    318665857834031151167461: 37,  # up to 37
+    3317044064679887385961981: 41,  # up to 41
+}
+
+
+class TestBailliePSW:
+    # strong Lucas pseudoprimes (Selfridge's parameters) below 20000, OEIS
+    # A217255, and the least strong pseudoprimes to base 2; trial division
+    # would find a factor of each first, so the kernel is called directly
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_lucas_kernel_passes_strong_lucas_pseudoprimes(self, n):
+        assert plain_trial_division(n) is not None and not strong_probable_prime(n, 2)
+        assert numtheory._strong_lucas(n)
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033, 3215031751])
+    def test_lucas_kernel_rejects_base_2_strong_pseudoprimes(self, n):
+        assert strong_probable_prime(n, 2)
+        assert not numtheory._strong_lucas(n)
+
+    def test_kernel_agrees_with_trial_division_below_20000(self):
+        # the strong Lucas pseudoprimes above are the only odd composites it passes
+        liars = {5459, 5777, 10877, 16109, 18971}
+        for n in range(3, 20000, 2):
+            if math.isqrt(n) ** 2 != n:
+                prime = all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+                assert numtheory._strong_lucas(n) == (prime or n in liars), n
+
+    def test_strong_pseudoprime_to_bases_2_to_7_meets_trial_division_first(self):
+        n = 3215031751  # 151 * 751 * 28351
+        assert all(strong_probable_prime(n, a) for a in (2, 3, 5, 7))
+        assert numtheory.is_prime(n, rng=NoDraws()) == PrimalityVerdict(COMPOSITE, 151, 0)
+        assert numtheory.baillie_psw(n, rng=NoDraws()) == PrimalityVerdict(COMPOSITE, 151, 0)
+
+    @pytest.mark.parametrize("n", sorted(LUCAS_REJECTED))
+    def test_strong_pseudoprimes_to_many_bases_rejected_by_lucas(self, n):
+        assert plain_trial_division(n) is None
+        top = LUCAS_REJECTED[n]
+        assert all(strong_probable_prime(n, a) for a in PRIMES_BELOW_1000 if a <= top)
+        # and to no larger prime base, which shows the entry is not a prime
+        assert not strong_probable_prime(n, next(a for a in PRIMES_BELOW_1000 if a > top))
+        verdict = numtheory.baillie_psw(n, rng=NoDraws())
+        assert verdict == PrimalityVerdict(COMPOSITE, None, 1)
+
+    def test_a_lucas_rejection_reads_unlike_every_other(self):
+        # trial division, gcd and perfect squares give a divisor with rounds 0,
+        # base 2 gives (2, 1), a random round its base and round number
+        lucas = numtheory.baillie_psw(3317044064679887385961981, rng=NoDraws())
+        rng = CountingRandom(1)
+        by_round = numtheory.is_prime(3825123056546413051, rng=rng)
+        others = [
+            numtheory.baillie_psw(3 * (2**89 - 1), rng=NoDraws()),
+            numtheory.is_prime(2053 * (2**521 - 1), rng=random.Random(1)),
+            numtheory.baillie_psw((2**89 - 1) * (2**61 - 1), rng=NoDraws()),
+            numtheory.baillie_psw(3511**2, rng=NoDraws()),
+            by_round,
+        ]
+        assert [(v.witness, v.rounds) for v in others[:4]] == [(3, 0), (2053, 0), (2, 1), (3511, 0)]
+        assert by_round.witness > 2 and by_round.rounds == rng.draws >= 1
+        assert lucas == PrimalityVerdict(COMPOSITE, None, 1)
+        assert all(v.kind == COMPOSITE and v.witness is not None for v in others)
+
+    # (2**31 - 1)**2 and (2**89 - 1)**2 fail base 2; 3511 is a Wieferich
+    # prime, above 2**11, so its square passes base 2 and only the square
+    # check stops it.  For a square, no D has (D/n) = -1.
+    @pytest.mark.parametrize("root", [
+        2**31 - 1, 2**89 - 1, 3511, numtheory.random_prime(512, random.Random("square-512")),
+    ], ids=["2**31-1", "2**89-1", "3511", "512-bit"])
+    def test_perfect_squares_never_reach_the_d_search(self, monkeypatch, root):
+        def no_search(*args):
+            raise AssertionError("searched for D")
+
+        monkeypatch.setattr(numtheory, "jacobi", no_search)
+        monkeypatch.setattr(numtheory, "_strong_lucas", no_search)
+        verdict = numtheory.baillie_psw(root * root, rng=NoDraws())
+        assert verdict.kind == COMPOSITE and verdict.rounds in (0, 1)
+        assert verdict.witness == (3511 if root == 3511 else 2)
+
+    def test_prime_takes_three_random_rounds_after_the_fixed_tests(self):
+        rng = CountingRandom(1)
+        assert numtheory.baillie_psw(2**521 - 1, rng=rng) == PrimalityVerdict(PROBABLY_PRIME, None, 3)
+        assert rng.draws == 3
+
+    def test_random_rounds_back_up_a_lucas_liar(self, monkeypatch):
+        # were the Lucas test fooled, a random round still rejects n
+        monkeypatch.setattr(numtheory, "_strong_lucas", lambda n: True)
+        n = 3825123056546413051
+        rng = CountingRandom(2)
+        verdict = numtheory.baillie_psw(n, rng=rng)
+        assert verdict.kind == COMPOSITE and 2 <= verdict.witness <= n - 2
+        assert 1 <= verdict.rounds == rng.draws <= 3
+
+    def test_no_gcd_product_for_a_supplied_prime(self):
+        numtheory._gcd_primes_product.cache_clear()
+        assert numtheory.baillie_psw(OAKLEY_1024).is_prime
+        assert numtheory._gcd_primes_product.cache_info().currsize == 0
+
+    # odd numbers, and products of two primes that trial division cannot
+    # split, which reach base 2 and the Lucas test
+    @given(st.one_of(st.integers(0, 2**63 - 1).map(lambda k: 2 * k + 1),
+                     st.tuples(st.sampled_from(PRIMES_FROM_2_11),
+                               st.sampled_from(PRIMES_FROM_2_11)).map(math.prod)),
+           st.integers(0, 2**32))
+    @example(1, 0)
+    @example(2**61 - 1, 0)
+    @example(2**64 - 59, 0)  # the largest prime below 2**64
+    @example(3825123056546413051, 0)
+    @example(3511**2, 0)
+    def test_agrees_with_is_prime_below_2_64(self, n, seed):
+        verdict = numtheory.baillie_psw(n, rng=random.Random(seed))
+        assert verdict.is_prime == numtheory.is_prime(n, rng=random.Random(seed)).is_prime
+        assert verdict.is_prime == bpsw_reference(n)
+
+    @given(st.sampled_from(PRIMES_BELOW_2_16[1:]), st.integers(-(2**70), 2**70))
+    def test_jacobi_is_euler_criterion_for_primes(self, p, a):
+        assert numtheory.jacobi(a, p) == legendre(a, p)
+
+    @given(st.integers(1, 10**6).map(lambda k: 2 * k + 1), st.integers(-(2**70), 2**70))
+    def test_jacobi_is_the_product_of_legendre_symbols(self, n, a):
+        expected = math.prod(legendre(a, p) ** e for p, e in numtheory.factor_trial(n).factors)
+        assert numtheory.jacobi(a, n) == expected
+
+    @pytest.mark.parametrize("n", [0, -3, 2, 10])
+    def test_jacobi_needs_an_odd_positive_n(self, n):
+        with pytest.raises(ValueError, match="odd n >= 1"):
+            numtheory.jacobi(5, n)
+
+    def test_jacobi_of_one(self):
+        assert [numtheory.jacobi(a, 1) for a in (-2, 0, 1, 7)] == [1, 1, 1, 1]
+
+
 class TestFactorTrial:
     def test_hard_looking_product(self):
         f = numtheory.factor_trial(171371)
@@ -476,16 +632,16 @@ class TestRandomPrime:
         assert digest == RANDOM_PRIME_SEEDED_SHA1[bits]
 
 
-def spy_is_prime(monkeypatch):
-    """Replace numtheory.is_prime by a wrapper; returns the list of its verdicts."""
+def spy_is_prime(monkeypatch, name="is_prime"):
+    """Wrap numtheory.is_prime, or the test `name`; returns the list of its verdicts."""
     verdicts = []
-    real = numtheory.is_prime
+    real = getattr(numtheory, name)
 
     def spy(*args, **kwargs):
         verdicts.append(real(*args, **kwargs))
         return verdicts[-1]
 
-    monkeypatch.setattr(numtheory, "is_prime", spy)
+    monkeypatch.setattr(numtheory, name, spy)
     return verdicts
 
 
@@ -534,11 +690,15 @@ class TestRandomPrimeRounds:
         lambda: dh.make_params(2**89 - 1, 3),
         lambda: ecc.make_curve(2, 3, 2**127 - 1),
     ], ids=["keygen_from_primes", "read_private_key", "dh.make_params", "ecc.make_curve"])
-    def test_caller_supplied_numbers_keep_forty_rounds(self, monkeypatch, supply):
-        # the DLP bound covers random candidates only, not chosen ones
-        verdicts = spy_is_prime(monkeypatch)
+    def test_caller_supplied_numbers_get_baillie_psw(self, monkeypatch, supply):
+        # the DLP bound covers random candidates only, not chosen ones: a
+        # supplied number never gets is_prime's rounds, but Baillie-PSW and 3
+        # random rounds
+        rounds = spy_is_prime(monkeypatch)
+        verdicts = spy_is_prime(monkeypatch, "baillie_psw")
         supply()
-        assert verdicts and all(v == PrimalityVerdict(PROBABLY_PRIME, rounds=40) for v in verdicts)
+        assert rounds == []
+        assert verdicts and all(v == PrimalityVerdict(PROBABLY_PRIME, rounds=3) for v in verdicts)
 
 
 class TestPrimeCountEstimates:

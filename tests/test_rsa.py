@@ -485,6 +485,7 @@ class TestTextFormats:
             raise AssertionError("tested a factor for primality")
 
         monkeypatch.setattr(numtheory, "is_prime", no_test)
+        monkeypatch.setattr(numtheory, "baillie_psw", no_test)
         # 4097 bits; the factors are not prime, and need not be
         p, q = (1 << 2048) + 1, (1 << 2048) + 3
         text = f"n={p * q:#x}\nd=5\np={p:#x}\nq={q:#x}\n"
@@ -502,6 +503,7 @@ class TestTextFormats:
             raise AssertionError("tested a factor for primality")
 
         monkeypatch.setattr(numtheory, "is_prime", no_test)
+        monkeypatch.setattr(numtheory, "baillie_psw", no_test)
         p, q = (1 << 2048) + 1, (1 << 2048) + 3  # odd, 2049 bits each
         with pytest.raises(ValueError, match="modulus has 4097 bits, above the limit of 4096"):
             rsa.keygen_from_primes(p, q, 65537)
