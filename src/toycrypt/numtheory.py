@@ -258,8 +258,10 @@ def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
     neither check, unless the first random base was a strong liar for a
     composite that either rejects.
 
-    Numbers a caller supplies to the package go to baillie_psw instead,
-    which puts a strong Lucas test in place of most of these rounds.
+    In the package only random_prime calls it, on candidates it draws
+    itself.  Numbers a caller supplies, and every RSA key's factors on its
+    first private use, go to baillie_psw instead, which puts a strong Lucas
+    test in place of most of these rounds.
     """
     if rounds < 1:
         raise ValueError(f"need at least one Miller-Rabin round, got {rounds}")
@@ -348,7 +350,7 @@ def baillie_psw(n: int, rng=None) -> PrimalityVerdict:
 
     This is the test for numbers that may be built to fool a primality
     test: a group prime (dh.make_params, ecc.make_curve) and the factors of
-    a key a caller hands over (rsa.keygen_from_primes, rsa.read_private_key).
+    an RSA key, tested once per key object (rsa.RsaPrivateKey.crt).
     In order:
     - trial division by the primes below 2**11, as in is_prime, which
       settles every n below 2**22;

@@ -472,6 +472,15 @@ class TestBailliePSW:
         assert numtheory.baillie_psw(OAKLEY_1024).is_prime
         assert numtheory._gcd_primes_product.cache_info().currsize == 0
 
+    def test_no_gcd_product_for_a_key_file_used_once(self):
+        # is_prime's gcd would build the product for these 521- and 607-bit
+        # factors; a key's factors get baillie_psw alone, read or used
+        _, priv = rsa.keygen_from_primes(2**521 - 1, 2**607 - 1, 65537)
+        text = rsa.write_private_key(priv)
+        numtheory._gcd_primes_product.cache_clear()
+        assert rsa.private_op(43, rsa.read_private_key(text)) == pow(43, priv.d, priv.n)
+        assert numtheory._gcd_primes_product.cache_info().currsize == 0
+
     # odd numbers, and products of two primes that trial division cannot
     # split, which reach base 2 and the Lucas test
     @given(st.one_of(st.integers(0, 2**63 - 1).map(lambda k: 2 * k + 1),
@@ -683,22 +692,22 @@ class TestRandomPrimeRounds:
                 fewer = dlp_bound(k, t - 1)
                 assert fewer is None or fewer > target, k
 
-    @pytest.mark.parametrize("supply", [
-        lambda: rsa.keygen_from_primes(2**61 - 1, 2**89 - 1, 65537),
-        lambda: rsa.read_private_key("n=%#x\nd=0x3\np=%#x\nq=%#x\n" % (
-            (2**61 - 1) * (2**89 - 1), 2**61 - 1, 2**89 - 1)),
-        lambda: dh.make_params(2**89 - 1, 3),
-        lambda: ecc.make_curve(2, 3, 2**127 - 1),
+    @pytest.mark.parametrize("supply, tested", [
+        (lambda: rsa.keygen_from_primes(2**61 - 1, 2**89 - 1, 65537), 2),
+        (lambda: rsa.read_private_key("n=%#x\nd=0x3\np=%#x\nq=%#x\n" % (
+            (2**61 - 1) * (2**89 - 1), 2**61 - 1, 2**89 - 1)), 2),
+        (lambda: dh.make_params(2**89 - 1, 3), 1),
+        (lambda: ecc.make_curve(2, 3, 2**127 - 1), 1),
     ], ids=["keygen_from_primes", "read_private_key", "dh.make_params", "ecc.make_curve"])
-    def test_caller_supplied_numbers_get_baillie_psw(self, monkeypatch, supply):
+    def test_caller_supplied_numbers_get_baillie_psw(self, monkeypatch, supply, tested):
         # the DLP bound covers random candidates only, not chosen ones: a
         # supplied number never gets is_prime's rounds, but Baillie-PSW and 3
-        # random rounds
+        # random rounds, once
         rounds = spy_is_prime(monkeypatch)
         verdicts = spy_is_prime(monkeypatch, "baillie_psw")
         supply()
         assert rounds == []
-        assert verdicts and all(v == PrimalityVerdict(PROBABLY_PRIME, rounds=3) for v in verdicts)
+        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=3)] * tested
 
 
 class TestPrimeCountEstimates:

@@ -13,6 +13,8 @@ from test_numtheory import spy_is_prime
 
 SMALL = st.integers(0, 60)
 FACTOR = st.sampled_from(numtheory.sieve_primes(61)) | SMALL
+# 1287836182261 * 2575672364521, a strong pseudoprime to every prime base up to 41
+SPSP_TO_41 = 3317044064679887385961981
 PUBLIC_FIELDS = ("n", "e")
 PRIVATE_FIELDS = ("n", "d", "p", "q")
 
@@ -289,27 +291,47 @@ class TestCrtPrivateOp:
             with pytest.raises(ValueError, match="not prime"):
                 rsa.private_op(3, priv)
 
-    @pytest.mark.parametrize("p", [2047, 341, 561])
-    def test_base_2_pseudoprime_refused_on_first_use(self, p):
+    @pytest.mark.parametrize("p, q, d", [
+        (2047, 5, 2047 * 5 - 2), (341, 5, 341 * 5 - 2), (561, 5, 561 * 5 - 2),
+        (SPSP_TO_41, 2**89 - 1, SPSP_TO_41 + 4),
+    ], ids=["2047", "341", "561", str(SPSP_TO_41)])
+    def test_base_2_pseudoprime_refused_on_first_use(self, p, q, d):
         # each passes a base-2 Fermat test, and 2047 = 23 * 89 is the least
         # strong pseudoprime to base 2; with a Fermat check in its place,
-        # private_op with p = 2047 was wrong on 7590 of the 10235 blocks
-        priv = rsa.RsaPrivateKey(p * 5, p * 5 - 2, p, 5)
-        for _ in range(2):
+        # private_op with p = 2047 was wrong on 7590 of the 10235 blocks.
+        # SPSP_TO_41 has no factor below 2**11, and about 19% of random
+        # bases are strong liars for it: one random round let 12 of 60 such
+        # keys through, and each gave a wrong private_op(43, key)
+        if p == SPSP_TO_41:
+            assert all(p % k for k in range(2, 1 << 11))
+            assert pow(43, p + 4, p) != pow(43, 5, p)  # 5 is what dP would be
+        priv = rsa.RsaPrivateKey(p * q, d, p, q)
+        for _ in range(60):  # a refused key caches nothing, so each call tests again
             with pytest.raises(ValueError, match=f"p = {p} is not prime"):
-                rsa.private_op(3, priv)
+                rsa.private_op(43, priv)
         assert "crt" not in vars(priv)
 
     @pytest.mark.parametrize("make_key", [
         lambda: rsa.RsaPrivateKey((2**61 - 1) * (2**89 - 1), 3, 2**61 - 1, 2**89 - 1),
         lambda: rsa.keygen_random(256, rng=random.Random(8021))[1],
     ], ids=["by_hand", "keygen_random"])
-    def test_first_use_gives_each_factor_one_round(self, monkeypatch, make_key):
+    def test_first_use_tests_each_factor_once(self, monkeypatch, make_key):
         priv = make_key()
-        verdicts = spy_is_prime(monkeypatch)
+        rounds = spy_is_prime(monkeypatch)
+        verdicts = spy_is_prime(monkeypatch, "baillie_psw")
+        rsa.private_op(2, priv)
+        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, None, 3)] * 2
+        rsa.private_op(3, priv)
+        assert len(verdicts) == 2 and rounds == []
+
+    def test_read_key_tests_each_factor_once(self, monkeypatch):
+        p, q = 2**61 - 1, 2**89 - 1
+        rounds = spy_is_prime(monkeypatch)
+        verdicts = spy_is_prime(monkeypatch, "baillie_psw")
+        priv = rsa.read_private_key(f"n={p * q:#x}\nd=0x3\np={p:#x}\nq={q:#x}\n")
         rsa.private_op(2, priv)
         rsa.private_op(3, priv)
-        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=1)] * 2
+        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, None, 3)] * 2 and rounds == []
 
     def test_parameters_are_not_fields(self, small_keys):
         # a fresh copy of the fixture key, which other tests may already have used
