@@ -9,21 +9,22 @@ error, 2 usage error, 3 failed signature verification.
 
 # Each command runs in a fresh process, so start-up is paid per command: a
 # process builds the parser of its own command only (the full parser just
-# for top-level help and usage errors that name no command), and imports
-# beyond bigmod and rsa the library modules that command uses.
+# for top-level help and usage errors that name no command), and loads only
+# the library modules that command uses.  Every module is reached as
+# toycrypt.<module>, which the package imports on first access; bigmod
+# loads with the CLI, since the number arguments parse with it.
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import math
 import random
 import sys
 import warnings
 from pathlib import Path
 
-from . import bigmod, rsa
+import toycrypt
 
 # Most steps a brute-force scan takes, and the largest trial divisor of
 # factor and totient, when --cap is not given.  A step costs about 0.25 us in
@@ -43,11 +44,11 @@ def demo_rsa_paper() -> str:
     Letters are coded by alphabet position (A=1 ... Z=26) for this demo
     only; real message framing uses the byte-block format.
     """
-    pub, priv = rsa.keygen_from_primes(19, 17, 17)
+    pub, priv = toycrypt.rsa.keygen_from_primes(19, 17, 17)
     letter = "C"
     coded = ord(letter) - ord("A") + 1
-    cipher = rsa.encrypt_block(coded, pub)
-    decoded = rsa.decrypt_block(cipher, priv)
+    cipher = toycrypt.rsa.encrypt_block(coded, pub)
+    decoded = toycrypt.rsa.decrypt_block(cipher, priv)
     lines = [
         f"p={priv.p}",
         f"q={priv.q}",
@@ -90,8 +91,8 @@ def _parse_integer(text: str) -> int:
     s = text.strip()
     try:
         if s.startswith("-") and not s[1:2].isspace():
-            return -bigmod.parse_natural(s[1:])
-        return bigmod.parse_natural(s)
+            return -toycrypt.bigmod.parse_natural(s[1:])
+        return toycrypt.bigmod.parse_natural(s)
     except ValueError:
         raise ValueError(f"not an integer: {text!r}") from None
 
@@ -108,7 +109,7 @@ def _number_argument(parse):
     return read
 
 
-_natural = _number_argument(bigmod.parse_natural)
+_natural = _number_argument(toycrypt.bigmod.parse_natural)
 _integer = _number_argument(_parse_integer)
 
 
@@ -123,8 +124,8 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
     """Add the arguments of subcommand `name` to its parser p."""
     if name == "keygen":
         p.add_argument("--bits", type=_natural, required=True,
-                       help=f"modulus size, 16 to {rsa.MAX_MODULUS_BITS} bits")
-        p.add_argument("--exponent", type=_natural, default=rsa.DEFAULT_PUBLIC_EXPONENT)
+                       help=f"modulus size, 16 to {toycrypt.rsa.MAX_MODULUS_BITS} bits")
+        p.add_argument("--exponent", type=_natural, default=toycrypt.rsa.DEFAULT_PUBLIC_EXPONENT)
         p.add_argument("--out", required=True, help="prefix for .pub and .key files")
         p.add_argument("--seed", type=_natural)
     elif name in _KEYED:
@@ -216,52 +217,51 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _cmd_keygen(args, stdin, stdout, rng) -> int:
-    pub, priv = rsa.keygen_random(args.bits, args.exponent, rng)
-    Path(args.out + ".pub").write_text(rsa.write_public_key(pub))
-    Path(args.out + ".key").write_text(rsa.write_private_key(priv))
+    pub, priv = toycrypt.rsa.keygen_random(args.bits, args.exponent, rng)
+    Path(args.out + ".pub").write_text(toycrypt.rsa.write_public_key(pub))
+    Path(args.out + ".key").write_text(toycrypt.rsa.write_private_key(priv))
     return 0
 
 
-# The key-file commands: name -> (help, reads the private key?, module,
-# op(module, input bytes, key, rng) -> output bytes).  The module is rsa or
-# envelope, imported when the command runs, and each op looks its library
-# functions up on it when called, so patching those modules reaches these
-# calls too.
+# The key-file commands: name -> (help, reads the private key?,
+# op(input bytes, key, rng) -> output bytes).  Each op looks its rsa or
+# envelope functions up through the package when called, so the module loads
+# only when the command runs, and patching it reaches these calls too.
 _KEYED = {
-    "encrypt": ("RSA-encrypt bytes with a public key", False, "rsa",
-                lambda m, data, key, rng:
-                m.write_block_stream(m.encrypt_message(data, key)).encode()),
-    "decrypt": ("RSA-decrypt a block stream with a private key", True, "rsa",
-                lambda m, data, key, rng:
-                m.decrypt_message(m.read_block_stream(data.decode()), key)),
-    "seal": ("hybrid-encrypt for a recipient public key", False, "envelope",
-             lambda m, data, key, rng: m.write_envelope(m.seal(data, key, rng)).encode()),
-    "open": ("open a hybrid envelope with a private key", True, "envelope",
-             lambda m, data, key, rng: m.open_envelope(m.read_envelope(data.decode()), key)),
-    "sign": ("sign bytes with a private key", True, "envelope",
-             lambda m, data, key, rng: m.write_signed(m.sign(data, key))),
+    "encrypt": ("RSA-encrypt bytes with a public key", False,
+                lambda data, key, rng: toycrypt.rsa.write_block_stream(
+                    toycrypt.rsa.encrypt_message(data, key)).encode()),
+    "decrypt": ("RSA-decrypt a block stream with a private key", True,
+                lambda data, key, rng: toycrypt.rsa.decrypt_message(
+                    toycrypt.rsa.read_block_stream(data.decode()), key)),
+    "seal": ("hybrid-encrypt for a recipient public key", False,
+             lambda data, key, rng: toycrypt.envelope.write_envelope(
+                 toycrypt.envelope.seal(data, key, rng)).encode()),
+    "open": ("open a hybrid envelope with a private key", True,
+             lambda data, key, rng: toycrypt.envelope.open_envelope(
+                 toycrypt.envelope.read_envelope(data.decode()), key)),
+    "sign": ("sign bytes with a private key", True,
+             lambda data, key, rng: toycrypt.envelope.write_signed(
+                 toycrypt.envelope.sign(data, key))),
 }
 
 
 def _read_key(path: str, private: bool):
     text = Path(path).read_text()
-    return rsa.read_private_key(text) if private else rsa.read_public_key(text)
+    return toycrypt.rsa.read_private_key(text) if private else toycrypt.rsa.read_public_key(text)
 
 
 def _cmd_keyed(args, stdin, stdout, rng) -> int:
-    _, private, module_name, op = _KEYED[args.command]
-    module = importlib.import_module(f".{module_name}", __package__)
+    _, private, op = _KEYED[args.command]
     key = _read_key(args.key, private)
-    _write_bytes(op(module, _read_bytes(args.infile, stdin), key, rng), args.outfile, stdout)
+    _write_bytes(op(_read_bytes(args.infile, stdin), key, rng), args.outfile, stdout)
     return 0
 
 
 def _cmd_verify(args, stdin, stdout, rng) -> int:
-    from . import envelope
-
     pub = _read_key(args.key, private=False)
-    msg = envelope.read_signed(_read_bytes(args.infile, stdin))
-    if envelope.verify(msg, pub):
+    msg = toycrypt.envelope.read_signed(_read_bytes(args.infile, stdin))
+    if toycrypt.envelope.verify(msg, pub):
         stdout.write("VALID\n")
         return 0
     stdout.write("INVALID\n")
@@ -269,15 +269,13 @@ def _cmd_verify(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
-    from . import dh  # modules beyond bigmod and rsa load only for the commands that use them
-
-    params = dh.make_params(args.p, args.g)
-    alice = dh.gen_keypair(params, rng)
-    bob = dh.gen_keypair(params, rng)
-    alice_shared = dh.shared_secret(params, alice.secret, bob.public)
-    bob_shared = dh.shared_secret(params, bob.secret, alice.public)
+    params = toycrypt.dh.make_params(args.p, args.g)
+    alice = toycrypt.dh.gen_keypair(params, rng)
+    bob = toycrypt.dh.gen_keypair(params, rng)
+    alice_shared = toycrypt.dh.shared_secret(params, alice.secret, bob.public)
+    bob_shared = toycrypt.dh.shared_secret(params, bob.secret, alice.public)
     cap = _scan_cap(args.cap, params.p)
-    eve = dh.brute_force_dlog(params, alice.public, cap)
+    eve = toycrypt.dh.brute_force_dlog(params, alice.public, cap)
     lines = [
         f"p={params.p}",
         f"g={params.g}",
@@ -291,55 +289,47 @@ def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
         f"eve-steps={eve.steps}",
     ]
     if eve.found:
-        lines.append(f"eve-shared={dh.shared_secret(params, eve.exponent, bob.public)}")
+        lines.append(f"eve-shared={toycrypt.dh.shared_secret(params, eve.exponent, bob.public)}")
     stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_dlog(args, stdin, stdout, rng) -> int:
-    from . import dh
-
-    params = dh.make_params(args.p, args.g)
+    params = toycrypt.dh.make_params(args.p, args.g)
     cap = _scan_cap(args.cap, params.p)
-    result = dh.brute_force_dlog(params, args.target, cap)
+    result = toycrypt.dh.brute_force_dlog(params, args.target, cap)
     if not result.found:
         raise ValueError(f"no exponent up to {cap} reaches {args.target}")
-    stdout.write(f"k={bigmod.render_natural(result.exponent, args.hex)} steps={result.steps}\n")
+    k = toycrypt.bigmod.render_natural(result.exponent, args.hex)
+    stdout.write(f"k={k} steps={result.steps}\n")
     return 0
 
 
 def _cmd_factor(args, stdin, stdout, rng) -> int:
-    from . import numtheory
-
-    f = numtheory.factor_trial(args.n, args.cap)
-    stdout.write(f"{bigmod.render_natural(args.n, args.hex)} = {f}\n")
+    f = toycrypt.numtheory.factor_trial(args.n, args.cap)
+    stdout.write(f"{toycrypt.bigmod.render_natural(args.n, args.hex)} = {f}\n")
     return 0
 
 
 def _cmd_primes(args, stdin, stdout, rng) -> int:
-    from . import numtheory
-
     if args.limit > PRIMES_LIMIT:
         raise ValueError(f"limit {args.limit} above the maximum of {PRIMES_LIMIT}")
-    for p in numtheory.sieve_primes(args.limit):
-        stdout.write(bigmod.render_natural(p, args.hex) + "\n")
+    for p in toycrypt.numtheory.sieve_primes(args.limit):
+        stdout.write(toycrypt.bigmod.render_natural(p, args.hex) + "\n")
     return 0
 
 
 def _cmd_totient(args, stdin, stdout, rng) -> int:
-    from . import numtheory
-
-    stdout.write(bigmod.render_natural(numtheory.totient(args.n, args.cap), args.hex) + "\n")
+    phi = toycrypt.numtheory.totient(args.n, args.cap)
+    stdout.write(toycrypt.bigmod.render_natural(phi, args.hex) + "\n")
     return 0
 
 
 def _cmd_prime_count(args, stdin, stdout, rng) -> int:
-    from . import numtheory
-
     if len(args.bounds) == 1:
-        estimate = numtheory.pnt_estimate(args.bounds[0])
+        estimate = toycrypt.numtheory.pnt_estimate(args.bounds[0])
     elif len(args.bounds) == 2:
-        estimate = numtheory.pnt_between(args.bounds[0], args.bounds[1])
+        estimate = toycrypt.numtheory.pnt_between(args.bounds[0], args.bounds[1])
     else:
         raise ValueError("prime-count takes one or two bounds")
     stdout.write(f"{estimate:.6g}\n")
@@ -347,10 +337,8 @@ def _cmd_prime_count(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_hash(args, stdin, stdout, rng) -> int:
-    from . import sha1
-
-    digest = sha1.sha1(_read_bytes(args.infile, stdin))
-    stdout.write(sha1.hex_upper(digest) + "\n")
+    digest = toycrypt.sha1.sha1(_read_bytes(args.infile, stdin))
+    stdout.write(toycrypt.sha1.hex_upper(digest) + "\n")
     return 0
 
 
@@ -361,58 +349,51 @@ def _read_cli_text(args, stdin) -> str:
 
 
 def _cmd_caesar(args, stdin, stdout, rng) -> int:
-    from . import classical
-
     text = _read_cli_text(args, stdin)
-    op = classical.caesar_decrypt if args.decrypt else classical.caesar_encrypt
+    op = toycrypt.classical.caesar_decrypt if args.decrypt else toycrypt.classical.caesar_encrypt
     stdout.write(op(text, args.shift) + "\n")
     return 0
 
 
 def _cmd_scytale(args, stdin, stdout, rng) -> int:
-    from . import classical
-
     text = _read_cli_text(args, stdin)
     if args.decrypt:
-        stdout.write(classical.scytale_unframe(text) + "\n")
+        stdout.write(toycrypt.classical.scytale_unframe(text) + "\n")
         return 0
     # the pad grows with the key alone, so a key past the text would cost
     # time and memory in k, whatever the text
     if text and args.key > len(text):
         raise ValueError(f"key {args.key} longer than the text ({len(text)} characters)")
-    stdout.write(classical.scytale_frame(text, args.key) + "\n")
+    stdout.write(toycrypt.classical.scytale_frame(text, args.key) + "\n")
     return 0
 
 
 def _cmd_otp(args, stdin, stdout, rng) -> int:
-    from . import classical
-
     key = Path(args.key_file).read_bytes()
     data = _read_bytes(args.infile, stdin)
-    _write_bytes(classical.otp_apply(data, key), args.outfile, stdout)
+    _write_bytes(toycrypt.classical.otp_apply(data, key), args.outfile, stdout)
     return 0
 
 
 def _cmd_ecc(args, stdin, stdout, rng) -> int:
-    from . import ecc
-
     try:
         a, b, p = args.curve.split(",")
-        a, b, p = _parse_integer(a), _parse_integer(b), bigmod.parse_natural(p)
+        a, b, p = _parse_integer(a), _parse_integer(b), toycrypt.bigmod.parse_natural(p)
     except ValueError:
         raise ValueError(f"--curve expects 'a,b,p', got {args.curve!r}") from None
-    curve = ecc.make_curve(a, b, p)
+    curve = toycrypt.ecc.make_curve(a, b, p)
     if args.ecc_op == "add":
-        result = ecc.point_add(curve, ecc.parse_point(args.point1), ecc.parse_point(args.point2))
-        stdout.write(ecc.render_point(result) + "\n")
+        p1, p2 = toycrypt.ecc.parse_point(args.point1), toycrypt.ecc.parse_point(args.point2)
+        result = toycrypt.ecc.point_add(curve, p1, p2)
+        stdout.write(toycrypt.ecc.render_point(result) + "\n")
     elif args.ecc_op == "mul":
-        result = ecc.scalar_mul(curve, args.k, ecc.parse_point(args.point))
-        stdout.write(ecc.render_point(result) + "\n")
+        result = toycrypt.ecc.scalar_mul(curve, args.k, toycrypt.ecc.parse_point(args.point))
+        stdout.write(toycrypt.ecc.render_point(result) + "\n")
     else:
-        base = ecc.parse_point(args.base)
-        target = ecc.parse_point(args.target)
+        base = toycrypt.ecc.parse_point(args.base)
+        target = toycrypt.ecc.parse_point(args.target)
         cap = _scan_cap(args.cap, curve.p + 1 + math.isqrt(4 * curve.p))
-        result = ecc.brute_force_ecdlog(curve, base, target, cap)
+        result = toycrypt.ecc.brute_force_ecdlog(curve, base, target, cap)
         if not result.found:
             raise ValueError(f"no scalar up to {cap} reaches {args.target}")
         stdout.write(f"k={result.scalar} steps={result.steps}\n")
@@ -420,9 +401,8 @@ def _cmd_ecc(args, stdin, stdout, rng) -> int:
 
 
 def _cmd_keycount(args, stdin, stdout, rng) -> int:
-    from . import numtheory
-
-    stdout.write(bigmod.render_natural(numtheory.key_count(args.n), args.hex) + "\n")
+    count = toycrypt.numtheory.key_count(args.n)
+    stdout.write(toycrypt.bigmod.render_natural(count, args.hex) + "\n")
     return 0
 
 

@@ -13,6 +13,8 @@ import math
 import random
 import re
 
+import toycrypt
+
 from . import bigmod
 from ._record import record
 
@@ -79,12 +81,10 @@ class RsaPrivateKey:
         it once more on first use: about 13 ms at 1024 bits (2 vCPUs,
         Python 3.11).
         """
-        from . import numtheory
-
         d, p, q = self.d, self.p, self.q
         bigmod.check_modulus_bits(p * q)
         for name, value in (("p", p), ("q", q)):
-            if not numtheory.baillie_psw(value).is_prime:
+            if not toycrypt.numtheory.baillie_psw(value).is_prime:
                 raise ValueError(f"{name} = {value} is not prime")
         return (d - 1) % (p - 1) + 1, (d - 1) % (q - 1) + 1, bigmod.mod_inv(q, p).value
 
@@ -149,14 +149,12 @@ def keygen_random(
         )
     if e < 3 or e % 2 == 0 or e >= 1 << (modulus_bits - 1):
         raise ValueError(f"exponent {e} must be odd and in [3, 2**{modulus_bits - 1})")
-    from . import numtheory
-
     rng = rng or random.SystemRandom()
     p_bits = modulus_bits // 2
     q_bits = modulus_bits - p_bits
     for _ in range(MAX_PRIME_PAIRS):
-        p = numtheory.random_prime(p_bits, rng)
-        q = numtheory.random_prime(q_bits, rng)
+        p = toycrypt.numtheory.random_prime(p_bits, rng)
+        q = toycrypt.numtheory.random_prime(q_bits, rng)
         try:
             return _key_pair(p, q, e)
         except ValueError:

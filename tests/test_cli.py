@@ -625,6 +625,28 @@ class TestRsaPipelines:
         assert code == 0
         assert plain.read_bytes() == b"five hundred forty one"
 
+    def test_patched_library_functions_reach_the_key_file_commands(self, tmp_path, monkeypatch):
+        # the key-file ops look their functions up when they run, so a patch
+        # made after the CLI was imported still sees each call
+        prefix = tmp_path / "k"
+        assert invoke(["keygen", "--bits", "256", "--out", str(prefix), "--seed", "1"])[0] == 0
+        calls = []
+
+        def spy(original):
+            def call(data, key, *rest):
+                calls.append((original.__name__, data))
+                return original(data, key, *rest)
+
+            return call
+
+        monkeypatch.setattr(envelope, "seal", spy(envelope.seal))
+        monkeypatch.setattr(rsa, "encrypt_message", spy(rsa.encrypt_message))
+        for command, name in (("seal", "seal"), ("encrypt", "encrypt_message")):
+            calls.clear()
+            code, _, err = invoke([command, "--key", f"{prefix}.pub"], stdin=b"spied")
+            assert (code, err) == (0, "")
+            assert calls[0] == (name, b"spied")
+
     def test_keygen_above_the_maximum_refused_before_search(self, tmp_path, monkeypatch):
         def no_search(*args):
             raise AssertionError("searched for primes")

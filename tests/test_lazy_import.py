@@ -1,10 +1,10 @@
 """Fresh processes load only the modules they use.
 
 The in-process suite imports every module, so each check here starts a new
-interpreter: importing the CLI loads neither dataclasses nor dh and ecc, a
-bare `import toycrypt` loads no submodule until one is used, each command
-of the keygen -> seal -> open chain loads only the modules it uses, and the
-CLI commands that import modules on demand still print their goldens.
+interpreter: importing the CLI loads neither dataclasses nor dh, ecc and
+rsa, a bare `import toycrypt` loads no submodule until one is used, each
+command loads only the modules it uses, and the CLI commands that load
+modules on demand still print their goldens.
 """
 
 import json
@@ -26,7 +26,7 @@ def fresh(argv, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                            timeout=120, env=env, cwd=cwd)
+                            stdin=subprocess.DEVNULL, timeout=120, env=env, cwd=cwd)
     assert result.stderr == "", result.stderr
     return result
 
@@ -47,7 +47,8 @@ def command_loads(argv, cwd):
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('toycrypt.'))))"
     )], cwd)
     assert result.returncode == 0
-    return {name.removeprefix("toycrypt.") for name in json.loads(result.stdout)}
+    loaded = json.loads(result.stdout.splitlines()[-1])  # after the command's own output
+    return {name.removeprefix("toycrypt.") for name in loaded}
 
 
 def fresh_json(code):
@@ -64,7 +65,7 @@ def test_cli_import_loads_neither_dataclasses_nor_dh_nor_ecc():
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     assert "toycrypt.cli" in loaded
-    assert not {"dataclasses", "toycrypt.dh", "toycrypt.ecc"} & set(loaded)
+    assert not {"dataclasses", "toycrypt.dh", "toycrypt.ecc", "toycrypt.rsa"} & set(loaded)
 
 
 def test_bare_import_loads_submodules_on_first_access():
@@ -111,6 +112,20 @@ def test_keygen_seal_open_load_only_what_they_use(tmp_path):
 
     command_loads(["open", "--key", "k.key", "--in", "env", "--out", "out"], tmp_path)
     assert (tmp_path / "out").read_bytes() == b"one process per command"
+
+
+# one row per module family; every command loads cli, and bigmod and
+# _record with it
+@pytest.mark.parametrize("argv, modules", [
+    (["hash"], {"sha1"}),
+    (["caesar", "--shift", "3", "abc"], {"classical"}),
+    (["factor", "171371"], {"numtheory"}),
+    (["dlog", "23", "5", "8"], {"dh", "numtheory"}),
+    (["ecc", "--curve", "2,3,97", "mul", "7", "3,6"], {"ecc", "numtheory"}),
+    (["rsa-demo"], {"rsa", "numtheory"}),
+], ids=["hash", "caesar", "factor", "dlog", "ecc", "rsa-demo"])
+def test_each_command_loads_exactly_its_modules(argv, modules, tmp_path):
+    assert command_loads(argv, tmp_path) == {"cli", "bigmod", "_record", *modules}
 
 
 def test_dh_demo_golden_in_a_fresh_process():
