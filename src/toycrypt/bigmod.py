@@ -49,7 +49,7 @@ def _check_natural(n: int, what: str = "value") -> None:
 
 
 # The largest modulus an RSA key may have.  Checking a caller's modulus
-# (numtheory.baillie_psw on each factor: about 2.9 s for an 8192-bit key, 24 s
+# (numtheory.is_prime on each factor: about 2.9 s for an 8192-bit key, 24 s
 # for a 16384-bit one) and using it cost six times or more per doubling of
 # its size, so above this bound a hand-written number would hold a command
 # for tens of seconds.
@@ -57,7 +57,7 @@ MAX_MODULUS_BITS = 4096
 
 # The largest prime a Diffie-Hellman group or a curve's field may have.
 # Each of dlog, dh-demo and ecc spends much of its time testing a caller's
-# p with numtheory.baillie_psw: in-process it took 0.17 s on 2**2047 + 1919
+# p with numtheory.is_prime: in-process it took 0.17 s on 2**2047 + 1919
 # and 0.67 s on 2**3071 + 2291, an estimated 1.4 s at 4096 bits, and the
 # commands took 0.25 to 0.45 s in a fresh process at 2048 bits (2 CPUs,
 # Python 3.11.7).

@@ -124,8 +124,8 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
     """Add the arguments of subcommand `name` to its parser p."""
     if name == "keygen":
         p.add_argument("--bits", type=_natural, required=True,
-                       help=f"modulus size, 16 to {toycrypt.rsa.MAX_MODULUS_BITS} bits")
-        p.add_argument("--exponent", type=_natural, default=toycrypt.rsa.DEFAULT_PUBLIC_EXPONENT)
+                       help=f"modulus size, 16 to {toycrypt.bigmod.MAX_MODULUS_BITS} bits")
+        p.add_argument("--exponent", type=_natural)
         p.add_argument("--out", required=True, help="prefix for .pub and .key files")
         p.add_argument("--seed", type=_natural)
     elif name in _KEYED:
@@ -217,7 +217,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _cmd_keygen(args, stdin, stdout, rng) -> int:
-    pub, priv = toycrypt.rsa.keygen_random(args.bits, args.exponent, rng)
+    e = toycrypt.rsa.DEFAULT_PUBLIC_EXPONENT if args.exponent is None else args.exponent
+    pub, priv = toycrypt.rsa.keygen_random(args.bits, e, rng)
     Path(args.out + ".pub").write_text(toycrypt.rsa.write_public_key(pub))
     Path(args.out + ".key").write_text(toycrypt.rsa.write_private_key(priv))
     return 0

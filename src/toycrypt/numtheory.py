@@ -65,18 +65,13 @@ class PrimalityVerdict:
     """Outcome of a primality check.
 
     kind is one of COMPOSITE, PROBABLY_PRIME, PROVEN_PRIME.  For composites
-    of at least 2, witness holds either a prime factor found by trial
-    division, a proper divisor found by is_prime's gcd with the primes in
-    [2**11, 2**15), taken only for n of at least _GCD_MIN_BITS bits, or
-    the square root of a perfect square that baillie_psw finds (each with
-    rounds 0), or a Miller-Rabin witness base: 2 with rounds 1 when the
-    base-2 test rejects n, otherwise the random base of the round that
-    rejected it.  A rejection by baillie_psw's strong Lucas test has
-    witness None, since that test has no base, and rounds 1 for the test,
-    as a base-2 rejection has.  rounds counts the random-base rounds run,
-    the rejecting one included, and leaves out the base-2 and Lucas tests
-    that ran before them.  Those tests run on top of the random rounds and
-    leave their 4**-rounds bound on a composite passing as it is.
+    of at least 2, witness holds a prime factor found by trial division or
+    the square root of a perfect square (each with rounds 0), 2 with rounds
+    1 when the base-2 test rejects n, None with rounds 1 when the strong
+    Lucas test does (that test has no base), or else the random base of the
+    round that rejected n.  rounds counts the random-base rounds run, the
+    rejecting one included, and leaves out the fixed tests that ran before
+    them, so a probable prime has rounds 3.
     """
 
     kind: str
@@ -117,8 +112,8 @@ _SMALL_PRIMES = tuple(sieve_primes(_SMALL_PRIME_BOUND))
 # saved the most keygen time when the bound was chosen.
 _GCD_PRIME_BOUND = 1 << 15
 
-# Bits from which is_prime takes that gcd; below it the gcd costs more than
-# the base-2 tests it saves, and the product is never built.  Timed as
+# Bits from which random_prime takes that gcd; below it the gcd costs more
+# than the base-2 tests it saves, and the product is never built.  Timed as
 # random_prime(b, random.Random(f"gcd-{b}-{i}")) for i in 0..99, with the
 # product built, with and without the gcd, alternating over 5 repetitions
 # (2 vCPUs, Python 3.11; medians, and repetitions the gcd won):
@@ -213,75 +208,6 @@ def _trial_division(n: int) -> PrimalityVerdict | None:
     return None
 
 
-def _random_rounds(n: int, d: int, s: int, rounds: int, a: int, rng) -> PrimalityVerdict:
-    # `rounds` Miller-Rabin rounds on n, where n - 1 = 2**s * d with d odd:
-    # the first with base a, drawn by the caller, the others with bases drawn here
-    for i in range(rounds):
-        if i:
-            a = rng.randrange(2, n - 1)
-        if _is_witness(n, bigmod.mod_pow(a, d, n).value, s):
-            return PrimalityVerdict(COMPOSITE, a, i + 1)
-    return PrimalityVerdict(PROBABLY_PRIME, None, rounds)
-
-
-# The Miller-Rabin rounds is_prime runs by default, and the most
-# random_prime_rounds gives.
-_MAX_ROUNDS = 40
-
-
-def is_prime(n: int, rounds: int = _MAX_ROUNDS, rng=None) -> PrimalityVerdict:
-    """Primality verdict: trial division by the primes below 2**11, a gcd, then Miller-Rabin.
-
-    Trial division settles every n below 2**22 (PROVEN_PRIME, or COMPOSITE
-    with the smallest prime factor as witness) and rejects most larger
-    composites without drawing from the rng.  It divides n by each prime
-    in _SMALL_PRIMES in order.  A larger n with no factor below 2**11 draws
-    the first Miller-Rabin base.  Then, if n has at least _GCD_MIN_BITS
-    bits, it takes one gcd with the product of the primes in
-    [2**11, 2**15): a proper divisor makes it COMPOSITE with that divisor
-    as witness and rounds 0.  A smaller n skips the gcd, and nothing builds
-    the product.
-
-    Next comes a strong probable-prime test to base 2 (Pomerance, Selfridge
-    and Wagstaff, 1980; the first step of Baillie-PSW).  _pow2 computes
-    2**d mod n by squarings and shifts, with no table and no product by the
-    base, so it costs less than a random-base round.  A composite it
-    rejects is COMPOSITE with witness 2 and rounds 1, and pays for no
-    random-base exponentiation.  Otherwise n gets `rounds` Miller-Rabin
-    rounds with random bases, the first being the one drawn before the
-    gcd; a composite passes them with probability at most 4**-rounds.
-
-    The first base is drawn before the gcd, whether or not the gcd runs, so
-    a composite that the gcd or base 2 rejects takes the one draw its first
-    random round would have taken, and a prime takes `rounds` draws.
-    random_prime therefore gives the same primes from a seeded rng as with
-    neither check, unless the first random base was a strong liar for a
-    composite that either rejects.
-
-    In the package only random_prime calls it, on candidates it draws
-    itself.  Numbers a caller supplies, and every RSA key's factors on its
-    first private use, go to baillie_psw instead, which puts a strong Lucas
-    test in place of most of these rounds.
-    """
-    if rounds < 1:
-        raise ValueError(f"need at least one Miller-Rabin round, got {rounds}")
-    if n < 2:
-        return PrimalityVerdict(COMPOSITE)
-    verdict = _trial_division(n)
-    if verdict is not None:
-        return verdict
-    rng = rng or random.SystemRandom()
-    a = rng.randrange(2, n - 1)
-    if n.bit_length() >= _GCD_MIN_BITS:
-        g = bigmod.gcd(n, _gcd_primes_product() % n)
-        if 1 < g < n:  # g == n: every factor lies in the range; Miller-Rabin finds it
-            return PrimalityVerdict(COMPOSITE, g, 0)
-    d, s = _odd_part(n - 1)
-    if _is_witness(n, _pow2(d, n), s):
-        return PrimalityVerdict(COMPOSITE, 2, 1)
-    return _random_rounds(n, d, s, rounds, a, rng)
-
-
 def jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a/n) for odd n >= 1: 1 or -1, or 0 when a and n share a factor.
 
@@ -341,35 +267,36 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-# The random-base Miller-Rabin rounds baillie_psw runs after its fixed tests.
-_BPSW_ROUNDS = 3
+# The random-base Miller-Rabin rounds is_prime runs after its fixed tests.
+_RANDOM_ROUNDS = 3
 
 
-def baillie_psw(n: int, rng=None) -> PrimalityVerdict:
-    """Primality verdict for a number a caller supplies: Baillie-PSW, then 3 random rounds.
+def is_prime(n: int, rng=None) -> PrimalityVerdict:
+    """Primality verdict: trial division, Baillie-PSW, then 3 random-base rounds.
 
-    This is the test for numbers that may be built to fool a primality
-    test: a group prime (dh.make_params, ecc.make_curve) and the factors of
-    an RSA key, tested once per key object (rsa.RsaPrivateKey.crt).
-    In order:
-    - trial division by the primes below 2**11, as in is_prime, which
-      settles every n below 2**22;
-    - is_prime's strong probable-prime test to base 2 (_pow2);
+    The package's one primality test.  random_prime runs it on the
+    candidates it draws, and it tests every number a caller supplies: a
+    group prime (dh.make_params, ecc.make_curve) and the factors of an RSA
+    key, once per key object (rsa.RsaPrivateKey.crt).  In order:
+    - trial division by the primes below 2**11, in order, which settles
+      every n below 2**22 (PROVEN_PRIME, or COMPOSITE with the smallest
+      prime factor as witness) and rejects about 85% of larger random odd
+      numbers;
+    - a strong probable-prime test to base 2 (Pomerance, Selfridge and
+      Wagstaff, 1980).  _pow2 computes 2**d mod n by squarings and shifts,
+      with no table and no product by the base, so it costs less than a
+      random-base round;
     - a perfect-square check, with math.isqrt;
     - a strong Lucas test with Selfridge's method A: P = 1 and
       Q = (1 - D)/4 for the first D in 5, -7, 9, -11, ... whose Jacobi
       symbol (D/n) is -1.  With base 2 this is the Baillie-PSW test
       (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980;
       Pomerance, Selfridge and Wagstaff, same volume);
-    - _BPSW_ROUNDS = 3 Miller-Rabin rounds with random bases, drawn from
+    - _RANDOM_ROUNDS = 3 Miller-Rabin rounds with random bases, drawn from
       rng only after the Lucas test.
 
     FIPS 186-4 App. C.3 pairs Miller-Rabin rounds with a Lucas test in the
-    same way.  There is no gcd with the primes in [2**11, 2**15): on the
-    prime a caller normally supplies it can only give 1, so its product is
-    never built here.
-
-    Why 3 random rounds, where is_prime takes 40:
+    same way.  Why 3 random rounds:
     - No composite is known to pass Baillie-PSW, and none below 2**64 does
       (checked against Feitsma's list of every base-2 pseudoprime below
       2**64).
@@ -383,13 +310,8 @@ def baillie_psw(n: int, rng=None) -> PrimalityVerdict:
       which Baillie-PSW let through also passes them.  It is a backstop,
       not the reason to trust the verdict.
 
-    Verdicts: as is_prime's for n below 2**22 and for trial division.  A
-    composite that base 2 rejects is COMPOSITE with witness 2 and rounds 1,
-    a perfect square COMPOSITE with its square root as witness and rounds
-    0, one the Lucas test rejects COMPOSITE with witness None and rounds 1,
-    and one a random round rejects COMPOSITE with that base and the round's
-    number.  Otherwise n is PROBABLY_PRIME with rounds 3.  A composite that
-    a fixed test rejects draws nothing from rng.
+    PrimalityVerdict lists the verdicts.  A composite that a fixed test
+    rejects draws nothing from rng, and a prime draws 3 bases.
     """
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
@@ -405,7 +327,11 @@ def baillie_psw(n: int, rng=None) -> PrimalityVerdict:
     if not _strong_lucas(n):
         return PrimalityVerdict(COMPOSITE, None, 1)
     rng = rng or random.SystemRandom()
-    return _random_rounds(n, d, s, _BPSW_ROUNDS, rng.randrange(2, n - 1), rng)
+    for i in range(1, _RANDOM_ROUNDS + 1):
+        a = rng.randrange(2, n - 1)
+        if _is_witness(n, bigmod.mod_pow(a, d, n).value, s):
+            return PrimalityVerdict(COMPOSITE, a, i)
+    return PrimalityVerdict(PROBABLY_PRIME, None, _RANDOM_ROUNDS)
 
 
 def factor_trial(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> Factorization:
@@ -458,64 +384,30 @@ def totient(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> int:
     return totient_from_factorization(factor_trial(n, divisor_cap))
 
 
-# random_prime's target error per prime: 2**-100, with one bit spare because
-# its candidates come from the top quarter of the k-bit range, not the top
-# half, and drawing from half the range can at most double the error.
-_RANDOM_PRIME_LOG2_ERROR = -101
-
-
-def _dlp_log2_error(k: int, t: int) -> float:
-    # log2 of the least of HAC Fact 4.48 (ii)-(iv) that applies to (k, t);
-    # inf when none does (every k < 21, and t = 2 with k < 88)
-    lg = math.log2
-    iv = 15 / 4 * lg(k) - lg(7) - k / 2 - 2 * t
-    bounds = [math.inf]
-    if k >= 21:
-        if (t == 2 and k >= 88) or 3 <= t <= k / 9:
-            bounds.append(1.5 * lg(k) + t - 0.5 * lg(t) + 2 * (2 - math.sqrt(t * k)))
-        if k / 9 <= t <= k / 4:
-            terms = (lg(7 / 20 * k) - 5 * t, iv, lg(12 * k) - k / 4 - 3 * t)
-            top = max(terms)
-            bounds.append(top + lg(sum(2.0 ** (x - top) for x in terms)))
-        if t >= k / 4:
-            bounds.append(iv)
-    return min(bounds)
-
-
-@functools.lru_cache(maxsize=256)  # the loop costs more than a small prime does
-def random_prime_rounds(bits: int) -> int:
-    """Miller-Rabin rounds random_prime runs on each `bits`-bit candidate.
-
-    The smallest t for which the Damgard-Landrock-Pomerance bounds (Damgard,
-    Landrock and Pomerance, "Average case error estimates for the strong
-    probable prime test", Math. Comp. 61, 1993; HAC Fact 4.48 (ii)-(iv) and
-    Table 4.4) put the chance that a random odd k-bit number passing t rounds
-    is composite at or below 2**-101, capped at 40: 40 rounds for 64 bits,
-    31 for 128, 18 for 256, 8 for 512 and 4 for 1024.  The bound holds only
-    for numbers drawn at random; a number a caller supplies may be built to
-    fool Miller-Rabin, so it goes to baillie_psw instead.
-    """
-    for t in range(2, _MAX_ROUNDS):
-        if _dlp_log2_error(bits, t) <= _RANDOM_PRIME_LOG2_ERROR:
-            return t
-    return _MAX_ROUNDS
-
-
 def random_prime(bits: int, rng=None) -> int:
-    """A probable prime with exactly `bits` bits, the top two of them set.
+    """A probable prime with exactly `bits` bits, the top two of them set, by is_prime.
 
     Candidates are odd, with the top two bits forced as in FIPS 186-5
     App. A.1.3, so the product of two such primes has exactly the sum of
-    their bit lengths.  Each gets random_prime_rounds(bits) Miller-Rabin
-    rounds, which the DLP bound sizes for a 2**-100 chance of a composite.
+    their bit lengths.  Below _GCD_MIN_BITS bits every candidate goes to
+    is_prime.  From that size up, a candidate is first screened here, by
+    trial division and then one gcd with the product of the primes in
+    [2**11, 2**15), and goes to is_prime only when neither finds a factor:
+    the gcd spares about a quarter of the candidates that trial division
+    leaves open a base-2 test.  is_prime divides each candidate it gets
+    again, which at 512 bits costs 47 us against 0.7 ms for that test.  A
+    composite draws nothing from rng, so a seeded rng's candidates follow
+    one another in its stream, and the prime draws 3 bases after them.
     """
     if bits < 4:
         raise ValueError(f"need at least 4 bits, got {bits}")
     rng = rng or random.SystemRandom()
-    rounds = random_prime_rounds(bits)
     while True:
         candidate = (3 << (bits - 2)) | rng.getrandbits(bits - 2) | 1
-        if is_prime(candidate, rounds=rounds, rng=rng).is_prime:
+        if (bits >= _GCD_MIN_BITS and (_trial_division(candidate) is not None
+                or bigmod.gcd(candidate, _gcd_primes_product() % candidate) > 1)):
+            continue
+        if is_prime(candidate, rng).is_prime:
             return candidate
 
 

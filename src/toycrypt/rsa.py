@@ -46,7 +46,7 @@ class RsaPrivateKey:
     """n = p*q for distinct primes p, q, and 0 < d < n; phi follows from p and q.
 
     Construction checks everything but primality.  crt tests each factor
-    with numtheory.baillie_psw once per key object, on first private use;
+    with numtheory.is_prime once per key object, on first private use;
     read_private_key and keygen_from_primes force it before they return.
     """
 
@@ -73,18 +73,21 @@ class RsaPrivateKey:
         to d mod p-1, and never 0, so a block divisible by p still maps to 0.
 
         The CRT is exact only for prime p and q.  So this first refuses a
-        p*q above MAX_MODULUS_BITS, then runs numtheory.baillie_psw on each
+        p*q above MAX_MODULUS_BITS, then runs numtheory.is_prime on each
         factor, and raises ValueError and caches nothing when one fails.
         This is the only primality test of a key's factors: a key built by
-        hand, read from text or made by keygen_from_primes takes it once, and
-        a keygen_random key, whose primes random_prime already tested, takes
-        it once more on first use: about 13 ms at 1024 bits (2 vCPUs,
-        Python 3.11).
+        hand, read from text or made by keygen_from_primes takes it once.  A
+        keygen_random key takes it on first use too, although random_prime
+        ran the same is_prime on its primes: about 12 to 15 ms at 1024 bits
+        (medians over 15 keys: 14.0 to 16.9 ms for the first private op, 1.6
+        to 2.0 ms for the next; 2 vCPUs, Python 3.11.7).  Skipping it would
+        need a second way to derive the CRT values for the keys that
+        keygen_random vouches for: the flag that this one test replaced.
         """
         d, p, q = self.d, self.p, self.q
         bigmod.check_modulus_bits(p * q)
         for name, value in (("p", p), ("q", q)):
-            if not toycrypt.numtheory.baillie_psw(value).is_prime:
+            if not toycrypt.numtheory.is_prime(value).is_prime:
                 raise ValueError(f"{name} = {value} is not prime")
         return (d - 1) % (p - 1) + 1, (d - 1) % (q - 1) + 1, bigmod.mod_inv(q, p).value
 
@@ -316,7 +319,7 @@ def read_private_key(text: str) -> RsaPrivateKey:
     """The key in text, its factors tested by its crt before it is returned.
 
     crt refuses a modulus above MAX_MODULUS_BITS before any primality test.
-    Its numtheory.baillie_psw costs about 7 Miller-Rabin rounds per factor:
+    Its numtheory.is_prime costs about 7 Miller-Rabin rounds per factor:
     about 1.4 s on a 4096-bit factor, and with one round at 1.7 s on an
     8192-bit factor, about 24 s to test a hand-written 16384-bit key
     without the bound.

@@ -527,7 +527,7 @@ class TestDemos:
 
 
 # the least prime above 2**2047, so of the most bits a group prime may have:
-# numtheory.baillie_psw takes about 0.17 s on it, of a command's 0.25-0.45 s
+# numtheory.is_prime takes about 0.17 s on it, of a command's 0.25-0.45 s
 P2048 = 2**2047 + 1919
 OVER = "has 4423 bits, above the limit of 2048"
 
@@ -551,7 +551,6 @@ def test_group_above_the_maximum_refused_before_any_primality_test(monkeypatch, 
         raise AssertionError("tested p for primality")
 
     monkeypatch.setattr(numtheory, "is_prime", no_test)
-    monkeypatch.setattr(numtheory, "baillie_psw", no_test)
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
     assert err == f"toycrypt {argv[0]}: {message}\n"
@@ -573,7 +572,6 @@ def test_group_at_the_maximum_runs_and_one_bit_more_is_refused(monkeypatch, argv
         raise AssertionError("tested p for primality")
 
     monkeypatch.setattr(numtheory, "is_prime", no_test)
-    monkeypatch.setattr(numtheory, "baillie_psw", no_test)
     code, out, err = invoke(argv(wider))
     assert (code, out) == (1, "")
     assert err == f"toycrypt {argv(wider)[0]}: {message} has 2049 bits, above the limit of 2048\n"
@@ -596,8 +594,8 @@ def test_strong_pseudoprime_refused_as_group_prime(argv, message):
 
 
 def test_supplied_group_prime_builds_no_gcd_product():
-    # numtheory.baillie_psw, which tests a supplied group prime, takes no gcd
-    # with the primes in [2**11, 2**15): on a prime it can only give 1
+    # only random_prime takes the gcd with the primes in [2**11, 2**15):
+    # is_prime, which tests a supplied group prime, takes none
     numtheory._gcd_primes_product.cache_clear()
     p = str(OAKLEY_1024)
     assert invoke(["dh-demo", "--p", p, "--g", "5", "--seed", "7", "--cap", "0"])[0] == 0
@@ -666,7 +664,6 @@ class TestRsaPipelines:
             raise AssertionError("tested a factor for primality")
 
         monkeypatch.setattr(numtheory, "is_prime", no_test)
-        monkeypatch.setattr(numtheory, "baillie_psw", no_test)
         p, q = (1 << 2048) + 1, (1 << 2048) + 3
         key = tmp_path / "big.key"
         key.write_text(rsa.write_private_key(rsa.RsaPrivateKey(p * q, 5, p, q)))
@@ -736,9 +733,9 @@ class TestRsaPipelines:
         assert opened.read_bytes() == message.read_bytes()
 
     def test_gcd_product_built_only_for_keys_that_need_it(self, tmp_path):
-        # is_prime takes the gcd with the primes in [2**11, 2**15) only from
-        # numtheory._GCD_MIN_BITS bits: a 256-bit key's 128-bit primes skip
-        # it in keygen, and open's checks of the key file skip it too
+        # random_prime takes the gcd with the primes in [2**11, 2**15) only
+        # from numtheory._GCD_MIN_BITS bits: a 256-bit key's 128-bit primes
+        # skip it in keygen, and open's checks of the key file never take it
         numtheory._gcd_primes_product.cache_clear()
         built = numtheory._gcd_primes_product.cache_info
         prefix = tmp_path / "small"

@@ -119,7 +119,7 @@ BASE = {(("--hex",), "hex", False, False), (("--dec",), "hex", False, True)}
 OPTION_SURFACE = {
     "": {((), "command", True, None)},
     "keygen": {(("--bits",), "bits", True, None),
-               (("--exponent",), "exponent", False, 65537),
+               (("--exponent",), "exponent", False, None),
                (("--out",), "out", True, None)} | SEED,
     "encrypt": KEY_FILE | OUT_FILE,
     "decrypt": KEY_FILE | OUT_FILE,

@@ -115,15 +115,17 @@ def test_keygen_seal_open_load_only_what_they_use(tmp_path):
 
 
 # one row per module family; every command loads cli, and bigmod and
-# _record with it
+# _record with it.  The top-level help builds every command's parser, and
+# loads nothing more.
 @pytest.mark.parametrize("argv, modules", [
+    (["-h"], set()),
     (["hash"], {"sha1"}),
     (["caesar", "--shift", "3", "abc"], {"classical"}),
     (["factor", "171371"], {"numtheory"}),
     (["dlog", "23", "5", "8"], {"dh", "numtheory"}),
     (["ecc", "--curve", "2,3,97", "mul", "7", "3,6"], {"ecc", "numtheory"}),
     (["rsa-demo"], {"rsa", "numtheory"}),
-], ids=["hash", "caesar", "factor", "dlog", "ecc", "rsa-demo"])
+], ids=["-h", "hash", "caesar", "factor", "dlog", "ecc", "rsa-demo"])
 def test_each_command_loads_exactly_its_modules(argv, modules, tmp_path):
     assert command_loads(argv, tmp_path) == {"cli", "bigmod", "_record", *modules}
 

@@ -1,7 +1,7 @@
 import hashlib
+import inspect
 import math
 import random
-from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +22,7 @@ from vectors import (
     KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1,
     KEYGEN_1024_SEED_KEYGEN_0_P,
     KEYGEN_1024_SEED_KEYGEN_0_Q,
+    KEYGEN_256_SEED_1_KEY,
     PRIMES_BELOW_1000,
     RANDOM_PRIME_SEEDED_SHA1,
 )
@@ -103,14 +104,15 @@ class NoDraws:
 
 
 # primes below 2**16, by trial division: is_prime divides by those below
-# 2**11 and, for n of at least _GCD_MIN_BITS bits, takes one gcd with the
-# product of those in [2**11, 2**15)
+# 2**11, and random_prime's candidates of at least _GCD_MIN_BITS bits take
+# one gcd with the product of those in [2**11, 2**15)
 PRIMES_BELOW_2_16 = [
     n for n in range(2, 1 << 16) if all(n % d for d in range(2, math.isqrt(n) + 1))
 ]
 PRIMES_FROM_2_11 = [p for p in PRIMES_BELOW_2_16 if p >= 1 << 11]
 GCD_RANGE_PRIMES = [p for p in PRIMES_FROM_2_11 if p < 1 << 15]
 PRIMES_BELOW_2_11 = [p for p in PRIMES_BELOW_2_16 if p < 1 << 11]
+SIEVED_BELOW_2_16 = set(numtheory.sieve_primes(1 << 16))
 
 
 def plain_trial_division(n: int) -> int | None:
@@ -140,15 +142,21 @@ class TestIsPrime:
 
     def test_large_prime_is_probable(self):
         rng = CountingRandom(2)
-        verdict = numtheory.is_prime(2**89 - 1, rounds=24, rng=rng)
+        verdict = numtheory.is_prime(2**89 - 1, rng)
         assert verdict.kind == PROBABLY_PRIME
-        assert verdict.rounds == rng.draws == 24
+        assert verdict.rounds == rng.draws == 3
+
+    def test_takes_n_and_rng_only(self):
+        # one test for drawn and supplied numbers alike: no rounds to size
+        assert list(inspect.signature(numtheory.is_prime).parameters) == ["n", "rng"]
+        with pytest.raises(TypeError):
+            numtheory.is_prime(2**89 - 1, rounds=3)
 
     def test_agrees_with_sieve_below_1e5(self):
         members = set(numtheory.sieve_primes(10**5))
         rng = random.Random(707)
         for n in range(2, 10**5):
-            assert numtheory.is_prime(n, rounds=12, rng=rng).is_prime == (n in members), n
+            assert numtheory.is_prime(n, rng).is_prime == (n in members), n
 
     def test_agrees_with_sieve_around_2_22(self):
         # trial division by the primes below 2**11 proves exactly the n below
@@ -159,7 +167,7 @@ class TestIsPrime:
         sample = [*range((1 << 22) - 2000, (1 << 22) + 2000)]
         sample += [rng.randrange(1 << 16, 1 << 23) for _ in range(3000)]
         for n in sample:
-            verdict = numtheory.is_prime(n, rounds=12, rng=rng)
+            verdict = numtheory.is_prime(n, rng)
             assert verdict.is_prime == (n in members), n
             if verdict.is_prime:
                 assert verdict.kind == (PROVEN_PRIME if n < 1 << 22 else PROBABLY_PRIME), n
@@ -169,11 +177,6 @@ class TestIsPrime:
     def test_small_factor_found_without_rng(self, factor):
         verdict = numtheory.is_prime(factor * (2**89 - 1), rng=object())
         assert verdict == numtheory.PrimalityVerdict(COMPOSITE, witness=factor, rounds=0)
-
-    @pytest.mark.parametrize("rounds", [0, -2])
-    def test_rounds_below_one_rejected(self, rounds):
-        with pytest.raises(ValueError):
-            numtheory.is_prime((2**89 - 1) * (2**61 - 1), rounds=rounds)
 
     # f is any prime trial division tries; c has no prime factor below f,
     # so f is the smallest prime factor of n = f * c
@@ -228,41 +231,27 @@ class TestBase2Test:
     def test_kernel_against_builtin_pow(self, n, e):
         assert numtheory._pow2(e, n) == pow(2, e, n)
 
-    # no factor below 2**11, and too few bits for the gcd, which would find
-    # the factor in [2**11, 2**15) of the last two
+    # no factor below 2**11, so trial division leaves each to base 2, at any
+    # size: is_prime takes no gcd, and the product of the 40 largest primes
+    # below 2**15, of about 600 bits, has every factor in [2**11, 2**15)
     @pytest.mark.parametrize("n", [
         2053 * 2063, 32719 * 32749, 32771 * (2**61 - 1), (2**89 - 1) * (2**61 - 1),
-        2053 * (2**89 - 1), 32749 * (2**61 - 1),
+        2053 * (2**89 - 1), 32749 * (2**61 - 1), 32771 * (2**521 - 1),
+        2053 * (2**521 - 1), math.prod(GCD_RANGE_PRIMES[-40:]),
     ])
-    def test_composite_rejected_by_base_2_after_one_draw(self, n):
-        assert n.bit_length() < numtheory._GCD_MIN_BITS
+    def test_composite_rejected_by_base_2_without_a_draw(self, n):
         assert not strong_probable_prime(n, 2)
-        rng = CountingRandom(4)
-        assert numtheory.is_prime(n, rng=rng) == PrimalityVerdict(COMPOSITE, 2, 1)
-        assert rng.draws == 1
-
-    def test_base_2_pseudoprime_rejected_by_random_round(self):
-        # 32779 * 131113: a strong pseudoprime to base 2 with no prime factor
-        # below 2**15, so neither trial division nor the gcd finds a factor
-        n = 4297753027
-        assert n == 32779 * 131113 and strong_probable_prime(n, 2)
-        rng = CountingRandom(5)
-        verdict = numtheory.is_prime(n, rng=rng)
-        assert verdict.kind == COMPOSITE
-        assert 2 <= verdict.witness <= n - 2
-        assert verdict.rounds == rng.draws >= 1
+        assert numtheory.is_prime(n, rng=NoDraws()) == PrimalityVerdict(COMPOSITE, 2, 1)
 
 
 def reference_verdict(n: int) -> tuple[str, int | None]:
     """Kind and divisor witness is_prime should give for 2**22 <= n < 2**81.
 
-    The witness is None where Miller-Rabin decides.  Built from trial
-    division by the primes below 2**11 (every such n lies below
-    _GCD_MIN_BITS bits, so no gcd runs) and a Miller-Rabin test on built-in
-    pow with the primes up to 41 as bases, which is exact below 3.3 * 10**24
-    (Sorenson and Webster, 2015).
+    The witness is None where trial division does not decide.  Built from
+    trial division by the primes below 2**11 and a Miller-Rabin test on
+    built-in pow with the primes up to 41 as bases, which is exact below
+    3.3 * 10**24 (Sorenson and Webster, 2015).
     """
-    assert n.bit_length() < numtheory._GCD_MIN_BITS
     witness = plain_trial_division(n)
     if witness is not None:
         return COMPOSITE, witness
@@ -271,48 +260,73 @@ def reference_verdict(n: int) -> tuple[str, int | None]:
     return COMPOSITE, None
 
 
+class ScriptedRandom(random.Random):
+    """random.Random whose getrandbits returns the given values first, in order."""
+
+    def __init__(self, *values):
+        super().__init__(0)
+        self.values = list(values)
+
+    def getrandbits(self, k):
+        return self.values.pop(0) if self.values else super().getrandbits(k)
+
+
+class ScriptedCountingRandom(ScriptedRandom, CountingRandom):
+    """ScriptedRandom that also counts its randrange draws."""
+
+
+def least_candidate(bits: int, factor: int) -> int:
+    """The least factor * q, q an odd prime, of `bits` bits with the top two set."""
+    q = -(-(3 << (bits - 2)) // factor) | 1
+    while not numtheory.is_prime(q).is_prime:
+        q += 2
+    return factor * q
+
+
 class TestGcdFilter:
-    # 2053 and 32749 are the least and the largest prime in [2**11, 2**15);
-    # 2**521 - 1 is a Mersenne prime, above _GCD_MIN_BITS bits
-    @pytest.mark.parametrize("factor", [2053, 32749])
-    def test_factor_in_range_found_by_gcd_after_one_draw(self, factor):
-        n = factor * (2**521 - 1)
-        rng = CountingRandom(1)
-        verdict = numtheory.is_prime(n, rng=rng)
-        assert verdict == PrimalityVerdict(COMPOSITE, witness=factor, rounds=0)
-        assert 1 < verdict.witness < n and n % verdict.witness == 0
-        # the first base is drawn before the gcd, as if Miller-Rabin ran
-        assert rng.draws == 1
+    # random_prime's candidate is 3 << (bits - 2) | getrandbits(bits - 2) | 1,
+    # so a script of getrandbits values sets its candidates.  3 and 2039 are
+    # the least and the largest odd prime below 2**11, which random_prime's
+    # trial division finds before the gcd; 2053 and 32749 are the least and
+    # the largest prime in [2**11, 2**15), which the gcd finds, and 32771 the
+    # least prime above 2**15, which neither does; 512 bits, _GCD_MIN_BITS,
+    # is random_prime's size in keygen_random(1024)
+    @pytest.mark.parametrize("factor, reaches_is_prime", [
+        (3, False), (2039, False), (2053, False), (32749, False), (32771, True),
+    ])
+    def test_keygen_sized_candidate_takes_the_gcd(self, monkeypatch, factor, reaches_is_prime):
+        bits = numtheory._GCD_MIN_BITS
+        top = 3 << (bits - 2)
+        composite = least_candidate(bits, factor)
+        prime = numtheory.random_prime(bits, random.Random("gcd-512"))
+        numtheory._gcd_primes_product.cache_clear()
+        verdicts = spy_is_prime(monkeypatch)
+        assert numtheory.random_prime(bits, ScriptedRandom(composite - top, prime - top)) == prime
+        # a candidate the gcd drops never reaches is_prime's base-2 test
+        assert verdicts == [PrimalityVerdict(COMPOSITE, 2, 1)] * reaches_is_prime + [
+            PrimalityVerdict(PROBABLY_PRIME, None, 3)]
+        assert numtheory._gcd_primes_product.cache_info().currsize == 1
+
+    # the draw contract along random_prime's path, below and from
+    # _GCD_MIN_BITS: each candidate is one getrandbits draw, a composite that
+    # reaches is_prime is rejected by base 2 and draws no base, and the prime
+    # draws exactly 3, so a seeded stream holds the candidates back to back
+    @pytest.mark.parametrize("bits", [64, 256, numtheory._GCD_MIN_BITS])
+    def test_composites_draw_nothing_and_the_prime_three_bases(self, monkeypatch, bits):
+        top = 3 << (bits - 2)
+        composites = [least_candidate(bits, 32771), least_candidate(bits, 32779)]
+        prime = numtheory.random_prime(bits, random.Random(f"draws-{bits}"))
+        verdicts = spy_is_prime(monkeypatch)
+        rng = ScriptedCountingRandom(*(c - top for c in composites), prime - top)
+        assert numtheory.random_prime(bits, rng) == prime
+        assert rng.values == [] and rng.draws == 3
+        assert verdicts == [PrimalityVerdict(COMPOSITE, 2, 1)] * 2 + [
+            PrimalityVerdict(PROBABLY_PRIME, None, 3)]
 
     def test_below_the_gcd_size_the_product_is_not_built(self):
         numtheory._gcd_primes_product.cache_clear()
-        numtheory.is_prime(2053 * (2**89 - 1), rng=random.Random(1))
+        numtheory.random_prime(numtheory._GCD_MIN_BITS - 1, random.Random(1))
         assert numtheory._gcd_primes_product.cache_info().currsize == 0
-
-    def test_keygen_sized_candidate_takes_the_gcd(self):
-        # random_prime(512) draws keygen_random(1024)'s candidates; a
-        # _GCD_MIN_BITS above 512 would leave this factor to base 2
-        n = 2053 * numtheory.random_prime(501, random.Random("gcd-512"))
-        assert n.bit_length() == 512
-        rng = CountingRandom(1)
-        assert numtheory.is_prime(n, rng=rng) == PrimalityVerdict(COMPOSITE, 2053, 0)
-        assert rng.draws == 1
-
-    # 32771 is the least prime above 2**15, so no gcd finds it; the product
-    # of the 40 largest primes below 2**15 has about 600 bits
-    @pytest.mark.parametrize("n", [
-        2053 * 2063, 32719 * 32749, 32771 * (2**61 - 1),
-        32771 * (2**521 - 1), math.prod(GCD_RANGE_PRIMES[-40:]),
-    ])
-    def test_composite_left_to_miller_rabin(self, n):
-        # no proper divisor from the gcd, whether it is skipped (below
-        # _GCD_MIN_BITS) or gives 1 or n; base 2 rejects n as round 1, after
-        # the one draw taken before the gcd
-        rng = CountingRandom(3)
-        verdict = numtheory.is_prime(n, rng=rng)
-        assert verdict.kind == COMPOSITE
-        assert verdict.rounds == rng.draws >= 1
-        assert 2 <= verdict.witness <= n - 2
 
     @given(st.sampled_from(PRIMES_FROM_2_11),
            st.one_of(st.integers(1, 2**64), st.sampled_from(PRIMES_BELOW_2_16)),
@@ -322,27 +336,23 @@ class TestGcdFilter:
         if n < 1 << 22:
             n *= 2053
         kind, witness = reference_verdict(n)
-        verdict = numtheory.is_prime(n, rounds=12, rng=random.Random(seed))
+        verdict = numtheory.is_prime(n, random.Random(seed))
         assert verdict.is_prime == (kind != COMPOSITE)
         if witness is not None:
             assert (verdict.witness, verdict.rounds) == (witness, 0)
         elif kind == COMPOSITE:
-            assert 2 <= verdict.witness <= n - 2 and verdict.rounds >= 1
+            assert verdict.witness is None or 2 <= verdict.witness <= n - 2
 
-    # from _GCD_MIN_BITS bits up, a factor in [2**11, 2**15) is found by the
-    # gcd, which gives the product of all such factors, after one draw;
-    # 2**521 - 1 and 2**607 - 1 are Mersenne primes
+    # is_prime takes no gcd at any size: from _GCD_MIN_BITS bits up, a
+    # number whose small factors all lie in [2**11, 2**15) goes to base 2 and
+    # draws nothing; 2**521 - 1 and 2**607 - 1 are Mersenne primes
     @given(st.lists(st.sampled_from(GCD_RANGE_PRIMES), min_size=1, max_size=3),
-           st.sampled_from([2**521 - 1, 2**607 - 1]),
-           st.integers(0, 2**32))
-    def test_agrees_with_reference_at_gcd_sizes(self, factors, prime, seed):
+           st.sampled_from([2**521 - 1, 2**607 - 1]))
+    def test_agrees_with_reference_at_gcd_sizes(self, factors, prime):
         n = math.prod(factors) * prime
         assert n.bit_length() >= numtheory._GCD_MIN_BITS
-        rng = CountingRandom(seed)
-        verdict = numtheory.is_prime(n, rounds=12, rng=rng)
-        divisor = math.prod(p for p in GCD_RANGE_PRIMES if n % p == 0)
-        assert verdict == PrimalityVerdict(COMPOSITE, divisor, 0)
-        assert rng.draws == 1
+        assert not strong_probable_prime(n, 2)
+        assert numtheory.is_prime(n, NoDraws()) == PrimalityVerdict(COMPOSITE, 2, 1)
 
     def test_seeded_key_unchanged(self):
         _, key = rsa.keygen_random(1024, 65537, random.Random("keygen-0"))
@@ -375,6 +385,7 @@ def legendre(a: int, p: int) -> int:
 # composites that no trial division below 2**11 finds and that pass the
 # strong test to base 2 and more: the Lucas test is what rejects them
 LUCAS_REJECTED = {
+    4297753027: 3,  # 32779 * 131113: to bases 2 and 3
     3825123056546413051: 31,  # strong pseudoprime to every prime base up to 31
     318665857834031151167461: 37,  # up to 37
     3317044064679887385961981: 41,  # up to 41
@@ -407,7 +418,6 @@ class TestBailliePSW:
         n = 3215031751  # 151 * 751 * 28351
         assert all(strong_probable_prime(n, a) for a in (2, 3, 5, 7))
         assert numtheory.is_prime(n, rng=NoDraws()) == PrimalityVerdict(COMPOSITE, 151, 0)
-        assert numtheory.baillie_psw(n, rng=NoDraws()) == PrimalityVerdict(COMPOSITE, 151, 0)
 
     @pytest.mark.parametrize("n", sorted(LUCAS_REJECTED))
     def test_strong_pseudoprimes_to_many_bases_rejected_by_lucas(self, n):
@@ -416,26 +426,26 @@ class TestBailliePSW:
         assert all(strong_probable_prime(n, a) for a in PRIMES_BELOW_1000 if a <= top)
         # and to no larger prime base, which shows the entry is not a prime
         assert not strong_probable_prime(n, next(a for a in PRIMES_BELOW_1000 if a > top))
-        verdict = numtheory.baillie_psw(n, rng=NoDraws())
+        verdict = numtheory.is_prime(n, rng=NoDraws())
         assert verdict == PrimalityVerdict(COMPOSITE, None, 1)
 
-    def test_a_lucas_rejection_reads_unlike_every_other(self):
-        # trial division, gcd and perfect squares give a divisor with rounds 0,
+    def test_a_lucas_rejection_reads_unlike_every_other(self, monkeypatch):
+        # trial division and perfect squares give a divisor with rounds 0,
         # base 2 gives (2, 1), a random round its base and round number
-        lucas = numtheory.baillie_psw(3317044064679887385961981, rng=NoDraws())
+        lucas = numtheory.is_prime(3317044064679887385961981, rng=NoDraws())
+        others = [
+            numtheory.is_prime(3 * (2**89 - 1), rng=NoDraws()),
+            numtheory.is_prime((2**89 - 1) * (2**61 - 1), rng=NoDraws()),
+            numtheory.is_prime(3511**2, rng=NoDraws()),
+        ]
+        # a random round rejects n only once the Lucas test has let it through
+        monkeypatch.setattr(numtheory, "_strong_lucas", lambda n: True)
         rng = CountingRandom(1)
         by_round = numtheory.is_prime(3825123056546413051, rng=rng)
-        others = [
-            numtheory.baillie_psw(3 * (2**89 - 1), rng=NoDraws()),
-            numtheory.is_prime(2053 * (2**521 - 1), rng=random.Random(1)),
-            numtheory.baillie_psw((2**89 - 1) * (2**61 - 1), rng=NoDraws()),
-            numtheory.baillie_psw(3511**2, rng=NoDraws()),
-            by_round,
-        ]
-        assert [(v.witness, v.rounds) for v in others[:4]] == [(3, 0), (2053, 0), (2, 1), (3511, 0)]
+        assert [(v.witness, v.rounds) for v in others] == [(3, 0), (2, 1), (3511, 0)]
         assert by_round.witness > 2 and by_round.rounds == rng.draws >= 1
         assert lucas == PrimalityVerdict(COMPOSITE, None, 1)
-        assert all(v.kind == COMPOSITE and v.witness is not None for v in others)
+        assert all(v.kind == COMPOSITE and v.witness is not None for v in [*others, by_round])
 
     # (2**31 - 1)**2 and (2**89 - 1)**2 fail base 2; 3511 is a Wieferich
     # prime, above 2**11, so its square passes base 2 and only the square
@@ -449,13 +459,13 @@ class TestBailliePSW:
 
         monkeypatch.setattr(numtheory, "jacobi", no_search)
         monkeypatch.setattr(numtheory, "_strong_lucas", no_search)
-        verdict = numtheory.baillie_psw(root * root, rng=NoDraws())
+        verdict = numtheory.is_prime(root * root, rng=NoDraws())
         assert verdict.kind == COMPOSITE and verdict.rounds in (0, 1)
         assert verdict.witness == (3511 if root == 3511 else 2)
 
     def test_prime_takes_three_random_rounds_after_the_fixed_tests(self):
         rng = CountingRandom(1)
-        assert numtheory.baillie_psw(2**521 - 1, rng=rng) == PrimalityVerdict(PROBABLY_PRIME, None, 3)
+        assert numtheory.is_prime(2**521 - 1, rng=rng) == PrimalityVerdict(PROBABLY_PRIME, None, 3)
         assert rng.draws == 3
 
     def test_random_rounds_back_up_a_lucas_liar(self, monkeypatch):
@@ -463,27 +473,40 @@ class TestBailliePSW:
         monkeypatch.setattr(numtheory, "_strong_lucas", lambda n: True)
         n = 3825123056546413051
         rng = CountingRandom(2)
-        verdict = numtheory.baillie_psw(n, rng=rng)
+        verdict = numtheory.is_prime(n, rng=rng)
         assert verdict.kind == COMPOSITE and 2 <= verdict.witness <= n - 2
         assert 1 <= verdict.rounds == rng.draws <= 3
 
     def test_no_gcd_product_for_a_supplied_prime(self):
         numtheory._gcd_primes_product.cache_clear()
-        assert numtheory.baillie_psw(OAKLEY_1024).is_prime
+        assert numtheory.is_prime(OAKLEY_1024).is_prime
         assert numtheory._gcd_primes_product.cache_info().currsize == 0
 
     def test_no_gcd_product_for_a_key_file_used_once(self):
-        # is_prime's gcd would build the product for these 521- and 607-bit
-        # factors; a key's factors get baillie_psw alone, read or used
+        # these 521- and 607-bit factors are above _GCD_MIN_BITS, but a key's
+        # factors get is_prime alone, read or used, and it takes no gcd
         _, priv = rsa.keygen_from_primes(2**521 - 1, 2**607 - 1, 65537)
         text = rsa.write_private_key(priv)
         numtheory._gcd_primes_product.cache_clear()
         assert rsa.private_op(43, rsa.read_private_key(text)) == pow(43, priv.d, priv.n)
         assert numtheory._gcd_primes_product.cache_info().currsize == 0
 
-    # odd numbers, and products of two primes that trial division cannot
-    # split, which reach base 2 and the Lucas test
+    @pytest.mark.parametrize("supply, tested", [
+        (lambda: rsa.keygen_from_primes(2**61 - 1, 2**89 - 1, 65537), 2),
+        (lambda: rsa.read_private_key("n=%#x\nd=0x3\np=%#x\nq=%#x\n" % (
+            (2**61 - 1) * (2**89 - 1), 2**61 - 1, 2**89 - 1)), 2),
+        (lambda: dh.make_params(2**89 - 1, 3), 1),
+        (lambda: ecc.make_curve(2, 3, 2**127 - 1), 1),
+    ], ids=["keygen_from_primes", "read_private_key", "dh.make_params", "ecc.make_curve"])
+    def test_caller_supplied_numbers_tested_once(self, monkeypatch, supply, tested):
+        verdicts = spy_is_prime(monkeypatch)
+        supply()
+        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=3)] * tested
+
+    # odd numbers, numbers below 2**16, and products of two primes that trial
+    # division cannot split, which reach base 2 and the Lucas test
     @given(st.one_of(st.integers(0, 2**63 - 1).map(lambda k: 2 * k + 1),
+                     st.integers(0, 1 << 16),
                      st.tuples(st.sampled_from(PRIMES_FROM_2_11),
                                st.sampled_from(PRIMES_FROM_2_11)).map(math.prod)),
            st.integers(0, 2**32))
@@ -492,10 +515,11 @@ class TestBailliePSW:
     @example(2**64 - 59, 0)  # the largest prime below 2**64
     @example(3825123056546413051, 0)
     @example(3511**2, 0)
-    def test_agrees_with_is_prime_below_2_64(self, n, seed):
-        verdict = numtheory.baillie_psw(n, rng=random.Random(seed))
-        assert verdict.is_prime == numtheory.is_prime(n, rng=random.Random(seed)).is_prime
+    def test_agrees_with_reference_below_2_64(self, n, seed):
+        verdict = numtheory.is_prime(n, rng=random.Random(seed))
         assert verdict.is_prime == bpsw_reference(n)
+        if n < 1 << 16:
+            assert verdict.is_prime == (n in SIEVED_BELOW_2_16)
 
     @given(st.sampled_from(PRIMES_BELOW_2_16[1:]), st.integers(-(2**70), 2**70))
     def test_jacobi_is_euler_criterion_for_primes(self, p, a):
@@ -620,7 +644,7 @@ class TestRandomPrime:
     def test_survivor_gets_scheduled_rounds(self, monkeypatch):
         verdicts = spy_is_prime(monkeypatch)
         numtheory.random_prime(512, random.Random(912))
-        assert verdicts[-1] == PrimalityVerdict(PROBABLY_PRIME, rounds=numtheory.random_prime_rounds(512))
+        assert verdicts[-1] == PrimalityVerdict(PROBABLY_PRIME, rounds=3)
         assert not any(v.is_prime for v in verdicts[:-1])
 
     def test_self_consistent(self):
@@ -639,75 +663,34 @@ class TestRandomPrime:
         primes = [numtheory.random_prime(bits, random.Random(f"prime-{bits}-{i}")) for i in range(10)]
         digest = hashlib.sha1("\n".join(map(str, primes)).encode()).hexdigest()
         assert digest == RANDOM_PRIME_SEEDED_SHA1[bits]
+        assert all(oracle_prime(p, bits) for p in primes)
+
+    def test_pinned_key_factors_pass_the_oracle(self):
+        fields = dict(line.split("=") for line in KEYGEN_256_SEED_1_KEY.split())
+        p, q = int(fields["p"], 16), int(fields["q"], 16)
+        assert p * q == int(fields["n"], 16)
+        assert oracle_prime(p, 128) and oracle_prime(q, 128)
+        assert oracle_prime(KEYGEN_1024_SEED_KEYGEN_0_P, 512)
+        assert oracle_prime(KEYGEN_1024_SEED_KEYGEN_0_Q, 512)
 
 
-def spy_is_prime(monkeypatch, name="is_prime"):
-    """Wrap numtheory.is_prime, or the test `name`; returns the list of its verdicts."""
+def oracle_prime(p: int, bits: int) -> bool:
+    """Exactly `bits` bits, the top two set, and strong to the 12 least prime bases (built-in pow)."""
+    return (p.bit_length() == bits and p >> (bits - 2) == 3
+            and all(strong_probable_prime(p, a) for a in PRIMES_BELOW_1000[:12]))
+
+
+def spy_is_prime(monkeypatch):
+    """Wrap numtheory.is_prime; returns the list of its verdicts."""
     verdicts = []
-    real = getattr(numtheory, name)
+    real = numtheory.is_prime
 
     def spy(*args, **kwargs):
         verdicts.append(real(*args, **kwargs))
         return verdicts[-1]
 
-    monkeypatch.setattr(numtheory, name, spy)
+    monkeypatch.setattr(numtheory, "is_prime", spy)
     return verdicts
-
-
-def dlp_bound(k, t):
-    """HAC Fact 4.48 (ii)-(iv) for k-bit candidates and t rounds, to 20 digits.
-
-    The least bound whose conditions hold, or None where none does.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 20
-        k_, t_, two = Decimal(k), Decimal(t), Decimal(2)
-        bounds = []
-        if k >= 21:
-            if (t == 2 and k >= 88) or 3 <= t <= k_ / 9:
-                bounds.append(k_ ** Decimal("1.5") * two**t / t_.sqrt()
-                              * Decimal(4) ** (2 - (t_ * k_).sqrt()))
-            iv = k_ ** Decimal("3.75") / 7 * two ** (-k_ / 2 - 2 * t_)
-            if k_ / 9 <= t <= k_ / 4:
-                bounds.append(Decimal(7) / 20 * k_ * two ** (-5 * t_) + iv
-                              + 12 * k_ * two ** (-k_ / 4 - 3 * t_))
-            if t >= k_ / 4:
-                bounds.append(iv)
-        return min(bounds, default=None)
-
-
-class TestRandomPrimeRounds:
-    def test_schedule(self):
-        schedule = {bits: numtheory.random_prime_rounds(bits) for bits in (64, 128, 256, 512, 1024)}
-        assert schedule == {64: 40, 128: 31, 256: 18, 512: 8, 1024: 4}
-
-    def test_least_rounds_meeting_dlp_bound(self):
-        target = Decimal(2) ** -101
-        for k in range(4, 4097):
-            t = numtheory.random_prime_rounds(k)
-            assert 2 <= t <= 40, k
-            if t < 40:
-                assert dlp_bound(k, t) <= target, k
-            if t > 2:
-                fewer = dlp_bound(k, t - 1)
-                assert fewer is None or fewer > target, k
-
-    @pytest.mark.parametrize("supply, tested", [
-        (lambda: rsa.keygen_from_primes(2**61 - 1, 2**89 - 1, 65537), 2),
-        (lambda: rsa.read_private_key("n=%#x\nd=0x3\np=%#x\nq=%#x\n" % (
-            (2**61 - 1) * (2**89 - 1), 2**61 - 1, 2**89 - 1)), 2),
-        (lambda: dh.make_params(2**89 - 1, 3), 1),
-        (lambda: ecc.make_curve(2, 3, 2**127 - 1), 1),
-    ], ids=["keygen_from_primes", "read_private_key", "dh.make_params", "ecc.make_curve"])
-    def test_caller_supplied_numbers_get_baillie_psw(self, monkeypatch, supply, tested):
-        # the DLP bound covers random candidates only, not chosen ones: a
-        # supplied number never gets is_prime's rounds, but Baillie-PSW and 3
-        # random rounds, once
-        rounds = spy_is_prime(monkeypatch)
-        verdicts = spy_is_prime(monkeypatch, "baillie_psw")
-        supply()
-        assert rounds == []
-        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=3)] * tested
 
 
 class TestPrimeCountEstimates:

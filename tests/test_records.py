@@ -92,8 +92,8 @@ def test_primality_verdict_defaults():
     assert numtheory.PrimalityVerdict(numtheory.COMPOSITE) == numtheory.PrimalityVerdict(
         numtheory.COMPOSITE, None, 0
     )
-    verdict = numtheory.PrimalityVerdict(numtheory.PROBABLY_PRIME, rounds=8)
-    assert (verdict.kind, verdict.witness, verdict.rounds) == (numtheory.PROBABLY_PRIME, None, 8)
+    verdict = numtheory.PrimalityVerdict(numtheory.PROBABLY_PRIME, rounds=3)
+    assert (verdict.kind, verdict.witness, verdict.rounds) == (numtheory.PROBABLY_PRIME, None, 3)
     assert numtheory.PrimalityVerdict(rounds=2, kind=numtheory.COMPOSITE).witness is None
 
 

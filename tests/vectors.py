@@ -52,14 +52,14 @@ DH_DEMO_SEED_7 = (
 )
 # the .pub and .key files of `toycrypt keygen --bits 256 --seed 1`
 KEYGEN_256_SEED_1_PUB = (
-    "n=0xa7013861e7102c6f5be6c1900e5c9c67d825ff18eda481d12f6bf750231cb20f\n"
+    "n=0xc1c1384ecceea5e38f562ec6fdc959d9c88d0cbd6e2b0e3599599862227b8be3\n"
     "e=0x10001\n"
 )
 KEYGEN_256_SEED_1_KEY = (
-    "n=0xa7013861e7102c6f5be6c1900e5c9c67d825ff18eda481d12f6bf750231cb20f\n"
-    "d=0x6b3f8e5cd90d7aebbcc2111619130261682746e9213dc776727e5d479ca1b9d1\n"
-    "p=0xc80b320a4c717095bcc99ae80f0c8a89\n"
-    "q=0xd5b82891663f423b8a0f42834e0751d7\n"
+    "n=0xc1c1384ecceea5e38f562ec6fdc959d9c88d0cbd6e2b0e3599599862227b8be3\n"
+    "d=0xbe73d38981dfc3a89fa8b36a5ee4a12fc01215f0774d069a67b0a86fd09afbe1\n"
+    "p=0xdb487d33a185cc8ea8ea37f7523d2a55\n"
+    "q=0xe23276a2afe673f6d6730839e1e48557\n"
 )
 # the primes of rsa.keygen_random(1024, 65537, random.Random("keygen-0")),
 # the first key of the benchmark's keygen pool: a change to is_prime's
@@ -80,9 +80,9 @@ KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1 = "d71288e008a903f5f721ec98f29b91117409bd81"
 # 0..9, one a line: pins the prime search's draws from a seeded rng, so a
 # change to is_prime's checks cannot move a seeded prime unnoticed
 RANDOM_PRIME_SEEDED_SHA1 = {
-    64: "8f02eee3a38c55221d0924b5f6dc00d2a0b280de",
-    128: "0192581ce45af8e58addc53efdb527f24fedc312",
+    64: "6e2eae61ecc6484a871087b987ebce79aa809049",
+    128: "eff91390d0319b8025f3826e478fa41ede5a4017",
     256: "84df09d7d027f4d47107713d95f862c7a850df76",
-    512: "207a320868ac85f55f7390c5cc9e0f365ce4de2f",
+    512: "d635e5a2b248eec2db37d9895274efcb00201871",
     1024: "ec2d6ff8e137f26b899defe5d7d2f2bb2b148605",
 }
