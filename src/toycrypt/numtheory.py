@@ -64,14 +64,16 @@ class Factorization:
 class PrimalityVerdict:
     """Outcome of a primality check.
 
-    kind is one of COMPOSITE, PROBABLY_PRIME, PROVEN_PRIME.  For composites
-    of at least 2, witness holds a prime factor found by trial division or
-    the square root of a perfect square (each with rounds 0), 2 with rounds
-    1 when the base-2 test rejects n, None with rounds 1 when the strong
-    Lucas test does (that test has no base), or else the random base of the
-    round that rejected n.  rounds counts the random-base rounds run, the
-    rejecting one included, and leaves out the fixed tests that ran before
-    them, so a probable prime has rounds 3.
+    kind is one of COMPOSITE, PROBABLY_PRIME, PROVEN_PRIME; witness and
+    rounds depend on the test that settled n:
+    - n below 2: COMPOSITE, witness None, rounds 0;
+    - trial division: COMPOSITE with n's least prime factor and rounds 0,
+      or PROVEN_PRIME (witness None, rounds 0) for a prime below 2**22;
+    - the base-2 test: COMPOSITE, witness 2, rounds 1;
+    - the perfect-square check: COMPOSITE, the square root, rounds 0;
+    - the strong Lucas test, which has no base: COMPOSITE, None, rounds 1;
+    - random round i of 3: COMPOSITE, that round's base, rounds i;
+    - a number that passes all of them: PROBABLY_PRIME, None, rounds 3.
     """
 
     kind: str
@@ -247,18 +249,18 @@ def _strong_lucas(n: int) -> bool:
         D = -D + 2 if D < 0 else -D - 2
     Q = (1 - D) // 4
     d, s = _odd_part(n + 1)
-    # U_k, V_k and Q**k mod n, from k = 1 along the bits of d below the top
-    # one: U_2k = U_k V_k and V_2k = V_k**2 - 2Q**k; then, for a set bit,
-    # U_k+1 = (U_k + V_k)/2 and V_k+1 = (D U_k + V_k)/2, since P = 1, where
-    # halving mod the odd n adds n to an odd value first
-    u, v, qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+    # V_k, V_k+1 and Q**k mod n, from k = 0 along the bits of d, with no U
+    # and no halving: V_2k = V_k**2 - 2Q**k and, since P = 1,
+    # V_2k+1 = V_k V_k+1 - Q**k.  D U_k = 2V_k+1 - V_k, and (D/n) = -1 makes
+    # D prime to n, so U_d = 0 exactly when 2V_d+1 = V_d (mod n).
+    v, w, qk = 2, 1, 1
+    for bit in bin(d)[2:]:
         if bit == "1":
-            u, v = u + v, D * u + v
-            u, v = (u + (u & 1) * n) // 2 % n, (v + (v & 1) * n) // 2 % n
-            qk = qk * Q % n
-    if u == 0 or v == 0:
+            q1 = qk * Q % n
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * q1) % n, qk * q1 % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
         return True
     for _ in range(s - 1):
         v, qk = (v * v - 2 * qk) % n, qk * qk % n
@@ -271,13 +273,35 @@ def _strong_lucas(n: int) -> bool:
 _RANDOM_ROUNDS = 3
 
 
+def _probable_prime(n: int, rng) -> PrimalityVerdict:
+    # is_prime's tests after its trial division, for an n >= 2**22 that has
+    # no prime factor below 2**11: base 2, the square check, the strong Lucas
+    # test, then the random rounds, the only step that draws from rng.
+    # random_prime calls it directly, so that a candidate is divided once.
+    d, s = _odd_part(n - 1)
+    if _is_witness(n, _pow2(d, n), s):
+        return PrimalityVerdict(COMPOSITE, 2, 1)
+    root = math.isqrt(n)
+    if root * root == n:
+        return PrimalityVerdict(COMPOSITE, root, 0)
+    if not _strong_lucas(n):
+        return PrimalityVerdict(COMPOSITE, None, 1)
+    for i in range(1, _RANDOM_ROUNDS + 1):
+        a = rng.randrange(2, n - 1)
+        if _is_witness(n, bigmod.mod_pow(a, d, n).value, s):
+            return PrimalityVerdict(COMPOSITE, a, i)
+    return PrimalityVerdict(PROBABLY_PRIME, None, _RANDOM_ROUNDS)
+
+
 def is_prime(n: int, rng=None) -> PrimalityVerdict:
     """Primality verdict: trial division, Baillie-PSW, then 3 random-base rounds.
 
-    The package's one primality test.  random_prime runs it on the
-    candidates it draws, and it tests every number a caller supplies: a
-    group prime (dh.make_params, ecc.make_curve) and the factors of an RSA
-    key, once per key object (rsa.RsaPrivateKey.crt).  In order:
+    The package's one primality test.  It tests every number a caller
+    supplies: a group prime (dh.make_params, ecc.make_curve) and the
+    factors of an RSA key, once per key object (rsa.RsaPrivateKey.crt).
+    random_prime runs the same steps on the candidates it draws, calling
+    the trial division and then the rest itself, with its gcd screen in
+    between, so that no candidate is divided twice.  In order:
     - trial division by the primes below 2**11, in order, which settles
       every n below 2**22 (PROVEN_PRIME, or COMPOSITE with the smallest
       prime factor as witness) and rejects about 85% of larger random odd
@@ -289,9 +313,10 @@ def is_prime(n: int, rng=None) -> PrimalityVerdict:
     - a perfect-square check, with math.isqrt;
     - a strong Lucas test with Selfridge's method A: P = 1 and
       Q = (1 - D)/4 for the first D in 5, -7, 9, -11, ... whose Jacobi
-      symbol (D/n) is -1.  With base 2 this is the Baillie-PSW test
-      (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980;
-      Pomerance, Selfridge and Wagstaff, same volume);
+      symbol (D/n) is -1, computed from the V sequence alone (its U_d
+      condition read off V_d and V_d+1).  With base 2 this is the
+      Baillie-PSW test (Baillie and Wagstaff, "Lucas pseudoprimes", Math.
+      Comp. 35, 1980; Pomerance, Selfridge and Wagstaff, same volume);
     - _RANDOM_ROUNDS = 3 Miller-Rabin rounds with random bases, drawn from
       rng only after the Lucas test.
 
@@ -315,23 +340,7 @@ def is_prime(n: int, rng=None) -> PrimalityVerdict:
     """
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
-    verdict = _trial_division(n)
-    if verdict is not None:
-        return verdict
-    d, s = _odd_part(n - 1)
-    if _is_witness(n, _pow2(d, n), s):
-        return PrimalityVerdict(COMPOSITE, 2, 1)
-    root = math.isqrt(n)
-    if root * root == n:
-        return PrimalityVerdict(COMPOSITE, root, 0)
-    if not _strong_lucas(n):
-        return PrimalityVerdict(COMPOSITE, None, 1)
-    rng = rng or random.SystemRandom()
-    for i in range(1, _RANDOM_ROUNDS + 1):
-        a = rng.randrange(2, n - 1)
-        if _is_witness(n, bigmod.mod_pow(a, d, n).value, s):
-            return PrimalityVerdict(COMPOSITE, a, i)
-    return PrimalityVerdict(PROBABLY_PRIME, None, _RANDOM_ROUNDS)
+    return _trial_division(n) or _probable_prime(n, rng or random.SystemRandom())
 
 
 def factor_trial(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> Factorization:
@@ -385,29 +394,30 @@ def totient(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> int:
 
 
 def random_prime(bits: int, rng=None) -> int:
-    """A probable prime with exactly `bits` bits, the top two of them set, by is_prime.
+    """A probable prime with exactly `bits` bits, the top two of them set, by is_prime's tests.
 
     Candidates are odd, with the top two bits forced as in FIPS 186-5
     App. A.1.3, so the product of two such primes has exactly the sum of
-    their bit lengths.  Below _GCD_MIN_BITS bits every candidate goes to
-    is_prime.  From that size up, a candidate is first screened here, by
-    trial division and then one gcd with the product of the primes in
-    [2**11, 2**15), and goes to is_prime only when neither finds a factor:
-    the gcd spares about a quarter of the candidates that trial division
-    leaves open a base-2 test.  is_prime divides each candidate it gets
-    again, which at 512 bits costs 47 us against 0.7 ms for that test.  A
-    composite draws nothing from rng, so a seeded rng's candidates follow
-    one another in its stream, and the prime draws 3 bases after them.
+    their bit lengths.  Each candidate takes is_prime's steps once, in
+    order, with one screen between its trial division and its base-2
+    test: from _GCD_MIN_BITS bits up, a candidate that trial division
+    leaves open takes one gcd with the product of the primes in
+    [2**11, 2**15), and a factor found there spares it the base-2 test,
+    as it does for about a quarter of them.  Below that size the gcd costs
+    more than it saves, and no candidate takes it.  A composite draws
+    nothing from rng, so a seeded rng's candidates follow one another in
+    its stream, and the prime draws 3 bases after them.
     """
     if bits < 4:
         raise ValueError(f"need at least 4 bits, got {bits}")
     rng = rng or random.SystemRandom()
     while True:
         candidate = (3 << (bits - 2)) | rng.getrandbits(bits - 2) | 1
-        if (bits >= _GCD_MIN_BITS and (_trial_division(candidate) is not None
-                or bigmod.gcd(candidate, _gcd_primes_product() % candidate) > 1)):
-            continue
-        if is_prime(candidate, rng).is_prime:
+        verdict = _trial_division(candidate)
+        if verdict is None and (bits < _GCD_MIN_BITS
+                                or bigmod.gcd(candidate, _gcd_primes_product() % candidate) == 1):
+            verdict = _probable_prime(candidate, rng)
+        if verdict is not None and verdict.is_prime:
             return candidate
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from vectors import (
     DIGEST_ITALIA_4_3,
     KEYGEN_256_SEED_1_KEY,
     KEYGEN_256_SEED_1_PUB,
+    KEYGEN_1024_SEED_1_KEY_SHA1,
+    KEYGEN_1024_SEED_1_PUB_SHA1,
 )
 
 
@@ -693,6 +696,14 @@ class TestRsaPipelines:
         assert invoke(["keygen", "--bits", "256", "--out", str(prefix), "--seed", "1"])[0] == 0
         assert (tmp_path / "k.pub").read_bytes() == KEYGEN_256_SEED_1_PUB.encode()
         assert (tmp_path / "k.key").read_bytes() == KEYGEN_256_SEED_1_KEY.encode()
+
+    def test_keygen_1024_seeded_files_pinned(self, tmp_path):
+        # 512-bit primes: the candidates take random_prime's gcd screen
+        prefix = tmp_path / "k"
+        assert invoke(["keygen", "--bits", "1024", "--out", str(prefix), "--seed", "1"])[0] == 0
+        digests = [hashlib.sha1((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("k.pub", "k.key")]
+        assert digests == [KEYGEN_1024_SEED_1_PUB_SHA1, KEYGEN_1024_SEED_1_KEY_SHA1]
 
     def test_sign_verify_and_tamper(self, tmp_path):
         prefix = tmp_path / "signer"

@@ -291,37 +291,53 @@ class TestGcdFilter:
     # the largest prime in [2**11, 2**15), which the gcd finds, and 32771 the
     # least prime above 2**15, which neither does; 512 bits, _GCD_MIN_BITS,
     # is random_prime's size in keygen_random(1024)
-    @pytest.mark.parametrize("factor, reaches_is_prime", [
+    @pytest.mark.parametrize("factor, reaches_base_2", [
         (3, False), (2039, False), (2053, False), (32749, False), (32771, True),
     ])
-    def test_keygen_sized_candidate_takes_the_gcd(self, monkeypatch, factor, reaches_is_prime):
+    def test_keygen_sized_candidate_takes_the_gcd(self, monkeypatch, factor, reaches_base_2):
         bits = numtheory._GCD_MIN_BITS
         top = 3 << (bits - 2)
         composite = least_candidate(bits, factor)
         prime = numtheory.random_prime(bits, random.Random("gcd-512"))
         numtheory._gcd_primes_product.cache_clear()
-        verdicts = spy_is_prime(monkeypatch)
+        verdicts = spy_verdicts(monkeypatch, "_probable_prime")
         assert numtheory.random_prime(bits, ScriptedRandom(composite - top, prime - top)) == prime
-        # a candidate the gcd drops never reaches is_prime's base-2 test
-        assert verdicts == [PrimalityVerdict(COMPOSITE, 2, 1)] * reaches_is_prime + [
+        # a candidate the gcd drops never reaches the base-2 test
+        assert verdicts == [PrimalityVerdict(COMPOSITE, 2, 1)] * reaches_base_2 + [
             PrimalityVerdict(PROBABLY_PRIME, None, 3)]
         assert numtheory._gcd_primes_product.cache_info().currsize == 1
 
     # the draw contract along random_prime's path, below and from
     # _GCD_MIN_BITS: each candidate is one getrandbits draw, a composite that
-    # reaches is_prime is rejected by base 2 and draws no base, and the prime
-    # draws exactly 3, so a seeded stream holds the candidates back to back
+    # reaches the base-2 test is rejected there and draws no base, and the
+    # prime draws exactly 3, so a seeded stream holds the candidates back to back
     @pytest.mark.parametrize("bits", [64, 256, numtheory._GCD_MIN_BITS])
     def test_composites_draw_nothing_and_the_prime_three_bases(self, monkeypatch, bits):
         top = 3 << (bits - 2)
         composites = [least_candidate(bits, 32771), least_candidate(bits, 32779)]
         prime = numtheory.random_prime(bits, random.Random(f"draws-{bits}"))
-        verdicts = spy_is_prime(monkeypatch)
+        verdicts = spy_verdicts(monkeypatch, "_probable_prime")
         rng = ScriptedCountingRandom(*(c - top for c in composites), prime - top)
         assert numtheory.random_prime(bits, rng) == prime
         assert rng.values == [] and rng.draws == 3
         assert verdicts == [PrimalityVerdict(COMPOSITE, 2, 1)] * 2 + [
             PrimalityVerdict(PROBABLY_PRIME, None, 3)]
+
+    # trial division runs once per candidate at every size: below
+    # _GCD_MIN_BITS as well as from it, where the gcd screen sits between it
+    # and the base-2 test.  3 is found by trial division, 2053 by the gcd
+    # from _GCD_MIN_BITS and by base 2 below it, 32771 by base 2.
+    @pytest.mark.parametrize("bits", [64, numtheory._GCD_MIN_BITS])
+    def test_each_candidate_is_divided_once(self, monkeypatch, bits):
+        top = 3 << (bits - 2)
+        candidates = [least_candidate(bits, factor) for factor in (3, 2053, 32771)]
+        candidates.append(numtheory.random_prime(bits, random.Random(f"divided-{bits}")))
+        verdicts = spy_verdicts(monkeypatch, "_trial_division")
+        rng = ScriptedCountingRandom(*(c - top for c in candidates))
+        assert numtheory.random_prime(bits, rng) == candidates[-1]
+        assert rng.values == [] and rng.draws == 3
+        # one division per candidate, in order; only the first is settled by it
+        assert verdicts == [PrimalityVerdict(COMPOSITE, 3, 0), None, None, None]
 
     def test_below_the_gcd_size_the_product_is_not_built(self):
         numtheory._gcd_primes_product.cache_clear()
@@ -392,11 +408,20 @@ LUCAS_REJECTED = {
 }
 
 
+# the strong Lucas pseudoprimes with Selfridge's parameters below 200000,
+# OEIS A217255
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439, 100127,
+    113573, 115639, 130139, 155819, 158399, 161027, 162133, 176399, 176471, 189419, 192509,
+    197801,
+]
+
+
 class TestBailliePSW:
-    # strong Lucas pseudoprimes (Selfridge's parameters) below 20000, OEIS
-    # A217255, and the least strong pseudoprimes to base 2; trial division
-    # would find a factor of each first, so the kernel is called directly
-    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    # the strong Lucas pseudoprimes above, and the least strong pseudoprimes
+    # to base 2; trial division would find a factor of each first, so the
+    # kernel is called directly
+    @pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
     def test_lucas_kernel_passes_strong_lucas_pseudoprimes(self, n):
         assert plain_trial_division(n) is not None and not strong_probable_prime(n, 2)
         assert numtheory._strong_lucas(n)
@@ -406,10 +431,10 @@ class TestBailliePSW:
         assert strong_probable_prime(n, 2)
         assert not numtheory._strong_lucas(n)
 
-    def test_kernel_agrees_with_trial_division_below_20000(self):
+    def test_kernel_agrees_with_trial_division_below_200000(self):
         # the strong Lucas pseudoprimes above are the only odd composites it passes
-        liars = {5459, 5777, 10877, 16109, 18971}
-        for n in range(3, 20000, 2):
+        liars = set(STRONG_LUCAS_PSEUDOPRIMES)
+        for n in range(3, 200000, 2):
             if math.isqrt(n) ** 2 != n:
                 prime = all(n % d for d in range(3, math.isqrt(n) + 1, 2))
                 assert numtheory._strong_lucas(n) == (prime or n in liars), n
@@ -499,7 +524,7 @@ class TestBailliePSW:
         (lambda: ecc.make_curve(2, 3, 2**127 - 1), 1),
     ], ids=["keygen_from_primes", "read_private_key", "dh.make_params", "ecc.make_curve"])
     def test_caller_supplied_numbers_tested_once(self, monkeypatch, supply, tested):
-        verdicts = spy_is_prime(monkeypatch)
+        verdicts = spy_verdicts(monkeypatch, "is_prime")
         supply()
         assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=3)] * tested
 
@@ -642,7 +667,7 @@ class TestRandomPrime:
         assert numtheory.random_prime(bits, random.Random(seed)) >> (bits - 2) == 3
 
     def test_survivor_gets_scheduled_rounds(self, monkeypatch):
-        verdicts = spy_is_prime(monkeypatch)
+        verdicts = spy_verdicts(monkeypatch, "_probable_prime")
         numtheory.random_prime(512, random.Random(912))
         assert verdicts[-1] == PrimalityVerdict(PROBABLY_PRIME, rounds=3)
         assert not any(v.is_prime for v in verdicts[:-1])
@@ -680,16 +705,21 @@ def oracle_prime(p: int, bits: int) -> bool:
             and all(strong_probable_prime(p, a) for a in PRIMES_BELOW_1000[:12]))
 
 
-def spy_is_prime(monkeypatch):
-    """Wrap numtheory.is_prime; returns the list of its verdicts."""
+def spy_verdicts(monkeypatch, name):
+    """Wrap numtheory.<name>; returns the list of its verdicts.
+
+    "is_prime" sees the numbers callers supply; "_trial_division" every
+    candidate of random_prime, and "_probable_prime" those that its trial
+    division (and, from _GCD_MIN_BITS bits, its gcd) leaves open.
+    """
     verdicts = []
-    real = numtheory.is_prime
+    real = getattr(numtheory, name)
 
     def spy(*args, **kwargs):
         verdicts.append(real(*args, **kwargs))
         return verdicts[-1]
 
-    monkeypatch.setattr(numtheory, "is_prime", spy)
+    monkeypatch.setattr(numtheory, name, spy)
     return verdicts
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from toycrypt import numtheory, rsa
 from toycrypt.numtheory import PROBABLY_PRIME, PrimalityVerdict
 from toycrypt.rsa import BlockStream
-from test_numtheory import spy_is_prime
+from test_numtheory import spy_verdicts
 
 
 SMALL = st.integers(0, 60)
@@ -317,7 +317,7 @@ class TestCrtPrivateOp:
     ], ids=["by_hand", "keygen_random"])
     def test_first_use_tests_each_factor_once(self, monkeypatch, make_key):
         priv = make_key()
-        verdicts = spy_is_prime(monkeypatch)
+        verdicts = spy_verdicts(monkeypatch, "is_prime")
         rsa.private_op(2, priv)
         assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, None, 3)] * 2
         rsa.private_op(3, priv)
@@ -325,7 +325,7 @@ class TestCrtPrivateOp:
 
     def test_read_key_tests_each_factor_once(self, monkeypatch):
         p, q = 2**61 - 1, 2**89 - 1
-        verdicts = spy_is_prime(monkeypatch)
+        verdicts = spy_verdicts(monkeypatch, "is_prime")
         priv = rsa.read_private_key(f"n={p * q:#x}\nd=0x3\np={p:#x}\nq={q:#x}\n")
         rsa.private_op(2, priv)
         rsa.private_op(3, priv)

@@ -61,6 +61,11 @@ KEYGEN_256_SEED_1_KEY = (
     "p=0xdb487d33a185cc8ea8ea37f7523d2a55\n"
     "q=0xe23276a2afe673f6d6730839e1e48557\n"
 )
+# SHA-1 (by hashlib or sha1sum, in tests and CI only) of the .pub and .key
+# files of `toycrypt keygen --bits 1024 --seed 1`: its 512-bit primes take
+# random_prime's gcd screen, which the 128-bit primes of the key above skip
+KEYGEN_1024_SEED_1_PUB_SHA1 = "a3b8990636163d2151632dab959f37ba57b00029"
+KEYGEN_1024_SEED_1_KEY_SHA1 = "e13a3bab306ecb9d6f552c1ae4c5601eb589e228"
 # the primes of rsa.keygen_random(1024, 65537, random.Random("keygen-0")),
 # the first key of the benchmark's keygen pool: a change to is_prime's
 # checks must not move the keys drawn from a seeded rng
