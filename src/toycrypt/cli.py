@@ -216,12 +216,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_keygen(args, stdin, stdout, rng) -> int:
+def _cmd_keygen(args, stdin, stdout, rng) -> None:
     e = toycrypt.rsa.DEFAULT_PUBLIC_EXPONENT if args.exponent is None else args.exponent
     pub, priv = toycrypt.rsa.keygen_random(args.bits, e, rng)
     Path(args.out + ".pub").write_text(toycrypt.rsa.write_public_key(pub))
     Path(args.out + ".key").write_text(toycrypt.rsa.write_private_key(priv))
-    return 0
 
 
 # The key-file commands: name -> (help, reads the private key?,
@@ -252,24 +251,22 @@ def _read_key(path: str, private: bool):
     return toycrypt.rsa.read_private_key(text) if private else toycrypt.rsa.read_public_key(text)
 
 
-def _cmd_keyed(args, stdin, stdout, rng) -> int:
+def _cmd_keyed(args, stdin, stdout, rng) -> None:
     _, private, op = _KEYED[args.command]
     key = _read_key(args.key, private)
     _write_bytes(op(_read_bytes(args.infile, stdin), key, rng), args.outfile, stdout)
-    return 0
 
 
-def _cmd_verify(args, stdin, stdout, rng) -> int:
+def _cmd_verify(args, stdin, stdout, rng) -> int | None:
     pub = _read_key(args.key, private=False)
     msg = toycrypt.envelope.read_signed(_read_bytes(args.infile, stdin))
-    if toycrypt.envelope.verify(msg, pub):
-        stdout.write("VALID\n")
-        return 0
-    stdout.write("INVALID\n")
-    return 3
+    if not toycrypt.envelope.verify(msg, pub):
+        stdout.write("INVALID\n")
+        return 3
+    stdout.write("VALID\n")
 
 
-def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
+def _cmd_dh_demo(args, stdin, stdout, rng) -> None:
     params = toycrypt.dh.make_params(args.p, args.g)
     alice = toycrypt.dh.gen_keypair(params, rng)
     bob = toycrypt.dh.gen_keypair(params, rng)
@@ -292,10 +289,9 @@ def _cmd_dh_demo(args, stdin, stdout, rng) -> int:
     if eve.found:
         lines.append(f"eve-shared={toycrypt.dh.shared_secret(params, eve.exponent, bob.public)}")
     stdout.write("\n".join(lines) + "\n")
-    return 0
 
 
-def _cmd_dlog(args, stdin, stdout, rng) -> int:
+def _cmd_dlog(args, stdin, stdout, rng) -> None:
     params = toycrypt.dh.make_params(args.p, args.g)
     cap = _scan_cap(args.cap, params.p)
     result = toycrypt.dh.brute_force_dlog(params, args.target, cap)
@@ -303,30 +299,26 @@ def _cmd_dlog(args, stdin, stdout, rng) -> int:
         raise ValueError(f"no exponent up to {cap} reaches {args.target}")
     k = toycrypt.bigmod.render_natural(result.exponent, args.hex)
     stdout.write(f"k={k} steps={result.steps}\n")
-    return 0
 
 
-def _cmd_factor(args, stdin, stdout, rng) -> int:
+def _cmd_factor(args, stdin, stdout, rng) -> None:
     f = toycrypt.numtheory.factor_trial(args.n, args.cap)
     stdout.write(f"{toycrypt.bigmod.render_natural(args.n, args.hex)} = {f}\n")
-    return 0
 
 
-def _cmd_primes(args, stdin, stdout, rng) -> int:
+def _cmd_primes(args, stdin, stdout, rng) -> None:
     if args.limit > PRIMES_LIMIT:
         raise ValueError(f"limit {args.limit} above the maximum of {PRIMES_LIMIT}")
     for p in toycrypt.numtheory.sieve_primes(args.limit):
         stdout.write(toycrypt.bigmod.render_natural(p, args.hex) + "\n")
-    return 0
 
 
-def _cmd_totient(args, stdin, stdout, rng) -> int:
+def _cmd_totient(args, stdin, stdout, rng) -> None:
     phi = toycrypt.numtheory.totient(args.n, args.cap)
     stdout.write(toycrypt.bigmod.render_natural(phi, args.hex) + "\n")
-    return 0
 
 
-def _cmd_prime_count(args, stdin, stdout, rng) -> int:
+def _cmd_prime_count(args, stdin, stdout, rng) -> None:
     if len(args.bounds) == 1:
         estimate = toycrypt.numtheory.pnt_estimate(args.bounds[0])
     elif len(args.bounds) == 2:
@@ -334,13 +326,11 @@ def _cmd_prime_count(args, stdin, stdout, rng) -> int:
     else:
         raise ValueError("prime-count takes one or two bounds")
     stdout.write(f"{estimate:.6g}\n")
-    return 0
 
 
-def _cmd_hash(args, stdin, stdout, rng) -> int:
+def _cmd_hash(args, stdin, stdout, rng) -> None:
     digest = toycrypt.sha1.sha1(_read_bytes(args.infile, stdin))
     stdout.write(toycrypt.sha1.hex_upper(digest) + "\n")
-    return 0
 
 
 def _read_cli_text(args, stdin) -> str:
@@ -349,34 +339,31 @@ def _read_cli_text(args, stdin) -> str:
     return _read_bytes(None, stdin).decode().removesuffix("\n")
 
 
-def _cmd_caesar(args, stdin, stdout, rng) -> int:
+def _cmd_caesar(args, stdin, stdout, rng) -> None:
     text = _read_cli_text(args, stdin)
     op = toycrypt.classical.caesar_decrypt if args.decrypt else toycrypt.classical.caesar_encrypt
     stdout.write(op(text, args.shift) + "\n")
-    return 0
 
 
-def _cmd_scytale(args, stdin, stdout, rng) -> int:
+def _cmd_scytale(args, stdin, stdout, rng) -> None:
     text = _read_cli_text(args, stdin)
     if args.decrypt:
         stdout.write(toycrypt.classical.scytale_unframe(text) + "\n")
-        return 0
+        return
     # the pad grows with the key alone, so a key past the text would cost
     # time and memory in k, whatever the text
     if text and args.key > len(text):
         raise ValueError(f"key {args.key} longer than the text ({len(text)} characters)")
     stdout.write(toycrypt.classical.scytale_frame(text, args.key) + "\n")
-    return 0
 
 
-def _cmd_otp(args, stdin, stdout, rng) -> int:
+def _cmd_otp(args, stdin, stdout, rng) -> None:
     key = Path(args.key_file).read_bytes()
     data = _read_bytes(args.infile, stdin)
     _write_bytes(toycrypt.classical.otp_apply(data, key), args.outfile, stdout)
-    return 0
 
 
-def _cmd_ecc(args, stdin, stdout, rng) -> int:
+def _cmd_ecc(args, stdin, stdout, rng) -> None:
     try:
         a, b, p = args.curve.split(",")
         a, b, p = _parse_integer(a), _parse_integer(b), toycrypt.bigmod.parse_natural(p)
@@ -398,18 +385,15 @@ def _cmd_ecc(args, stdin, stdout, rng) -> int:
         if not result.found:
             raise ValueError(f"no scalar up to {cap} reaches {args.target}")
         stdout.write(f"k={result.scalar} steps={result.steps}\n")
-    return 0
 
 
-def _cmd_keycount(args, stdin, stdout, rng) -> int:
+def _cmd_keycount(args, stdin, stdout, rng) -> None:
     count = toycrypt.numtheory.key_count(args.n)
     stdout.write(toycrypt.bigmod.render_natural(count, args.hex) + "\n")
-    return 0
 
 
-def _cmd_rsa_demo(args, stdin, stdout, rng) -> int:
+def _cmd_rsa_demo(args, stdin, stdout, rng) -> None:
     stdout.write(demo_rsa_paper())
-    return 0
 
 
 # subcommand name -> (help, handler), in the order the full parser lists them
@@ -440,6 +424,14 @@ def _parse_args(argv: list[str], stderr) -> argparse.Namespace:
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
+    """Run one toycrypt command and return its exit code.
+
+    This is the one place the exit codes are decided: argparse's own code
+    for the arguments (2 for a usage error, 0 after printing help), 1 when
+    the command raises ValueError or OSError (its reason goes to stderr), 3
+    when verify finds a signature that does not verify (the one code a
+    handler returns), and 0 otherwise.
+    """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -454,7 +446,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             f"toycrypt {args.command}: {category.__name__}: {message}\n"
         )
         try:
-            return args.handler(args, stdin, stdout, rng)
+            return args.handler(args, stdin, stdout, rng) or 0
         except (ValueError, OSError) as exc:
             stderr.write(f"toycrypt {args.command}: {exc}\n")
             return 1

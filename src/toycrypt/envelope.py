@@ -34,7 +34,6 @@ from .rsa import BlockStream, RsaPrivateKey, RsaPublicKey
 from .sha1 import DIGEST_BYTES, digests, sha1
 
 SESSION_KEY_BYTES = 32
-_BATCH_BLOCKS = 1024  # counter blocks per sha1.digests call
 _MIN_SIGNER_MODULUS = 1 << (8 * DIGEST_BYTES)
 
 _ENVELOPE_MAGIC = "envelope v1"
@@ -69,21 +68,14 @@ def keystream(session_key: bytes, length: int) -> bytes:
 
     The counter is 8 bytes big-endian starting at 0, one digest per 20
     output bytes.  Counter blocks do not depend on each other, so they are
-    hashed side by side, `_BATCH_BLOCKS` at a time, by `sha1.digests`.
+    hashed side by side by `sha1.digests`.
     """
     if len(session_key) != SESSION_KEY_BYTES:
         raise ValueError(f"session key must be {SESSION_KEY_BYTES} bytes, got {len(session_key)}")
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    blocks = -(-length // DIGEST_BYTES)
-    stream = b"".join(
-        digests(
-            session_key + counter.to_bytes(8, "big")
-            for counter in range(start, min(start + _BATCH_BLOCKS, blocks))
-        )
-        for start in range(0, blocks, _BATCH_BLOCKS)
-    )
-    return stream[:length]
+    blocks = range(-(-length // DIGEST_BYTES))
+    return digests(session_key + counter.to_bytes(8, "big") for counter in blocks)[:length]
 
 
 def seal(message: bytes, recipient: RsaPublicKey, rng=None) -> Envelope:

@@ -246,7 +246,9 @@ def recover_primes(n: int, phi: int) -> tuple[int, int]:
     """Recover {p, q} from the modulus and phi(N).
 
     p and q are the roots of t**2 - (N - phi + 1)t + N, so leaking phi is
-    exactly as bad as leaking the factorization.
+    exactly as bad as leaking the factorization.  The roots multiply back to
+    N whenever they are whole: disc = s**2 - 4N has the parity of s**2, so r
+    and s share parity and p*q = (s**2 - r**2)/4 = N.
     """
     s = n - phi + 1
     disc = s * s - 4 * n
@@ -256,8 +258,8 @@ def recover_primes(n: int, phi: int) -> tuple[int, int]:
     if r * r != disc:
         raise ValueError("no factorization: discriminant not a perfect square")
     p, q = (s - r) // 2, (s + r) // 2
-    if p < 2 or p * q != n:
-        raise ValueError("no factorization: roots do not multiply back to N")
+    if p < 2:
+        raise ValueError(f"no factorization: root {p} is below 2")
     return p, q
 
 

@@ -20,6 +20,7 @@ Every operand stays below 2**65.
 
 from __future__ import annotations
 
+import itertools
 import struct
 
 from ._record import record
@@ -224,9 +225,10 @@ class Sha1:
             self.update(data)
 
     def update(self, data: bytes) -> "Sha1":
-        self._length += len(data)
-        if self._length >= MAX_MESSAGE_BYTES:
+        # a refused update leaves the context as it was
+        if self._length + len(data) >= MAX_MESSAGE_BYTES:
             raise ValueError("message too long for SHA-1")
+        self._length += len(data)
         self._state, self._buffer = _compress(self._state, self._buffer + data)
         return self
 
@@ -240,22 +242,35 @@ def sha1(message: bytes) -> Digest:
     return Sha1(message).digest()
 
 
+# Most messages that digests hashes side by side in one pass of the kernels.
+_BATCH_MESSAGES = 1024
+
+
 def digests(messages) -> bytes:
     """SHA-1 of equal-length messages, hashed side by side; digests concatenated.
 
-    Message i is lane i of every `_schedule` and `_rounds` operand, so one
-    pass of the two kernels hashes them all.  The rounds fit independent
-    messages only, such as the counter blocks of a keystream.  A streaming
-    hash (Sha1) chains each block's rounds on the state the previous block
-    left, so only its schedules go side by side: it expands those of a run
-    of its blocks in lanes, then runs the rounds one block at a time.
+    `messages` is any iterable; it is read _BATCH_MESSAGES at a time, and
+    message i of a batch is lane i of every `_schedule` and `_rounds`
+    operand, so one pass of the two kernels hashes the whole batch.  The
+    rounds fit independent messages only, such as the counter blocks of a
+    keystream.  A streaming hash (Sha1) chains each block's rounds on the
+    state the previous block left, so only its schedules go side by side:
+    it expands those of a run of its blocks in lanes, then runs the rounds
+    one block at a time.
     """
-    messages = list(messages)
-    if not messages:
-        return b""
-    length = len(messages[0])
-    if any(len(m) != length for m in messages):
-        raise ValueError("messages hashed side by side must all have the same length")
+    messages = iter(messages)
+    out = bytearray()
+    length = None
+    while batch := list(itertools.islice(messages, _BATCH_MESSAGES)):
+        length = len(batch[0]) if length is None else length
+        if any(len(m) != length for m in batch):
+            raise ValueError("messages hashed side by side must all have the same length")
+        out += _lane_digests(batch, length)
+    return bytes(out)
+
+
+def _lane_digests(messages: list[bytes], length: int) -> bytearray:
+    """The digests of messages, each `length` bytes, one message per lane."""
     pad = _padding(length)
     stride = length + len(pad)
     count = len(messages)
@@ -269,7 +284,7 @@ def digests(messages) -> bytes:
         packed = word.to_bytes(8 * count, "big")
         for j in range(4):
             out[4 * i + j :: DIGEST_BYTES] = packed[4 + j :: 8]
-    return bytes(out)
+    return out
 
 
 def hex_upper(d: Digest) -> str:

@@ -437,6 +437,10 @@ class TestCancelFactor:
         with pytest.raises(ValueError):
             bigmod.cancel_factor(1, 2, 3, 7)
 
+    def test_zero_factor_refused(self):
+        with pytest.raises(ValueError, match="^factor must be positive, got 0$"):
+            bigmod.cancel_factor(1, 1, 0, 7)
+
     def test_enumerated_against_definition(self):
         rng = random.Random(303)
         for _ in range(500):

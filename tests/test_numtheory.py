@@ -24,6 +24,7 @@ from vectors import (
     KEYGEN_1024_SEED_KEYGEN_0_Q,
     KEYGEN_256_SEED_1_KEY,
     PRIMES_BELOW_1000,
+    RANDOM_PRIME_512_SEED_SQUARE_512,
     RANDOM_PRIME_SEEDED_SHA1,
 )
 
@@ -476,7 +477,7 @@ class TestBailliePSW:
     # prime, above 2**11, so its square passes base 2 and only the square
     # check stops it.  For a square, no D has (D/n) = -1.
     @pytest.mark.parametrize("root", [
-        2**31 - 1, 2**89 - 1, 3511, numtheory.random_prime(512, random.Random("square-512")),
+        2**31 - 1, 2**89 - 1, 3511, RANDOM_PRIME_512_SEED_SQUARE_512,
     ], ids=["2**31-1", "2**89-1", "3511", "512-bit"])
     def test_perfect_squares_never_reach_the_d_search(self, monkeypatch, root):
         def no_search(*args):
@@ -697,6 +698,9 @@ class TestRandomPrime:
         assert oracle_prime(p, 128) and oracle_prime(q, 128)
         assert oracle_prime(KEYGEN_1024_SEED_KEYGEN_0_P, 512)
         assert oracle_prime(KEYGEN_1024_SEED_KEYGEN_0_Q, 512)
+
+    def test_pinned_square_root_passes_the_oracle(self):
+        assert oracle_prime(RANDOM_PRIME_512_SEED_SQUARE_512, 512)
 
 
 def oracle_prime(p: int, bits: int) -> bool:

@@ -431,6 +431,14 @@ class TestRecoverPrimes:
         with pytest.raises(ValueError):
             rsa.recover_primes(323, 287)
 
+    @pytest.mark.parametrize("phi, reason", [
+        (14, "negative discriminant"),  # s = 2: s**2 < 4N
+        (0, "root 1 is below 2"),  # s = 16, r = 14: the roots 1 and 15
+    ])
+    def test_phi_without_a_factorization(self, phi, reason):
+        with pytest.raises(ValueError, match=f"^no factorization: {reason}$"):
+            rsa.recover_primes(15, phi)
+
 
 class TestTextFormats:
     def test_key_files_round_trip(self, small_keys):

@@ -66,6 +66,14 @@ class TestStreaming:
     def test_update_chains(self):
         assert Sha1().update(b"ab").update(b"c").digest() == sha1.sha1(b"abc")
 
+    def test_refused_update_leaves_the_context_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(sha1, "MAX_MESSAGE_BYTES", 100)
+        ctx = Sha1(b"a" * 60)
+        with pytest.raises(ValueError, match="too long"):
+            ctx.update(b"b" * 60)
+        assert ctx.digest().data == hashlib.sha1(b"a" * 60).digest()
+        assert ctx.update(b"c" * 39).digest().data == hashlib.sha1(b"a" * 60 + b"c" * 39).digest()
+
 
 # Sha1 expands the schedules of its whole blocks side by side, up to RUN at
 # once; these block counts sit on either side of a run's edges
@@ -170,6 +178,39 @@ class TestSideBySide:
         assert sha1.digests([message]) == sha1.sha1(message).data
 
 
+# digests reads its messages BATCH at a time; 2 * BATCH + 1 makes three batches
+BATCH = sha1._BATCH_MESSAGES
+
+
+class TestBatches:
+    @staticmethod
+    def messages(count):
+        return [i.to_bytes(4, "big") * 3 for i in range(count)]
+
+    def test_three_batches_match_hashlib(self, monkeypatch):
+        messages = self.messages(2 * BATCH + 1)
+        drawn = []
+
+        def draw():
+            for m in messages:
+                drawn.append(m)
+                yield m
+
+        # (lanes, messages drawn so far) of each pass: no lane set is wider
+        # than a batch, and none is packed before its batch is drawn
+        passes = []
+        lane_ones = sha1._lane_ones
+        monkeypatch.setattr(sha1, "_lane_ones", lambda count: passes.append((count, len(drawn)))
+                            or lane_ones(count))
+        assert sha1.digests(draw()) == b"".join(hashlib.sha1(m).digest() for m in messages)
+        assert passes == [(BATCH, BATCH), (BATCH, 2 * BATCH), (1, 2 * BATCH + 1)]
+
+    def test_unequal_length_in_a_later_batch_refused(self):
+        messages = self.messages(BATCH + 5) + [b"longer than the rest"]
+        with pytest.raises(ValueError, match="same length"):
+            sha1.digests(messages)
+
+
 class TestDeterminism:
     def test_repeated_calls(self):
         rng = random.Random(112)
@@ -191,10 +232,8 @@ class TestBirthdayBound:
         while len(inputs) < 2**16:
             inputs.add(rng.getrandbits(64).to_bytes(8, "big"))
         inputs = list(inputs)
-        truncated = []
-        for at in range(0, len(inputs), 1024):  # sha1.digests hashes each batch side by side
-            hashed = sha1.digests(inputs[at : at + 1024])
-            truncated += [hashed[i : i + 4] for i in range(0, len(hashed), sha1.DIGEST_BYTES)]
+        hashed = sha1.digests(inputs)
+        truncated = [hashed[i : i + 4] for i in range(0, len(hashed), sha1.DIGEST_BYTES)]
         assert len(truncated) == 2**16
         collisions = len(truncated) - len(set(truncated))
         assert collisions <= 2

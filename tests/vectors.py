@@ -80,6 +80,12 @@ KEYGEN_1024_SEED_KEYGEN_0_Q = int(
 # SHA-1 (by hashlib, in the test only) of rsa.write_private_key of that key:
 # pins n, d, p and q of a 1024-bit seeded key byte for byte
 KEYGEN_1024_SEED_KEYGEN_0_KEY_SHA1 = "d71288e008a903f5f721ec98f29b91117409bd81"
+# numtheory.random_prime(512, random.Random("square-512")), the root of a
+# 512-bit square, pinned so that no prime is drawn while tests are collected
+RANDOM_PRIME_512_SEED_SQUARE_512 = int(
+    "ef261b8516268cad319d337f109222a562d535bcd32a2c655a211cf14e10775e"
+    "d945c1c70d54133a9bc4e8ec4725c5f1f6137f8965cf848afffbe84fb6b1b9a5", 16
+)
 # SHA-1 (by hashlib, in the test only) of the decimal primes of
 # numtheory.random_prime(bits, random.Random(f"prime-{bits}-{i}")) for i in
 # 0..9, one a line: pins the prime search's draws from a seeded rng, so a
