@@ -73,8 +73,7 @@ def _scan_cap(cap: int | None, bound: int) -> int:
 def _read_bytes(path: str | None, stdin) -> bytes:
     if path and path != "-":
         return Path(path).read_bytes()
-    data = stdin.read()
-    return data.encode() if isinstance(data, str) else data
+    return (stdin if stdin is not None else sys.stdin.buffer).read()
 
 
 def _write_bytes(data: bytes, path: str | None, stdout) -> None:
@@ -431,8 +430,11 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     the command raises ValueError or OSError (its reason goes to stderr), 3
     when verify finds a signature that does not verify (the one code a
     handler returns), and 0 otherwise.
+
+    stdin is a binary stream; without one, a command that reads stdin reads
+    sys.stdin.buffer, and one that does not never touches it.  stdout and
+    stderr are text streams, sys.stdout and sys.stderr by default.
     """
-    stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
@@ -453,4 +455,4 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:], stdin=sys.stdin.buffer))
+    sys.exit(run())

@@ -14,13 +14,14 @@ division, and inverts once at the end (Hankerson-Menezes-Vanstone, Guide to
 Elliptic Curve Cryptography, Alg. 3.21-3.22 and 3.27).  A point object
 multiplied a second time on a curve gets a fixed-base comb table (Alg.
 3.44): bigmod's Lim-Lee comb, with one block and the curve's doubling and
-mixed addition as its group operations.  The table is kept on the point,
-and from then on a multiplication costs about a quarter of the
-double-and-add loop; a point multiplied once never builds one.  Both paths
-are variable-time, like everything here.  No named curves.  The public
-functions check that every point they are given lies on the curve;
-scalar_mul and brute_force_ecdlog check their points once and then add
-without re-checking, since sums of points on the curve stay on it.
+mixed addition as its group operations, each entry made affine by its own
+inversion.  The table is kept on the point, and from then on a
+multiplication costs about a quarter of the double-and-add loop; a point
+multiplied once never builds one.  Both paths are variable-time, like
+everything here.  No named curves.  The public functions check that every
+point they are given lies on the curve; scalar_mul and brute_force_ecdlog
+check their points once and then add without re-checking, since sums of
+points on the curve stay on it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class EccPoint:
     combs, filled by scalar_mul, is not a field: equality, hash and repr
     ignore it.  It maps each curve the point was multiplied on to None
     after the first multiplication, then to the point's bigmod.comb table
-    there: one block of 2**8 affine entries, about 38 KiB at 128 bits.
+    there: one block of 2**8 affine entries, one inversion each, about
+    38 KiB at 128 bits.
     """
 
     x: int | None
@@ -202,45 +204,30 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
         # One block: timed at 128 bits against double-and-add (300 paired
         # calls), 4, 6 and 8 rows of one block took 0.40, 0.30 and 0.25 of
         # its time, and two blocks 0.34, 0.25 and 0.22, for twice the table.
-        # The entries are made affine together, None at infinity (a point of
-        # small order), so that the comb adds them by mixed additions.
+        # Each entry is made affine by its own inversion, None at infinity (a
+        # point of small order), so that the comb adds them by mixed additions.
         table = combs[curve] = bigmod.comb(
             (point.x, point.y, 1), p.bit_length() + 1, 1, (0, 1, 0),
             lambda q: _jacobian_double(a, p, *q),
             lambda q, e: q if e is None else _jacobian_add_affine(a, p, *q, *e),
-            lambda points: _batch_affine(p, points))
+            lambda points: [_xy(p, *q) for q in points])
     if k.bit_length() > bigmod.comb_reach(table):
         return _double_and_add(curve, k, point)
     return _affine(p, *bigmod.comb_pow(table, k))
 
 
-def _batch_affine(p: int, points: list) -> list:
-    # affine (x, y) of each Jacobian (X, Y, Z), None where Z = 0, with one
-    # inversion (Montgomery's trick): invert the product of every Z, then
-    # peel one Z at a time off that inverse, from the last point back
-    prefix = []  # prefix[i]: the product of the nonzero Z up to points[i]
-    product = 1
-    for _, _, z in points:
-        if z:
-            product = product * z % p
-        prefix.append(product)
-    inverse = bigmod.mod_inv(product, p).value
-    affine = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        if z:
-            z_inv = inverse * (prefix[i - 1] if i else 1) % p
-            inverse = inverse * z % p
-            zz_inv = z_inv * z_inv % p
-            affine[i] = (x * zz_inv % p, y * zz_inv * z_inv % p)
-    return affine
+def _xy(p: int, x: int, y: int, z: int) -> tuple[int, int] | None:
+    # the affine (X/Z**2, Y/Z**3) of a Jacobian point by one inversion, or
+    # None for the point at infinity (Z = 0)
+    if z == 0:
+        return None
+    z_inv = bigmod.mod_inv(z, p).value
+    zz_inv = z_inv * z_inv % p
+    return x * zz_inv % p, y * zz_inv * z_inv % p
 
 
 def _affine(p: int, x: int, y: int, z: int) -> EccPoint:
-    # the affine point (X/Z**2, Y/Z**3), with the product's one inversion
-    if z == 0:
-        return INFINITY
-    return EccPoint(*_batch_affine(p, [(x, y, z)])[0])
+    return EccPoint(*_xy(p, x, y, z)) if z else INFINITY
 
 
 def _double_and_add(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:

@@ -225,11 +225,12 @@ class Sha1:
             self.update(data)
 
     def update(self, data: bytes) -> "Sha1":
-        # a refused update leaves the context as it was
-        if self._length + len(data) >= MAX_MESSAGE_BYTES:
+        # a refused update, too long or not bytes, leaves the context as it was
+        length = self._length + len(data)
+        if length >= MAX_MESSAGE_BYTES:
             raise ValueError("message too long for SHA-1")
-        self._length += len(data)
         self._state, self._buffer = _compress(self._state, self._buffer + data)
+        self._length = length
         return self
 
     def digest(self) -> Digest:

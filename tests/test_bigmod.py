@@ -536,3 +536,6 @@ class TestResidue:
 
     def test_int_conversion(self):
         assert int(bigmod.mod_reduce(30, 24)) == 6
+
+    def test_str(self):
+        assert str(Residue(3, 7)) == "3 (mod 7)"

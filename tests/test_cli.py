@@ -353,6 +353,14 @@ class TestHash:
         assert code == 0
         assert out == DIGEST_ITALIA_4_3 + "\n"
 
+    def test_default_stdin_is_read_as_bytes(self, monkeypatch):
+        # not UTF-8: read as text, these bytes could not be hashed
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\x00\xfe")))
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["hash"], stdout=out, stderr=err) == 0
+        assert (out.getvalue(), err.getvalue()) == (
+            hashlib.sha1(b"\xff\x00\xfe").hexdigest().upper() + "\n", "")
+
     def test_file_input(self, tmp_path):
         path = tmp_path / "msg"
         path.write_bytes(b"abc")
@@ -412,6 +420,14 @@ class TestClassicalCommands:
         key.write_bytes(b"xy")
         code, _, err = invoke(["otp", "--key-file", str(key)], stdin=b"longer than key")
         assert code == 1 and "shorter" in err
+
+    def test_otp_writes_bytes_to_a_binary_stdout(self, tmp_path):
+        key = tmp_path / "pad"
+        key.write_bytes(bytes(range(1, 65)))
+        stdout = io.TextIOWrapper(io.BytesIO())
+        assert run(["otp", "--key-file", str(key)], stdin=io.BytesIO(b"\x00\xff"),
+                   stdout=stdout, stderr=io.StringIO()) == 0
+        assert stdout.buffer.getvalue() == b"\x01\xfd"
 
 
 class TestEccCommands:

@@ -136,6 +136,9 @@ class TestAddition:
         with pytest.raises(ValueError):
             ecc.point_neg(curve97, EccPoint(0, 1))
 
+    def test_neg_of_infinity_is_infinity(self, curve97):
+        assert ecc.point_neg(curve97, INFINITY) == INFINITY
+
     def test_closure_exhaustive(self, curve97, points97):
         group = points97 + [INFINITY]
         for p1 in group:

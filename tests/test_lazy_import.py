@@ -3,8 +3,9 @@
 The in-process suite imports every module, so each check here starts a new
 interpreter: importing the CLI loads neither dataclasses nor dh, ecc and
 rsa, a bare `import toycrypt` loads no submodule until one is used, each
-command loads only the modules it uses, and the CLI commands that load
-modules on demand still print their goldens.
+command loads only the modules it uses, dir(toycrypt) lists every module
+without loading one, and the CLI commands that load modules on demand still
+print their goldens.
 """
 
 import json
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import toycrypt
 from vectors import DH_DEMO_SEED_7, KEYGEN_256_SEED_1_KEY, KEYGEN_256_SEED_1_PUB
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,6 +99,21 @@ def test_star_import_binds_every_module():
         "print(json.dumps([bound, [n for n in names if n in dir(toycrypt)]]))"
     )
     assert bound == listed == MODULES
+
+
+def test_dir_lists_every_module_without_importing_one(monkeypatch):
+    # in-process, where the modules are loaded already; dir may not load one
+    def refuse(name, package=None):
+        raise AssertionError(f"dir imported {name}")
+
+    monkeypatch.setattr(toycrypt.importlib, "import_module", refuse)
+    assert set(MODULES) | {"__version__"} <= set(dir(toycrypt))
+    listed, loaded = fresh_json(
+        "import toycrypt\n"
+        "listed = dir(toycrypt)\n"
+        "print(json.dumps([listed, [m for m in sys.modules if m.startswith('toycrypt.')]]))"
+    )
+    assert set(MODULES) <= set(listed) and loaded == []
 
 
 def test_keygen_seal_open_load_only_what_they_use(tmp_path):

@@ -74,6 +74,13 @@ class TestStreaming:
         assert ctx.digest().data == hashlib.sha1(b"a" * 60).digest()
         assert ctx.update(b"c" * 39).digest().data == hashlib.sha1(b"a" * 60 + b"c" * 39).digest()
 
+    def test_refused_str_update_leaves_the_context_as_it_was(self):
+        ctx = Sha1(b"abc")
+        with pytest.raises(TypeError):
+            ctx.update("x")
+        assert ctx.digest() == sha1.sha1(b"abc")
+        assert ctx.update(b"d").digest() == sha1.sha1(b"abcd")
+
 
 # Sha1 expands the schedules of its whole blocks side by side, up to RUN at
 # once; these block counts sit on either side of a run's edges
