@@ -70,10 +70,28 @@ def _scan_cap(cap: int | None, bound: int) -> int:
     return cap if cap is not None else min(bound, DEFAULT_SCAN_CAP)
 
 
+class _ClosedStream:
+    """Stands in for a standard stream that the process was started without.
+
+    Python sets sys.stdin or sys.stdout to None when its file descriptor is
+    closed (`toycrypt hash <&-`).  A command that never touches the stream
+    runs as usual; one that does fails with OSError, and so exits 1 with
+    this reason, where None would give an AttributeError and a traceback.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise OSError(f"standard {self.name} is closed")
+
+
 def _read_bytes(path: str | None, stdin) -> bytes:
     if path and path != "-":
         return Path(path).read_bytes()
-    return (stdin if stdin is not None else sys.stdin.buffer).read()
+    if stdin is None:
+        stdin = (sys.stdin or _ClosedStream("input")).buffer
+    return stdin.read()
 
 
 def _write_bytes(data: bytes, path: str | None, stdout) -> None:
@@ -433,9 +451,11 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
     stdin is a binary stream; without one, a command that reads stdin reads
     sys.stdin.buffer, and one that does not never touches it.  stdout and
-    stderr are text streams, sys.stdout and sys.stderr by default.
+    stderr are text streams, sys.stdout and sys.stderr by default.  A
+    command that needs a standard stream the process was started without
+    exits 1 with a reason that names it.
     """
-    stdout = stdout if stdout is not None else sys.stdout
+    stdout = stdout if stdout is not None else sys.stdout or _ClosedStream("output")
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv), stderr)

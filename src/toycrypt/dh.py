@@ -65,7 +65,10 @@ def make_params(p: int, g: int) -> DhParams:
 
     The primality test, numtheory.is_prime, comes last: a p above
     bigmod.MAX_GROUP_BITS, a p below 7 (which leaves no g in that range)
-    and a g out of range are each refused before it.
+    and a g out of range are each refused before it.  A supplied p takes
+    the whole test; a p that numtheory.random_prime drew keeps its verdict
+    and takes only the trial division (about 0.1 ms at 1024 bits, against
+    25 ms for the whole test).
     """
     bigmod.check_modulus_bits(p, limit=bigmod.MAX_GROUP_BITS)
     if p < 7:

@@ -76,7 +76,9 @@ def make_curve(a: int, b: int, p: int) -> EccCurve:
     a and b may be negative and are reduced mod p.  The curve must be
     nonsingular: 4a**3 + 27b**2 != 0 (mod p).  The primality test,
     numtheory.is_prime, comes last: a p above bigmod.MAX_GROUP_BITS, a p
-    below 5 and a singular curve are each refused before it.
+    below 5 and a singular curve are each refused before it.  A p that
+    numtheory.random_prime drew keeps its verdict, and takes only the
+    trial division.
     """
     bigmod.check_modulus_bits(p, "field order", bigmod.MAX_GROUP_BITS)
     prime = f"field order must be an odd prime >= 5, got {p}"

@@ -74,6 +74,10 @@ class PrimalityVerdict:
     - the strong Lucas test, which has no base: COMPOSITE, None, rounds 1;
     - random round i of 3: COMPOSITE, that round's base, rounds i;
     - a number that passes all of them: PROBABLY_PRIME, None, rounds 3.
+    A prime that random_prime drew and that trial division leaves open
+    reads PROBABLY_PRIME, None, rounds 3 at once, the verdict random_prime
+    reached for it: rounds counts the rounds that number passed, not
+    rounds run in that call.
     """
 
     kind: str
@@ -335,12 +339,22 @@ def is_prime(n: int, rng=None) -> PrimalityVerdict:
       which Baillie-PSW let through also passes them.  It is a backstop,
       not the reason to trust the verdict.
 
+    A prime that random_prime returned has passed these steps already,
+    and carries that in its type, _DrawnPrime: when trial division leaves
+    it open, is_prime returns random_prime's verdict and runs no further
+    step.  Arithmetic, int() and every parser give plain ints, so a number
+    that a caller computes, reads or types is tested in full.
+
     PrimalityVerdict lists the verdicts.  A composite that a fixed test
-    rejects draws nothing from rng, and a prime draws 3 bases.
+    rejects draws nothing from rng, a prime tested in full draws 3 bases,
+    and a drawn prime nothing.
     """
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
-    return _trial_division(n) or _probable_prime(n, rng or random.SystemRandom())
+    verdict = _trial_division(n)
+    if verdict is None and type(n) is _DrawnPrime:
+        return PrimalityVerdict(PROBABLY_PRIME, None, _RANDOM_ROUNDS)
+    return verdict or _probable_prime(n, rng or random.SystemRandom())
 
 
 def factor_trial(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> Factorization:
@@ -393,6 +407,16 @@ def totient(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> int:
     return totient_from_factorization(factor_trial(n, divisor_cap))
 
 
+class _DrawnPrime(int):
+    """An int that random_prime returned, so is_prime's tests have passed on it.
+
+    Only random_prime makes one.  It behaves as its int value everywhere
+    (==, hash, repr, format), and arithmetic on it gives plain ints.
+    """
+
+    __slots__ = ()
+
+
 def random_prime(bits: int, rng=None) -> int:
     """A probable prime with exactly `bits` bits, the top two of them set, by is_prime's tests.
 
@@ -407,9 +431,15 @@ def random_prime(bits: int, rng=None) -> int:
     more than it saves, and no candidate takes it.  A composite draws
     nothing from rng, so a seeded rng's candidates follow one another in
     its stream, and the prime draws 3 bases after them.
+
+    The prime is returned as a _DrawnPrime, which keeps that verdict: a
+    later is_prime on it (dh.make_params, ecc.make_curve, the crt of a
+    keygen_random key) divides it by the small primes and runs nothing
+    more.  bits above bigmod.MAX_MODULUS_BITS are refused before anything
+    is drawn.
     """
-    if bits < 4:
-        raise ValueError(f"need at least 4 bits, got {bits}")
+    if not 4 <= bits <= bigmod.MAX_MODULUS_BITS:
+        raise ValueError(f"need 4 to {bigmod.MAX_MODULUS_BITS} bits, got {bits}")
     rng = rng or random.SystemRandom()
     while True:
         candidate = (3 << (bits - 2)) | rng.getrandbits(bits - 2) | 1
@@ -418,7 +448,7 @@ def random_prime(bits: int, rng=None) -> int:
                                 or bigmod.gcd(candidate, _gcd_primes_product() % candidate) == 1):
             verdict = _probable_prime(candidate, rng)
         if verdict is not None and verdict.is_prime:
-            return candidate
+            return _DrawnPrime(candidate)
 
 
 def pnt_estimate(x: int) -> float:

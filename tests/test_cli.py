@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import shlex
 import subprocess
 import sys
 import time
@@ -366,6 +367,42 @@ class TestHash:
         path.write_bytes(b"abc")
         code, out, _ = invoke(["hash", "--in", str(path)])
         assert out == "A9993E364706816ABA3E25717850C26C9CD0D89D\n"
+
+
+class TestClosedStreams:
+    """A process started without stdin or stdout has sys.stdin or sys.stdout None."""
+
+    def test_closed_stdin_exits_one(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["hash"], stdout=out, stderr=err) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", "toycrypt hash: standard input is closed\n")
+
+    def test_closed_stdout_exits_one(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        err = io.StringIO()
+        assert run(["factor", "15"], stderr=err) == 1
+        assert err.getvalue() == "toycrypt factor: standard output is closed\n"
+
+    def test_command_that_needs_neither_runs(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "stdin", None)
+        monkeypatch.setattr(sys, "stdout", None)
+        err = io.StringIO()
+        assert run(["keygen", "--bits", "256", "--out", str(tmp_path / "k"), "--seed", "1"],
+                   stderr=err) == 0
+        assert err.getvalue() == ""
+        assert (tmp_path / "k.key").read_text() == KEYGEN_256_SEED_1_KEY
+
+    @pytest.mark.parametrize("command, name", [
+        ("hash <&-", "input"), ("factor 15 >&-", "output"),
+    ], ids=["stdin", "stdout"])
+    def test_in_fresh_process(self, command, name):
+        result = subprocess.run(
+            ["sh", "-c", f"exec {shlex.quote(sys.executable)} -m toycrypt {command}"],
+            capture_output=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.decode() == f"toycrypt {command.split()[0]}: standard {name} is closed\n"
 
 
 class TestClassicalCommands:

@@ -684,6 +684,12 @@ class TestRandomPrime:
         with pytest.raises(ValueError):
             numtheory.random_prime(3, random.Random(0))
 
+    @pytest.mark.parametrize("bits", [bigmod.MAX_MODULUS_BITS + 1, 10**7])
+    def test_too_many_bits_rejected_before_drawing(self, bits):
+        # an rng that cannot draw: reaching the search fails, it cannot hang
+        with pytest.raises(ValueError, match=f"4 to {bigmod.MAX_MODULUS_BITS} bits, got {bits}"):
+            numtheory.random_prime(bits, rng=object())
+
     @pytest.mark.parametrize("bits", sorted(RANDOM_PRIME_SEEDED_SHA1))
     def test_seeded_primes_unchanged(self, bits):
         primes = [numtheory.random_prime(bits, random.Random(f"prime-{bits}-{i}")) for i in range(10)]
@@ -701,6 +707,61 @@ class TestRandomPrime:
 
     def test_pinned_square_root_passes_the_oracle(self):
         assert oracle_prime(RANDOM_PRIME_512_SEED_SQUARE_512, 512)
+
+
+class TestDrawnPrime:
+    """A prime that random_prime returned keeps its verdict; an int of the same value does not."""
+
+    @pytest.mark.parametrize("build, bits", [
+        (lambda p: dh.make_params(p, 5), 256),
+        (lambda p: ecc.make_curve(2, 3, p), 128),
+    ], ids=["dh.make_params", "ecc.make_curve"])
+    def test_group_prime_is_tested_once(self, monkeypatch, build, bits):
+        p = numtheory.random_prime(bits, random.Random(951))
+        verdicts = spy_verdicts(monkeypatch, "_probable_prime")
+        build(p)
+        assert verdicts == []
+        build(int(p))
+        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=3)]
+
+    def test_fresh_key_is_tested_once(self, monkeypatch):
+        _, priv = rsa.keygen_random(256, rng=random.Random(952))
+        verdicts = spy_verdicts(monkeypatch, "_probable_prime")
+        assert rsa.private_op(2, priv) == pow(2, priv.d, priv.n)
+        assert verdicts == []
+        read = rsa.read_private_key(rsa.write_private_key(priv))
+        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=3)] * 2
+        assert rsa.private_op(2, read) == pow(2, priv.d, priv.n)
+        assert len(verdicts) == 2
+
+    def test_second_test_draws_nothing(self):
+        p = numtheory.random_prime(64, random.Random(953))
+        # an rng that cannot draw: a second test of p takes no random round
+        assert numtheory.is_prime(p, rng=object()) == PrimalityVerdict(PROBABLY_PRIME, rounds=3)
+        assert numtheory.is_prime(int(p), rng=random.Random(0)) == numtheory.is_prime(p)
+
+    def test_small_drawn_prime_is_still_proven(self):
+        p = numtheory.random_prime(16, random.Random(954))
+        assert numtheory.is_prime(p, rng=object()) == PrimalityVerdict(PROVEN_PRIME)
+
+    @pytest.mark.parametrize("derive", [
+        lambda p: p + 0, lambda p: p * 1, lambda p: p - 0, lambda p: p % (p + 1), lambda p: +p,
+        lambda p: abs(p), lambda p: p >> 0, lambda p: p << 0, lambda p: p | 0, lambda p: int(p),
+        lambda p: bigmod.parse_natural(hex(p)), lambda p: bigmod.parse_natural(str(p)),
+    ], ids=["add", "mul", "sub", "mod", "pos", "abs", "rshift", "lshift", "or", "int",
+            "parse_hex", "parse_decimal"])
+    def test_derived_values_are_plain_ints(self, derive):
+        p = numtheory.random_prime(64, random.Random(955))
+        assert type(p) is not int
+        assert type(derive(p)) is int and derive(p) == p
+
+    def test_key_reads_as_with_plain_factors(self):
+        _, priv = rsa.keygen_random(256, rng=random.Random(956))
+        plain = rsa.RsaPrivateKey(*(int(v) for v in (priv.n, priv.d, priv.p, priv.q)))
+        assert type(priv.p) is not int and type(plain.p) is int
+        assert repr(priv) == repr(plain)
+        assert rsa.write_private_key(priv) == rsa.write_private_key(plain)
+        assert priv == plain and hash(priv) == hash(plain)
 
 
 def oracle_prime(p: int, bits: int) -> bool:
