@@ -1,6 +1,7 @@
 """Arbitrary-precision modular arithmetic.
 
-Naturals are plain Python ints (unbounded, exact); residues are normalized
+Naturals are plain Python ints (unbounded, exact; anything else, such as a
+float, is refused with TypeError); residues are normalized
 representatives in [0, modulus).  Signed integers are accepted only at the
 reduction edge (mod_reduce) and in the Bezout coefficients returned by
 extended_gcd; everything else consumes and produces non-negative values.
@@ -38,12 +39,24 @@ class NotInvertibleError(ValueError):
         self.gcd = gcd
 
 
+def check_int(n: int, what: str) -> None:
+    """Refuse anything but an int (a bool is one) with TypeError naming it.
+
+    A float or a Fraction would pass every range check here and give a
+    wrong answer, not an error: gcd(7.5, 3) would read 1.5.
+    """
+    if not isinstance(n, int):
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
+
+
 def _check_modulus(m: int) -> None:
+    check_int(m, "modulus")
     if m < 2:
         raise InvalidModulusError(f"modulus must be >= 2, got {m}")
 
 
-def _check_natural(n: int, what: str = "value") -> None:
+def _check_natural(n: int, what: str) -> None:
+    check_int(n, what)
     if n < 0:
         raise ValueError(f"{what} must be non-negative, got {n}")
 
@@ -66,6 +79,7 @@ MAX_GROUP_BITS = 2048
 
 def check_modulus_bits(m: int, what: str = "modulus", limit: int = MAX_MODULUS_BITS) -> None:
     """Refuse m above limit bits, before any work that grows with its size."""
+    check_int(m, what)
     if m.bit_length() > limit:
         raise ValueError(f"{what} has {m.bit_length()} bits, above the limit of {limit}")
 
@@ -79,6 +93,7 @@ class Residue:
 
     def __post_init__(self):
         _check_modulus(self.modulus)
+        check_int(self.value, "value")
         if not 0 <= self.value < self.modulus:
             raise ValueError(
                 f"residue {self.value} not normalized for modulus {self.modulus}"
@@ -93,6 +108,7 @@ class Residue:
 
 def mod_reduce(a: int, m: int) -> Residue:
     """Reduce a (possibly negative) integer to its representative in [0, m)."""
+    check_int(a, "a")
     _check_modulus(m)
     return Residue(a % m, m)
 
@@ -289,8 +305,8 @@ def fixed_base(base: int, exp_bits: int, m: int) -> Comb:
 
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor by Euclid's algorithm. gcd(a, 0) = a."""
-    _check_natural(a)
-    _check_natural(b)
+    _check_natural(a, "a")
+    _check_natural(b, "b")
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     while b:
@@ -310,8 +326,8 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
     x and y are the minimal-magnitude Bezout coefficients and may be negative.
     """
-    _check_natural(a)
-    _check_natural(b)
+    _check_natural(a, "a")
+    _check_natural(b, "b")
     if a == 0 and b == 0:
         raise ValueError("extended_gcd(0, 0) is undefined")
     r0, r1 = a, b
@@ -327,7 +343,7 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def mod_inv(a: int, m: int) -> Residue:
     """Multiplicative inverse of a mod m; exists iff gcd(a, m) = 1."""
     _check_modulus(m)
-    _check_natural(a)
+    _check_natural(a, "a")
     g, x, _ = extended_gcd(a % m, m)
     if g != 1:
         raise NotInvertibleError(a, m, g)
@@ -336,7 +352,7 @@ def mod_inv(a: int, m: int) -> Residue:
 
 def mod_div(a: int, b: int, m: int) -> Residue:
     """a/b mod m, i.e. a * b**-1; b must be coprime to m."""
-    _check_natural(a)
+    _check_natural(a, "a")
     inv = mod_inv(b, m)
     return Residue(a % m * inv.value % m, m)
 
@@ -376,5 +392,5 @@ def parse_natural(text: str) -> int:
 
 def render_natural(n: int, hexadecimal: bool = False) -> str:
     """Canonical text form: decimal, or lowercase hex with 0x prefix."""
-    _check_natural(n)
+    _check_natural(n, "n")
     return f"0x{n:x}" if hexadecimal else str(n)

@@ -80,10 +80,16 @@ def make_params(p: int, g: int) -> DhParams:
     return DhParams(p, g)
 
 
-def public_of(params: DhParams, secret: int) -> int:
-    """Public value g**secret mod p, from the group's fixed-base table."""
+def _check_secret(params: DhParams, secret: int) -> None:
+    # x**0 = 1 and, by Fermat, x**(p-1) = 1 for every x in (0, p): either
+    # exponent gives a public value or an agreed secret anyone can guess
     if not 1 <= secret <= params.p - 2:
         raise ValueError(f"secret must lie in [1, {params.p - 2}], got {secret}")
+
+
+def public_of(params: DhParams, secret: int) -> int:
+    """Public value g**secret mod p, from the group's fixed-base table."""
+    _check_secret(params, secret)
     return bigmod.comb_pow(params.generator_table, secret)
 
 
@@ -95,7 +101,12 @@ def gen_keypair(params: DhParams, rng=None) -> DhKeyPair:
 
 
 def shared_secret(params: DhParams, my_secret: int, their_public: int) -> int:
-    """their_public**my_secret mod p; identical on both sides."""
+    """their_public**my_secret mod p; identical on both sides.
+
+    my_secret must lie in [1, p - 2], as public_of requires: 0 and p - 1
+    would make the agreed secret 1 whatever the peer sent.
+    """
+    _check_secret(params, my_secret)
     if not 0 < their_public < params.p:
         raise ValueError(f"peer value must lie in (0, {params.p}), got {their_public}")
     if their_public == 1 or their_public == params.p - 1:

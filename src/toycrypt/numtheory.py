@@ -347,8 +347,9 @@ def is_prime(n: int, rng=None) -> PrimalityVerdict:
 
     PrimalityVerdict lists the verdicts.  A composite that a fixed test
     rejects draws nothing from rng, a prime tested in full draws 3 bases,
-    and a drawn prime nothing.
+    and a drawn prime nothing.  A non-int n is refused with TypeError.
     """
+    bigmod.check_int(n, "n")
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
     verdict = _trial_division(n)
@@ -362,8 +363,9 @@ def factor_trial(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> Factorizatio
 
     Raises FactorLimitError once a divisor beyond divisor_cap would be
     needed, reporting the factors extracted so far and the cofactor left;
-    divisor_cap must be >= 0.
+    divisor_cap must be >= 0.  A non-int n is refused with TypeError.
     """
+    bigmod.check_int(n, "n")
     if n < 2:
         raise ValueError(f"cannot factor {n}")
     if divisor_cap < 0:
@@ -400,6 +402,7 @@ def totient(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> int:
     n is factored by factor_trial, which raises FactorLimitError once a
     divisor beyond divisor_cap would be needed.
     """
+    bigmod.check_int(n, "n")
     if n < 1:
         raise ValueError(f"totient undefined for {n}")
     if n == 1:
@@ -451,35 +454,71 @@ def random_prime(bits: int, rng=None) -> int:
             return _DrawnPrime(candidate)
 
 
-def pnt_estimate(x: int) -> float:
-    """Approximate count of primes up to x as x/ln(x).
-
-    Raises ValueError when x/ln(x) exceeds the largest float, as it does
-    for x above about 2**1033.5.
-    """
+def _ln(x: int, name: str) -> float:
+    # ln(x) for an int x >= 3; math.log takes ints of any size
+    bigmod.check_int(x, name)
     if x < 3:
-        raise ValueError(f"estimate needs x >= 3, got {x}")
-    ln_x = math.log(x)  # takes ints of any size; float(x) would overflow
-    if x.bit_length() < 1024:
-        return x / ln_x
+        raise ValueError(f"estimate needs {name} >= 3, got {x}")
+    return math.log(x)
+
+
+def _exp(y: float, what: str) -> float:
+    # e**y, or the ValueError of a count beyond the largest float
     try:
-        return math.exp(ln_x - math.log(ln_x))
+        return math.exp(y)
     except OverflowError:
         raise ValueError(
-            f"x/ln(x) for a {x.bit_length()}-bit x exceeds the float range "
-            f"(at most {sys.float_info.max:.4g})"
+            f"{what} exceeds the float range (at most {sys.float_info.max:.4g})"
         ) from None
 
 
+def pnt_estimate(x: int) -> float:
+    """Approximate count of primes up to x as x/ln(x).
+
+    Computed as exp(ln x - ln ln x) at every size: math.log takes ints of
+    any size, where x / ln(x) would overflow float(x) from 2**1024 up.
+    Against a 60-digit decimal oracle its relative error stays near
+    1e-13 from 3 to 2**1033.  Raises ValueError when x/ln(x) exceeds the
+    largest float, as it does for x above about 2**1033.5.
+    """
+    ln_x = _ln(x, "x")
+    return _exp(ln_x - math.log(ln_x), f"x/ln(x) for a {x.bit_length()}-bit x")
+
+
 def pnt_between(lo: int, hi: int) -> float:
-    """Approximate count of primes in (lo, hi]."""
+    """Approximate count of primes in (lo, hi]: hi/ln(hi) - lo/ln(lo).
+
+    From hi >= 2 lo up the two estimates differ by a factor of 1.2 or
+    more, and their difference is taken as it is.  Below that they share
+    leading digits, which a difference of the two rounded floats would
+    lose: from 10**20 to 10**20 + 1000 both are near 2.2e18, and x/ln(x)
+    rises by 21.24.  So the count is computed from the exact d = hi - lo:
+    with L = ln(lo), r = d/lo, u = ln(1 + r) and q = u/r (1 when r
+    underflows to 0),
+
+        hi/ln(hi) - lo/ln(lo) = d (L - q) / (L (L + u)),
+
+    where L - q > 0.09, since L >= ln 3 and q <= 1.  It is taken through
+    logs, as pnt_estimate is, so that no d overflows a float.  Raises
+    ValueError when the count exceeds the largest float.
+    """
+    ln_lo = _ln(lo, "lo")
+    bigmod.check_int(hi, "hi")
     if lo >= hi:
         raise ValueError(f"need lo < hi, got {lo} >= {hi}")
-    return pnt_estimate(hi) - pnt_estimate(lo)
+    if hi >= 2 * lo:
+        return pnt_estimate(hi) - pnt_estimate(lo)
+    d = hi - lo
+    r = d / lo  # int / int: correctly rounded, never overflows for d < lo
+    u = math.log1p(r)
+    q = u / r if r else 1.0
+    log_count = math.log(d) + math.log(ln_lo - q) - math.log(ln_lo) - math.log(ln_lo + u)
+    return _exp(log_count, f"the rise of x/ln(x) from a {lo.bit_length()}-bit lo")
 
 
 def key_count(n_parties: int) -> int:
     """Pairwise secret keys needed by n parties: n(n-1)/2, exactly."""
+    bigmod.check_int(n_parties, "n_parties")
     if n_parties < 1:
         raise ValueError(f"need at least one party, got {n_parties}")
     return n_parties * (n_parties - 1) // 2

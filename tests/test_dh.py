@@ -116,6 +116,18 @@ class TestSharedSecret:
         with pytest.warns(WeakPublicValueWarning):
             dh.shared_secret(classroom_params, 6, 22)
 
+    @pytest.mark.parametrize("secret", [0, 22, 23, -1], ids=["0", "p-1", "p", "-1"])
+    def test_secret_outside_public_of_range_rejected(self, classroom_params, secret):
+        # 0 and p - 1 agree on 1 with every peer; public_of refuses all four
+        with pytest.raises(ValueError, match=r"secret must lie in \[1, 21\], got "):
+            dh.shared_secret(classroom_params, secret, 19)
+        with pytest.raises(ValueError, match=r"secret must lie in \[1, 21\], got "):
+            dh.public_of(classroom_params, secret)
+
+    def test_secret_range_ends_accepted(self, classroom_params):
+        assert dh.shared_secret(classroom_params, 1, 19) == 19
+        assert dh.shared_secret(classroom_params, 21, 19) == pow(19, 21, 23)
+
     def test_out_of_range_peer_rejected(self, classroom_params):
         with pytest.raises(ValueError):
             dh.shared_secret(classroom_params, 6, 0)

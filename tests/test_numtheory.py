@@ -2,6 +2,8 @@ import hashlib
 import inspect
 import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -826,6 +828,104 @@ class TestPrimeCountEstimates:
             pi = len(numtheory.sieve_primes(x + 1))
             ratio = pi / (x / math.log(x))
             assert 1.08 <= ratio <= 1.25, (x, ratio)
+
+
+def decimal_estimate(x: int) -> Decimal:
+    # x/ln(x) to the precision of the caller's decimal context
+    return Decimal(x) / Decimal(x).ln()
+
+
+def decimal_between(lo: int, hi: int) -> Decimal:
+    # the two estimates agree in at most as many leading digits as hi has,
+    # so 30 digits more leave their difference exact far beyond a float's
+    with localcontext() as ctx:
+        ctx.prec = len(str(hi)) + 30
+        return decimal_estimate(hi) - decimal_estimate(lo)
+
+
+def assert_close(got: float, want: Decimal, rel: float) -> None:
+    assert abs(Decimal(got) - want) <= Decimal(rel) * abs(want), (got, want)
+
+
+class TestPrimeCountOracle:
+    """pnt_estimate and pnt_between against x/ln(x) in decimal arithmetic."""
+
+    def test_estimate_from_3_to_2_1033(self):
+        # x/ln(x) as exp(ln x - ln ln x) at every size: an exponent near 710
+        # carries an absolute error near 1e-13 into the relative error
+        rng = random.Random("pnt-estimate")
+        xs = [3, 4, 5, 2**1033]
+        for bits in range(3, 1034):
+            xs += [rng.getrandbits(bits - 1) | 1 << (bits - 1), 2**bits - 1]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for x in xs:
+                assert_close(numtheory.pnt_estimate(x), decimal_estimate(x), 2e-13)
+
+    @pytest.mark.parametrize("lo, hi, approx", [
+        (10**20, 10**20 + 1000, 21.2432),
+        (2**200, 2**200 + 10**9, 7161440.9),
+        (10**20, 10**20 + 10**6, 21243.19),
+        (1000, 2000, 118.3618),
+        (2**1023, 2**1024, 1.26513e305),
+    ], ids=["1e20+1e3", "2^200+1e9", "1e20+1e6", "1000-2000", "2^1023-2^1024"])
+    def test_between_listed_intervals(self, lo, hi, approx):
+        # the short intervals lose every digit when two rounded estimates,
+        # near 2.2e18 and 1.2e58, are subtracted
+        between = numtheory.pnt_between(lo, hi)
+        assert_close(between, decimal_between(lo, hi), 1e-9)
+        assert between == pytest.approx(approx, rel=1e-5)
+
+    @given(st.integers(3, 2**1000).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(1, lo))))
+    @example((3, 1))
+    @example((3, 3))
+    @example((2**1000, 1))
+    @example((2**1000, 2**1000 - 1))
+    def test_between_any_interval_up_to_twice_lo(self, lo_d):
+        lo, d = lo_d
+        assert_close(numtheory.pnt_between(lo, lo + d), decimal_between(lo, lo + d), 1e-9)
+
+    def test_between_short_interval_beyond_the_estimates_range(self):
+        # neither estimate fits a float, but the count between them does
+        lo, hi = 2**2000, 2**2000 + 10**6
+        with pytest.raises(ValueError, match="float range"):
+            numtheory.pnt_estimate(lo)
+        assert_close(numtheory.pnt_between(lo, hi), decimal_between(lo, hi), 1e-9)
+
+
+@pytest.mark.parametrize("func, args, name", [
+    pytest.param(numtheory.is_prime, (7.5,), "n", id="is_prime-float"),
+    pytest.param(numtheory.is_prime, (Fraction(15, 2),), "n", id="is_prime-Fraction"),
+    pytest.param(numtheory.totient, (7.5,), "n", id="totient-float"),
+    pytest.param(numtheory.totient, (1.0,), "n", id="totient-1.0"),
+    pytest.param(numtheory.factor_trial, (7.5,), "n", id="factor_trial-float"),
+    pytest.param(numtheory.key_count, (2.5,), "n_parties", id="key_count"),
+    pytest.param(numtheory.pnt_estimate, (3.5,), "x", id="pnt_estimate"),
+    pytest.param(numtheory.pnt_between, (3.5, 5), "lo", id="pnt_between-lo"),
+    pytest.param(numtheory.pnt_between, (3, 5.5), "hi", id="pnt_between-hi"),
+    pytest.param(bigmod.gcd, (7.5, 3), "a", id="gcd-a"),
+    pytest.param(bigmod.gcd, (3, 7.5), "b", id="gcd-b"),
+    pytest.param(bigmod.mod_pow, (2.5, 3, 7), "base", id="mod_pow-base"),
+    pytest.param(bigmod.mod_pow, (2, 3.0, 7), "exponent", id="mod_pow-exponent"),
+    pytest.param(bigmod.mod_pow, (2, 3, 7.0), "modulus", id="mod_pow-modulus"),
+    pytest.param(bigmod.mod_reduce, (-7.5, 3), "a", id="mod_reduce"),
+    pytest.param(bigmod.Residue, (1.5, 7), "value", id="Residue"),
+    pytest.param(dh.make_params, (23.0, 5), "modulus", id="make_params"),
+    pytest.param(ecc.make_curve, (2, 3, 97.0), "field order", id="make_curve"),
+])
+def test_non_int_refused(func, args, name):
+    # each of these read a float or a Fraction as a number and answered
+    # wrongly, such as proven-prime for is_prime(7.5) and 1.5 for gcd(7.5, 3),
+    # or, for make_params and make_curve, raised AttributeError
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+        func(*args)
+
+
+def test_bool_is_an_int():
+    assert numtheory.is_prime(True).kind == COMPOSITE
+    assert numtheory.key_count(True) == 0
+    assert bigmod.gcd(True, 4) == 1
+    assert bigmod.mod_pow(2, True, 7).value == 2
 
 
 class TestKeyCount:
