@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import random
 import sys
@@ -453,10 +454,11 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     sys.stdin.buffer, and one that does not never touches it.  stdout and
     stderr are text streams, sys.stdout and sys.stderr by default.  A
     command that needs a standard stream the process was started without
-    exits 1 with a reason that names it.
+    exits 1 with a reason that names it.  Without stderr, what would be
+    written there is dropped, and the exit code and stdout stay the same.
     """
     stdout = stdout if stdout is not None else sys.stdout or _ClosedStream("output")
-    stderr = stderr if stderr is not None else sys.stderr
+    stderr = stderr if stderr is not None else sys.stderr or io.StringIO()
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv), stderr)
     except SystemExit as exc:

@@ -106,7 +106,10 @@ class TestOneSubcommandParser:
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
     def test_same_outcome_as_the_full_parser(self, argv):
-        assert _parse_through_run(argv) == captured(lambda: build_parser().parse_args(argv))
+        outcome = _parse_through_run(argv)
+        assert outcome == captured(lambda: build_parser().parse_args(argv))
+        if argv[-1:] in (["-h"], ["--help"]):
+            assert outcome[0] == 0 and outcome[1].startswith("usage: toycrypt") and outcome[2] == ""
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
     def test_builds_one_parser(self, argv, monkeypatch):
@@ -180,6 +183,8 @@ class TestNumberCommands:
         code, out, _ = invoke(["prime-count", "1000", "2000"])
         assert code == 0
         assert float(out) > 100
+        # both estimates are near 2.2e18, so their difference as floats reads 0
+        assert invoke(["prime-count", str(10**20), str(10**20 + 1000)]) == (0, "21.2432\n", "")
 
     def test_prime_count_key_sized_interval(self):
         import math
@@ -370,7 +375,8 @@ class TestHash:
 
 
 class TestClosedStreams:
-    """A process started without stdin or stdout has sys.stdin or sys.stdout None."""
+    """A process started without a standard stream has sys.stdin, sys.stdout or
+    sys.stderr None."""
 
     def test_closed_stdin_exits_one(self, monkeypatch):
         monkeypatch.setattr(sys, "stdin", None)
@@ -393,16 +399,31 @@ class TestClosedStreams:
         assert err.getvalue() == ""
         assert (tmp_path / "k.key").read_text() == KEYGEN_256_SEED_1_KEY
 
-    @pytest.mark.parametrize("command, name", [
-        ("hash <&-", "input"), ("factor 15 >&-", "output"),
-    ], ids=["stdin", "stdout"])
-    def test_in_fresh_process(self, command, name):
+    # seed 4 draws the peer value p - 1, so dh-demo warns on stderr
+    @pytest.mark.parametrize("argv, code", [(["dh-demo", "--seed", "4"], 0), (["factor", "1"], 1)],
+                             ids=["dh-demo", "factor"])
+    def test_closed_stderr_drops_what_it_would_take(self, monkeypatch, argv, code):
+        expected = invoke(argv)
+        assert expected[2] != ""
+        monkeypatch.setattr(sys, "stderr", None)
+        out = io.StringIO()
+        assert run(argv, stdin=io.BytesIO(), stdout=out) == code
+        assert out.getvalue() == expected[1]
+
+    @pytest.mark.parametrize("command, redirect, code, err", [
+        ("hash", "<&-", 1, "toycrypt hash: standard input is closed\n"),
+        ("factor 15", ">&-", 1, "toycrypt factor: standard output is closed\n"),
+        ("dh-demo --seed 4", "2>&-", 0, ""),
+        ("factor 1", "2>&-", 1, ""),
+    ], ids=["stdin", "stdout", "stderr", "stderr-error"])
+    def test_in_fresh_process(self, command, redirect, code, err):
         result = subprocess.run(
-            ["sh", "-c", f"exec {shlex.quote(sys.executable)} -m toycrypt {command}"],
+            ["sh", "-c", f"exec {shlex.quote(sys.executable)} -m toycrypt {command} {redirect}"],
             capture_output=True, timeout=120,
         )
-        assert result.returncode == 1
-        assert result.stderr.decode() == f"toycrypt {command.split()[0]}: standard {name} is closed\n"
+        # without stderr, stdout is what the command prints with stderr open
+        out = invoke(command.split())[1] if redirect == "2>&-" else ""
+        assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == (code, out, err)
 
 
 class TestClassicalCommands:
@@ -635,8 +656,11 @@ def test_group_at_the_maximum_runs_and_one_bit_more_is_refused(monkeypatch, argv
 
 # 1287836182261 * 2575672364521, a strong pseudoprime to every prime base up
 # to 41 with no factor below 2**11 (tests/test_numtheory.py checks both on
-# built-in pow): the strong Lucas test refuses it as a group prime
+# built-in pow): the strong Lucas test refuses it as a group prime, and as
+# the factor p of a key file, which sign tests when it reads the key
 CRAFTED = 3317044064679887385961981
+CRAFTED_KEY = (f"n={CRAFTED * (2**89 - 1):#x}\nd={CRAFTED + 4:#x}\n"
+               f"p={CRAFTED:#x}\nq={2**89 - 1:#x}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -644,8 +668,11 @@ CRAFTED = 3317044064679887385961981
     (["dh-demo", "--p", str(CRAFTED)], f"modulus {CRAFTED} is not prime"),
     (["ecc", "--curve", f"1,2,{CRAFTED}", "mul", "1", "1,2"],
      f"field order must be an odd prime >= 5, got {CRAFTED}"),
-], ids=["dlog", "dh-demo", "ecc"])
-def test_strong_pseudoprime_refused_as_group_prime(argv, message):
+    (["sign", "--key", "crafted.key"], f"p = {CRAFTED} is not prime"),
+], ids=["dlog", "dh-demo", "ecc", "sign"])
+def test_strong_pseudoprime_refused_as_group_prime(argv, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("crafted.key").write_text(CRAFTED_KEY)
     assert invoke(argv) == (1, "", f"toycrypt {argv[0]}: {message}\n")
 
 
