@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from collections.abc import Callable
 
 from ._record import record
@@ -382,15 +383,24 @@ def parse_natural(text: str) -> int:
     """Parse a natural from ASCII decimal or 0x-prefixed hex digits.
 
     Surrounding whitespace is ignored; anything else that is not a digit of
-    the chosen base is refused with ValueError.
+    the chosen base is refused with ValueError, as is decimal longer than
+    sys.get_int_max_str_digits(), Python's process-wide limit (hex has none).
     """
     s = text.strip()
     if not _NATURAL.fullmatch(s):
         raise ValueError(f"not a natural number: {text!r}")
-    return int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
+    try:
+        return int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
+    except ValueError:  # only Python's limit on decimal conversion
+        raise ValueError(f"decimal number of {len(s)} digits, above the limit of "
+                         f"{sys.get_int_max_str_digits()}; write it in 0x hex") from None
 
 
 def render_natural(n: int, hexadecimal: bool = False) -> str:
-    """Canonical text form: decimal, or lowercase hex with 0x prefix."""
+    """Canonical text form: decimal, within parse_natural's limit, or lowercase 0x hex."""
     _check_natural(n, "n")
-    return f"0x{n:x}" if hexadecimal else str(n)
+    try:
+        return f"0x{n:x}" if hexadecimal else str(n)
+    except ValueError:  # only Python's limit on decimal conversion
+        raise ValueError(f"a {n.bit_length()}-bit number has more decimal digits than the "
+                         f"limit of {sys.get_int_max_str_digits()}; print it with --hex") from None

@@ -435,10 +435,15 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv: list[str], stderr) -> argparse.Namespace:
+def _parse_args(argv: list[str], stdout, stderr) -> argparse.Namespace:
     """Parse argv with only the parser of the command it names, if it names one."""
-    with contextlib.redirect_stderr(stderr):
-        return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    shown = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(shown), contextlib.redirect_stderr(stderr):
+            return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    finally:  # help goes to stdout from here: argparse would drop an OSError of its write
+        if help_text := shown.getvalue():
+            stdout.write(help_text)
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
@@ -446,9 +451,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
     This is the one place the exit codes are decided: argparse's own code
     for the arguments (2 for a usage error, 0 after printing help), 1 when
-    the command raises ValueError or OSError (its reason goes to stderr), 3
-    when verify finds a signature that does not verify (the one code a
-    handler returns), and 0 otherwise.
+    help cannot be written or the command raises ValueError or OSError (the
+    reason goes to stderr), 3 when verify finds a signature that does not
+    verify (the one code a handler returns), and 0 otherwise.
 
     stdin is a binary stream; without one, a command that reads stdin reads
     sys.stdin.buffer, and one that does not never touches it.  stdout and
@@ -460,9 +465,12 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout or _ClosedStream("output")
     stderr = stderr if stderr is not None else sys.stderr or io.StringIO()
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else list(argv), stderr)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv), stdout, stderr)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except OSError as exc:
+        stderr.write(f"toycrypt: {exc}\n")
+        return 1
     seed = getattr(args, "seed", None)
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     with warnings.catch_warnings():

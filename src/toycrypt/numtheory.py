@@ -31,14 +31,22 @@ class SieveLimitError(ValueError):
     """Sieve limit above the configured cap."""
 
 
+def _shown(n: int) -> str:
+    # n in decimal, or in 0x hex past Python's limit on decimal conversion
+    try:
+        return str(n)
+    except ValueError:
+        return f"{n:#x}"
+
+
 class FactorLimitError(ValueError):
     """Trial division ran out of budget; carries the partial result."""
 
     def __init__(self, n: int, partial: tuple[tuple[int, int], ...], cofactor: int):
         extracted = str(Factorization(partial)) or "nothing"
         super().__init__(
-            f"factoring {n} exceeded the divisor cap; "
-            f"extracted {extracted}, cofactor {cofactor} unresolved"
+            f"factoring {_shown(n)} exceeded the divisor cap; "
+            f"extracted {extracted}, cofactor {_shown(cofactor)} unresolved"
         )
         self.partial = partial
         self.cofactor = cofactor
@@ -302,7 +310,7 @@ def is_prime(n: int, rng=None) -> PrimalityVerdict:
 
     The package's one primality test.  It tests every number a caller
     supplies: a group prime (dh.make_params, ecc.make_curve) and the
-    factors of an RSA key, once per key object (rsa.RsaPrivateKey.crt).
+    factors of an RSA key, once, when rsa.RsaPrivateKey builds it.
     random_prime runs the same steps on the candidates it draws, calling
     the trial division and then the rest itself, with its gcd screen in
     between, so that no candidate is divided twice.  In order:
@@ -436,10 +444,9 @@ def random_prime(bits: int, rng=None) -> int:
     its stream, and the prime draws 3 bases after them.
 
     The prime is returned as a _DrawnPrime, which keeps that verdict: a
-    later is_prime on it (dh.make_params, ecc.make_curve, the crt of a
-    keygen_random key) divides it by the small primes and runs nothing
-    more.  bits above bigmod.MAX_MODULUS_BITS are refused before anything
-    is drawn.
+    later is_prime on it (dh.make_params, ecc.make_curve, the RsaPrivateKey
+    of keygen_random) divides it by the small primes and runs nothing more.
+    bits above bigmod.MAX_MODULUS_BITS are refused before anything is drawn.
     """
     if not 4 <= bits <= bigmod.MAX_MODULUS_BITS:
         raise ValueError(f"need 4 to {bigmod.MAX_MODULUS_BITS} bits, got {bits}")

@@ -25,7 +25,7 @@ MIN_MODULUS = 257  # one plaintext byte per block
 # pair in 61 succeeds (the worst is 16 bits with e = 105), so 1000 failures
 # in a row happen by chance less than once in 10**7 searches.
 MAX_PRIME_PAIRS = 1000
-# The largest modulus keygen_random makes and the key readers accept.
+# The largest modulus keygen_random makes and either key record accepts.
 # Seeded keys took 0.3 to 0.7 s at 2048 bits and 5 to 27 s at 4096: each
 # doubling costs ten times or more.
 MAX_MODULUS_BITS = bigmod.MAX_MODULUS_BITS
@@ -33,10 +33,13 @@ MAX_MODULUS_BITS = bigmod.MAX_MODULUS_BITS
 
 @record
 class RsaPublicKey:
+    """1 < e < n, n of at most MAX_MODULUS_BITS: 2**32768 + 1 with a long e held encrypt 103 s."""
+
     n: int
     e: int
 
     def __post_init__(self):
+        bigmod.check_modulus_bits(self.n)
         if not 1 < self.e < self.n:
             raise ValueError(f"public exponent {self.e} out of range for modulus {self.n}")
 
@@ -45,9 +48,10 @@ class RsaPublicKey:
 class RsaPrivateKey:
     """n = p*q for distinct primes p, q, and 0 < d < n; phi follows from p and q.
 
-    Construction checks everything but primality.  crt tests each factor
-    with numtheory.is_prime once per key object, on first private use;
-    read_private_key and keygen_from_primes force it before they return.
+    Construction checks all the CRT needs, so a key that exists is valid: n of
+    at most MAX_MODULUS_BITS first, then the structure, then numtheory.is_prime
+    on p and q, which took 1.3 s on a 4096-bit prime but 40 us on a 512-bit one
+    that random_prime drew, since it keeps its verdict (2 vCPUs, Python 3.11.7).
     """
 
     n: int
@@ -56,10 +60,14 @@ class RsaPrivateKey:
     q: int
 
     def __post_init__(self):
+        bigmod.check_modulus_bits(self.n)
         if self.p < 2 or self.q < 2 or self.p == self.q or self.n != self.p * self.q:
             raise ValueError(f"n = {self.n} is not p*q for distinct p = {self.p}, q = {self.q} > 1")
         if not 0 < self.d < self.n:
             raise ValueError(f"private exponent {self.d} out of range for modulus {self.n}")
+        for name, value in (("p", self.p), ("q", self.q)):
+            if not toycrypt.numtheory.is_prime(value).is_prime:
+                raise ValueError(f"{name} = {value} is not prime")
 
     @property
     def phi(self) -> int:
@@ -71,23 +79,8 @@ class RsaPrivateKey:
 
         dP is d reduced into [1, p-1] rather than [0, p-2]: it is congruent
         to d mod p-1, and never 0, so a block divisible by p still maps to 0.
-
-        The CRT is exact only for prime p and q.  So this first refuses a
-        p*q above MAX_MODULUS_BITS, then runs numtheory.is_prime on each
-        factor, and raises ValueError and caches nothing when one fails.
-        This is the only primality test of a key's factors: a key built by
-        hand, read from text or made by keygen_from_primes takes it once in
-        full.  The factors of a keygen_random key are the primes
-        numtheory.random_prime returned, which keep that function's verdict,
-        so is_prime only divides them by the small primes: at 1024 bits the
-        first private op took 1.5 ms, as the next one does, where the whole
-        test made it 11 ms (2 vCPUs, Python 3.11.7).
         """
         d, p, q = self.d, self.p, self.q
-        bigmod.check_modulus_bits(p * q)
-        for name, value in (("p", p), ("q", q)):
-            if not toycrypt.numtheory.is_prime(value).is_prime:
-                raise ValueError(f"{name} = {value} is not prime")
         return (d - 1) % (p - 1) + 1, (d - 1) % (q - 1) + 1, bigmod.mod_inv(q, p).value
 
 
@@ -124,12 +117,10 @@ def _key_pair(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
 
 
 def keygen_from_primes(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
-    """Build a key pair from two distinct primes and e; e is checked, then crt tests p and q."""
+    """Key pair from two distinct primes and e: e is checked here, p and q by RsaPrivateKey."""
     if p == q:
         raise ValueError("p and q must be distinct")
-    pub, priv = _key_pair(p, q, e)
-    priv.crt  # refuses a composite factor now, not on first use
-    return pub, priv
+    return _key_pair(p, q, e)
 
 
 def keygen_random(
@@ -283,8 +274,8 @@ def write_private_key(key: RsaPrivateKey) -> str:
     return f"n={key.n:#x}\nd={key.d:#x}\np={key.p:#x}\nq={key.q:#x}\n"
 
 
-def _parse_fields(text: str, names: tuple[str, ...]) -> dict[str, int]:
-    """Each of `names` exactly once; any other field is refused."""
+def _parse_fields(text: str, names: tuple[str, ...]) -> list[int]:
+    """The values of `names`, in order, each given exactly once; any other field is refused."""
     fields: dict[str, int] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -302,33 +293,16 @@ def _parse_fields(text: str, names: tuple[str, ...]) -> dict[str, int]:
     missing = [name for name in names if name not in fields]
     if missing:
         raise ValueError(f"key file missing fields: {', '.join(missing)}")
-    return fields
+    return [fields[name] for name in names]
 
 
 def read_public_key(text: str) -> RsaPublicKey:
-    """The key in text; a modulus above MAX_MODULUS_BITS is refused at once.
-
-    Without the bound, a hand-written key with n = 2**k + 1 and
-    e = 2**(k-1) + 1 held `encrypt` for 2 s at k = 8192 and 103 s at 32768.
-    """
-    f = _parse_fields(text, ("n", "e"))
-    bigmod.check_modulus_bits(f["n"])
-    return RsaPublicKey(f["n"], f["e"])
+    return RsaPublicKey(*_parse_fields(text, ("n", "e")))
 
 
 def read_private_key(text: str) -> RsaPrivateKey:
-    """The key in text, its factors tested by its crt before it is returned.
-
-    crt refuses a modulus above MAX_MODULUS_BITS before any primality test.
-    Its numtheory.is_prime costs about 7 Miller-Rabin rounds per factor:
-    about 1.4 s on a 4096-bit factor, and with one round at 1.7 s on an
-    8192-bit factor, about 24 s to test a hand-written 16384-bit key
-    without the bound.
-    """
-    f = _parse_fields(text, ("n", "d", "p", "q"))
-    key = RsaPrivateKey(f["n"], f["d"], f["p"], f["q"])
-    key.crt  # refuses a composite factor now, not on first use
-    return key
+    """The key in text, which RsaPrivateKey checks as it checks every key."""
+    return RsaPrivateKey(*_parse_fields(text, ("n", "d", "p", "q")))
 
 
 def write_block_stream(stream: BlockStream) -> str:

@@ -521,6 +521,17 @@ class TestTextForms:
         assert bigmod.parse_natural(bigmod.render_natural(n)) == n
         assert bigmod.parse_natural(bigmod.render_natural(n, hexadecimal=True)) == n
 
+    def test_decimal_past_the_limit_refused_with_the_toolkits_reason(self):
+        # Python converts at most 4300 decimal digits by default; hex has no limit
+        n = 10**4300
+        with pytest.raises(ValueError, match="^decimal number of 4301 digits, above the limit "
+                                             "of 4300; write it in 0x hex$"):
+            bigmod.parse_natural("1" + "0" * 4300)
+        with pytest.raises(ValueError, match="^a 14285-bit number has more decimal digits than "
+                                             "the limit of 4300; print it with --hex$"):
+            bigmod.render_natural(n)
+        assert bigmod.parse_natural(bigmod.render_natural(n, hexadecimal=True)) == n
+
     def test_canonical_forms(self):
         assert bigmod.render_natural(0) == "0"
         assert bigmod.render_natural(0, hexadecimal=True) == "0x0"

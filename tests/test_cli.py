@@ -96,7 +96,7 @@ def _parse_through_run(argv):
     """What run prints and returns for argv, or what _parse_args gives where argv
     parses: a command that needs no argument, which run would go on to execute."""
     if isinstance(captured(lambda: build_parser().parse_args(argv))[0], argparse.Namespace):
-        return captured(lambda: _parse_args(argv, sys.stderr))
+        return captured(lambda: _parse_args(argv, sys.stdout, sys.stderr))
     return captured(lambda: run(argv, stdin=io.BytesIO()))
 
 
@@ -142,6 +142,14 @@ class TestNumberCommands:
 
     def test_keycount_golden(self):
         assert invoke(["keycount", "10"]) == (0, "45\n", "")
+
+    def test_decimal_output_past_the_limit_refused(self):
+        # 2200 digits in, 4398 out: more than Python converts to decimal by default
+        n = 10**2199
+        assert invoke(["keycount", str(n)]) == (1, "", (
+            "toycrypt keycount: a 14609-bit number has more decimal digits than the limit "
+            "of 4300; print it with --hex\n"))
+        assert invoke(["keycount", "--hex", str(n)]) == (0, f"{n * (n - 1) // 2:#x}\n", "")
 
     def test_totient(self):
         assert invoke(["totient", "323"]) == (0, "288\n", "")
@@ -390,6 +398,19 @@ class TestClosedStreams:
         assert run(["factor", "15"], stderr=err) == 1
         assert err.getvalue() == "toycrypt factor: standard output is closed\n"
 
+    @pytest.mark.parametrize("argv", [["-h"], ["keygen", "-h"]], ids=" ".join)
+    def test_help_goes_to_the_given_stdout(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        assert captured(lambda: run(argv, stdout=out, stderr=err)) == (0, "", "")
+        assert out.getvalue().startswith("usage: toycrypt") and err.getvalue() == ""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["keygen", "-h"]], ids=" ".join)
+    def test_help_with_closed_stdout_exits_one(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", None)
+        err = io.StringIO()
+        assert run(argv, stderr=err) == 1
+        assert err.getvalue() == "toycrypt: standard output is closed\n"
+
     def test_command_that_needs_neither_runs(self, monkeypatch, tmp_path):
         monkeypatch.setattr(sys, "stdin", None)
         monkeypatch.setattr(sys, "stdout", None)
@@ -413,9 +434,10 @@ class TestClosedStreams:
     @pytest.mark.parametrize("command, redirect, code, err", [
         ("hash", "<&-", 1, "toycrypt hash: standard input is closed\n"),
         ("factor 15", ">&-", 1, "toycrypt factor: standard output is closed\n"),
+        ("-h", ">&-", 1, "toycrypt: standard output is closed\n"),
         ("dh-demo --seed 4", "2>&-", 0, ""),
         ("factor 1", "2>&-", 1, ""),
-    ], ids=["stdin", "stdout", "stderr", "stderr-error"])
+    ], ids=["stdin", "stdout", "help-stdout", "stderr", "stderr-error"])
     def test_in_fresh_process(self, command, redirect, code, err):
         result = subprocess.run(
             ["sh", "-c", f"exec {shlex.quote(sys.executable)} -m toycrypt {command} {redirect}"],
@@ -749,7 +771,7 @@ class TestRsaPipelines:
         monkeypatch.setattr(numtheory, "is_prime", no_test)
         p, q = (1 << 2048) + 1, (1 << 2048) + 3
         key = tmp_path / "big.key"
-        key.write_text(rsa.write_private_key(rsa.RsaPrivateKey(p * q, 5, p, q)))
+        key.write_text(f"n={p * q:#x}\nd=0x5\np={p:#x}\nq={q:#x}\n")
         code, out, err = invoke([command, "--key", str(key)], stdin=b"msg")
         assert (code, out) == (1, "")
         assert err == f"toycrypt {command}: modulus has 4097 bits, above the limit of 4096\n"
@@ -759,7 +781,7 @@ class TestRsaPipelines:
         # without the bound, encrypt with this key ran for seconds at 8192 bits
         k = 8192
         key = tmp_path / "big.pub"
-        key.write_text(rsa.write_public_key(rsa.RsaPublicKey(2**k + 1, 2 ** (k - 1) + 1)))
+        key.write_text(f"n={2**k + 1:#x}\ne={2 ** (k - 1) + 1:#x}\n")
         code, out, err = invoke([command, "--key", str(key)], stdin=b"msg")
         assert (code, out) == (1, "")
         assert err == f"toycrypt {command}: modulus has 8193 bits, above the limit of 4096\n"

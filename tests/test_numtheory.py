@@ -603,6 +603,16 @@ class TestFactorTrial:
         assert info.value.cofactor == 10007 * 10009
         assert "extracted 2^3, cofactor 100160063 unresolved" in str(info.value)
 
+    @pytest.mark.parametrize("factor", [numtheory.factor_trial, numtheory.totient])
+    def test_cap_past_the_decimal_limit_carries_partial_result(self, factor):
+        # 4460 decimal digits, more than Python converts to a str by default
+        n = 16**3700 - 1
+        with pytest.raises(FactorLimitError) as info:
+            factor(n, 2**16)
+        assert Factorization(info.value.partial).value() * info.value.cofactor == n
+        assert f"factoring {n:#x} exceeded the divisor cap" in str(info.value)
+        assert "set_int_max_str_digits" not in str(info.value)
+
     @pytest.mark.parametrize("cap", [-1, -(2**64)])
     def test_negative_cap_rejected(self, cap):
         with pytest.raises(ValueError, match="divisor cap must be non-negative") as info:

@@ -15,6 +15,8 @@ SMALL = st.integers(0, 60)
 FACTOR = st.sampled_from(numtheory.sieve_primes(61)) | SMALL
 # 1287836182261 * 2575672364521, a strong pseudoprime to every prime base up to 41
 SPSP_TO_41 = 3317044064679887385961981
+# a factor in [2, 2**16): a prime half of the time, so that keys are built too
+FACTOR_16 = st.sampled_from(numtheory.sieve_primes(1 << 16)) | st.integers(2, (1 << 16) - 1)
 PUBLIC_FIELDS = ("n", "e")
 PRIVATE_FIELDS = ("n", "d", "p", "q")
 
@@ -284,18 +286,16 @@ class TestCrtPrivateOp:
             assert rsa.private_op(x, priv) == pow(x, priv.d, priv.n)
 
     @pytest.mark.parametrize("n, p, q", [(36, 4, 9), (45, 5, 9), (77 * 8, 77, 8), (15 * 7, 15, 7)])
-    def test_composite_factor_refused_on_first_use(self, n, p, q):
+    def test_composite_factor_refused_at_construction(self, n, p, q):
         # without the check, private_op(3, RsaPrivateKey(36, 5, 4, 9)) returned 9, not 27
-        priv = rsa.RsaPrivateKey(n, 5, p, q)
-        for _ in range(2):  # a refused key caches nothing
-            with pytest.raises(ValueError, match="not prime"):
-                rsa.private_op(3, priv)
+        with pytest.raises(ValueError, match="not prime"):
+            rsa.RsaPrivateKey(n, 5, p, q)
 
     @pytest.mark.parametrize("p, q, d", [
         (2047, 5, 2047 * 5 - 2), (341, 5, 341 * 5 - 2), (561, 5, 561 * 5 - 2),
         (SPSP_TO_41, 2**89 - 1, SPSP_TO_41 + 4),
     ], ids=["2047", "341", "561", str(SPSP_TO_41)])
-    def test_base_2_pseudoprime_refused_on_first_use(self, p, q, d):
+    def test_base_2_pseudoprime_refused_at_construction(self, p, q, d):
         # each passes a base-2 Fermat test, and 2047 = 23 * 89 is the least
         # strong pseudoprime to base 2; with a Fermat check in its place,
         # private_op with p = 2047 was wrong on 7590 of the 10235 blocks.
@@ -305,23 +305,32 @@ class TestCrtPrivateOp:
         if p == SPSP_TO_41:
             assert all(p % k for k in range(2, 1 << 11))
             assert pow(43, p + 4, p) != pow(43, 5, p)  # 5 is what dP would be
-        priv = rsa.RsaPrivateKey(p * q, d, p, q)
-        for _ in range(60):  # a refused key caches nothing, so each call tests again
+        for _ in range(60):  # each construction tests again
             with pytest.raises(ValueError, match=f"p = {p} is not prime"):
-                rsa.private_op(43, priv)
-        assert "crt" not in vars(priv)
+                rsa.RsaPrivateKey(p * q, d, p, q)
 
     @pytest.mark.parametrize("make_key", [
         lambda: rsa.RsaPrivateKey((2**61 - 1) * (2**89 - 1), 3, 2**61 - 1, 2**89 - 1),
         lambda: rsa.keygen_random(256, rng=random.Random(8021))[1],
     ], ids=["by_hand", "keygen_random"])
-    def test_first_use_tests_each_factor_once(self, monkeypatch, make_key):
-        priv = make_key()
+    def test_construction_tests_each_factor_once(self, monkeypatch, make_key):
         verdicts = spy_verdicts(monkeypatch, "is_prime")
-        rsa.private_op(2, priv)
+        priv = make_key()
         assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, None, 3)] * 2
+        rsa.private_op(2, priv)
         rsa.private_op(3, priv)
         assert len(verdicts) == 2
+
+    def test_drawn_factors_take_trial_division_alone(self, monkeypatch):
+        _, priv = rsa.keygen_random(256, rng=random.Random(8021))
+
+        def no_test(*args):
+            raise AssertionError("tested a drawn prime past trial division")
+
+        monkeypatch.setattr(numtheory, "_probable_prime", no_test)
+        assert rsa.RsaPrivateKey(priv.n, priv.d, priv.p, priv.q) == priv
+        with pytest.raises(AssertionError, match="drawn prime"):  # a plain int is tested in full
+            rsa.RsaPrivateKey(priv.n, priv.d, int(priv.p), priv.q)
 
     def test_read_key_tests_each_factor_once(self, monkeypatch):
         p, q = 2**61 - 1, 2**89 - 1
@@ -330,6 +339,19 @@ class TestCrtPrivateOp:
         rsa.private_op(2, priv)
         rsa.private_op(3, priv)
         assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, None, 3)] * 2
+
+    @given(p=FACTOR_16, q=FACTOR_16, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_invalid_key_is_built(self, p, q, data):
+        n = p * q
+        d = data.draw(st.integers(1, n - 1))
+        try:
+            priv = rsa.RsaPrivateKey(n, d, p, q)
+        except ValueError:
+            return
+        assert trial_prime(p) and trial_prime(q)
+        for x in (0, 1, 2, p, n - 1, data.draw(st.integers(0, n - 1))):
+            assert rsa.private_op(x, priv) == pow(x, d, n)
 
     def test_parameters_are_not_fields(self, small_keys):
         # a fresh copy of the fixture key, which other tests may already have used
@@ -504,7 +526,8 @@ class TestTextFormats:
 
     @pytest.mark.parametrize("n, p, q", [(36, 4, 9), (45, 5, 9), (77 * 8, 77, 8)])
     def test_composite_factor_file_rejected(self, n, p, q):
-        assert rsa.RsaPrivateKey(n, 5, p, q)  # consistent, but not prime
+        with pytest.raises(ValueError, match="is not prime"):  # consistent, but not prime
+            rsa.RsaPrivateKey(n, 5, p, q)
         with pytest.raises(ValueError):
             rsa.read_private_key(f"n={n:#x}\nd=5\np={p:#x}\nq={q:#x}\n")
 
@@ -534,12 +557,13 @@ class TestTextFormats:
         with pytest.raises(ValueError, match="modulus has 4097 bits, above the limit of 4096"):
             rsa.keygen_from_primes(p, q, 65537)
         q = (1 << 2049) + 1
-        priv = rsa.RsaPrivateKey(p * q, 5, p, q)
         with pytest.raises(ValueError, match="modulus has 4098 bits, above the limit of 4096"):
-            rsa.private_op(3, priv)
+            rsa.RsaPrivateKey(p * q, 5, p, q)
 
     def test_public_key_above_the_maximum_refused(self):
         n = (1 << 4096) + 1  # 4097 bits
+        with pytest.raises(ValueError, match="modulus has 4097 bits, above the limit of 4096"):
+            rsa.RsaPublicKey(n, 65537)
         with pytest.raises(ValueError, match="modulus has 4097 bits, above the limit of 4096"):
             rsa.read_public_key(f"n={n:#x}\ne=0x10001\n")
         # one bit less is read
