@@ -33,8 +33,29 @@ class WeakPublicValueWarning(UserWarning):
 
 @record
 class DhParams:
+    """Group parameters, checked when built: p prime, 2 < g < p - 2.
+
+    The primality test, numtheory.is_prime, comes last: a p above
+    bigmod.MAX_GROUP_BITS, a p below 7 (which leaves no g in that range)
+    and a g out of range are each refused before it.  A supplied p takes
+    the whole test; a p that numtheory.random_prime drew keeps its verdict
+    and takes only the trial division (about 0.1 ms at 1024 bits, against
+    25 ms for the whole test).
+    """
+
     p: int
     g: int
+
+    def __post_init__(self):
+        bigmod.check_modulus_bits(self.p, limit=bigmod.MAX_GROUP_BITS)
+        bigmod.check_int(self.g, "g")
+        if self.p < 7:
+            raise ValueError(
+                f"modulus {self.p} leaves no generator in the range (2, {self.p - 2}); need p >= 7")
+        if not 2 < self.g < self.p - 2:
+            raise ValueError(f"generator must satisfy 2 < g < {self.p - 2}, got {self.g}")
+        if not numtheory.is_prime(self.p).is_prime:
+            raise ValueError(f"modulus {self.p} is not prime")
 
     @functools.cached_property
     def generator_table(self) -> bigmod.Comb:
@@ -61,22 +82,7 @@ class DlogResult:
 
 
 def make_params(p: int, g: int) -> DhParams:
-    """Validate group parameters: p prime, 2 < g < p - 2.
-
-    The primality test, numtheory.is_prime, comes last: a p above
-    bigmod.MAX_GROUP_BITS, a p below 7 (which leaves no g in that range)
-    and a g out of range are each refused before it.  A supplied p takes
-    the whole test; a p that numtheory.random_prime drew keeps its verdict
-    and takes only the trial division (about 0.1 ms at 1024 bits, against
-    25 ms for the whole test).
-    """
-    bigmod.check_modulus_bits(p, limit=bigmod.MAX_GROUP_BITS)
-    if p < 7:
-        raise ValueError(f"modulus {p} leaves no generator in the range (2, {p - 2}); need p >= 7")
-    if not 2 < g < p - 2:
-        raise ValueError(f"generator must satisfy 2 < g < {p - 2}, got {g}")
-    if not numtheory.is_prime(p).is_prime:
-        raise ValueError(f"modulus {p} is not prime")
+    """The group of prime p and generator g; DhParams checks both."""
     return DhParams(p, g)
 
 

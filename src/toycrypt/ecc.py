@@ -49,6 +49,9 @@ class EccPoint:
     def __post_init__(self):
         if (self.x is None) != (self.y is None):
             raise ValueError("both coordinates must be set, or neither")
+        if self.x is not None:
+            bigmod.check_int(self.x, "x")
+            bigmod.check_int(self.y, "y")
 
     @property
     def is_infinity(self) -> bool:
@@ -65,13 +68,7 @@ INFINITY = EccPoint(None, None)
 
 @record
 class EccCurve:
-    a: int
-    b: int
-    p: int
-
-
-def make_curve(a: int, b: int, p: int) -> EccCurve:
-    """Validate and build y**2 = x**3 + ax + b over GF(p).
+    """y**2 = x**3 + ax + b over GF(p), checked when built.
 
     a and b may be negative and are reduced mod p.  The curve must be
     nonsingular: 4a**3 + 27b**2 != 0 (mod p).  The primality test,
@@ -80,15 +77,30 @@ def make_curve(a: int, b: int, p: int) -> EccCurve:
     numtheory.random_prime drew keeps its verdict, and takes only the
     trial division.
     """
-    bigmod.check_modulus_bits(p, "field order", bigmod.MAX_GROUP_BITS)
-    prime = f"field order must be an odd prime >= 5, got {p}"
-    if p < 5:
-        raise ValueError(prime)
-    a, b = a % p, b % p
-    if (4 * a * a * a + 27 * b * b) % p == 0:
-        raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p}")
-    if not numtheory.is_prime(p).is_prime:
-        raise ValueError(prime)
+
+    a: int
+    b: int
+    p: int
+
+    def __post_init__(self):
+        p = self.p
+        bigmod.check_modulus_bits(p, "field order", bigmod.MAX_GROUP_BITS)
+        bigmod.check_int(self.a, "a")
+        bigmod.check_int(self.b, "b")
+        prime = f"field order must be an odd prime >= 5, got {p}"
+        if p < 5:
+            raise ValueError(prime)
+        a, b = self.a % p, self.b % p
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if (4 * a * a * a + 27 * b * b) % p == 0:
+            raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {p}")
+        if not numtheory.is_prime(p).is_prime:
+            raise ValueError(prime)
+
+
+def make_curve(a: int, b: int, p: int) -> EccCurve:
+    """The curve y**2 = x**3 + ax + b over GF(p); EccCurve checks and reduces it."""
     return EccCurve(a, b, p)
 
 
@@ -191,6 +203,7 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     takes the double-and-add loop.  A point multiplied once, such as a
     peer's public point, never pays for a table.  0P is infinity.
     """
+    bigmod.check_int(k, "scalar")
     if k < 0:
         raise ValueError(f"scalar must be non-negative, got {k}")
     _require_on_curve(curve, point, "point")

@@ -309,7 +309,7 @@ def is_prime(n: int, rng=None) -> PrimalityVerdict:
     """Primality verdict: trial division, Baillie-PSW, then 3 random-base rounds.
 
     The package's one primality test.  It tests every number a caller
-    supplies: a group prime (dh.make_params, ecc.make_curve) and the
+    supplies: a group prime (dh.DhParams, ecc.EccCurve) and the
     factors of an RSA key, once, when rsa.RsaPrivateKey builds it.
     random_prime runs the same steps on the candidates it draws, calling
     the trial division and then the rest itself, with its gcd screen in
@@ -444,7 +444,7 @@ def random_prime(bits: int, rng=None) -> int:
     its stream, and the prime draws 3 bases after them.
 
     The prime is returned as a _DrawnPrime, which keeps that verdict: a
-    later is_prime on it (dh.make_params, ecc.make_curve, the RsaPrivateKey
+    later is_prime on it (dh.DhParams, ecc.EccCurve, the RsaPrivateKey
     of keygen_random) divides it by the small primes and runs nothing more.
     bits above bigmod.MAX_MODULUS_BITS are refused before anything is drawn.
     """

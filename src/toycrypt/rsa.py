@@ -26,8 +26,8 @@ MIN_MODULUS = 257  # one plaintext byte per block
 # in a row happen by chance less than once in 10**7 searches.
 MAX_PRIME_PAIRS = 1000
 # The largest modulus keygen_random makes and either key record accepts.
-# Seeded keys took 0.3 to 0.7 s at 2048 bits and 5 to 27 s at 4096: each
-# doubling costs ten times or more.
+# Seeded keys took 0.19 to 0.41 s at 2048 bits and 2.6 to 13 s at 4096
+# (2 vCPUs, Python 3.11.7): that doubling cost about 20 times in the median.
 MAX_MODULUS_BITS = bigmod.MAX_MODULUS_BITS
 
 
@@ -40,6 +40,7 @@ class RsaPublicKey:
 
     def __post_init__(self):
         bigmod.check_modulus_bits(self.n)
+        bigmod.check_int(self.e, "e")
         if not 1 < self.e < self.n:
             raise ValueError(f"public exponent {self.e} out of range for modulus {self.n}")
 
@@ -61,6 +62,8 @@ class RsaPrivateKey:
 
     def __post_init__(self):
         bigmod.check_modulus_bits(self.n)
+        for name in ("d", "p", "q"):
+            bigmod.check_int(getattr(self, name), name)
         if self.p < 2 or self.q < 2 or self.p == self.q or self.n != self.p * self.q:
             raise ValueError(f"n = {self.n} is not p*q for distinct p = {self.p}, q = {self.q} > 1")
         if not 0 < self.d < self.n:

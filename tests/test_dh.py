@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toycrypt import dh, numtheory
+from toycrypt import bigmod, dh, numtheory
 from toycrypt.dh import WeakPublicValueWarning
 
 # RFC 2409 section 6.2 (Oakley group 2): a 1024-bit safe prime, the size
@@ -16,6 +17,13 @@ OAKLEY_1024 = int(
     "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
     16,
 )
+
+# moduli below 2**12: every prime among them, and every number from -3 up
+MODULUS_12 = st.sampled_from(numtheory.sieve_primes(1 << 12)) | st.integers(-3, (1 << 12) - 1)
+
+
+def trial_prime(n):
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +57,28 @@ class TestMakeParams:
         with pytest.raises(ValueError, match=rf"no generator in the range \(2, {p - 2}\)"):
             dh.make_params(p, 1)
 
+    @pytest.mark.parametrize("p, g, reason", [
+        (91, 5, "^modulus 91 is not prime$"),
+        (23, 2, r"^generator must satisfy 2 < g < 21, got 2$"),
+        (5, 3, r"^modulus 5 leaves no generator in the range \(2, 3\); need p >= 7$"),
+    ], ids=["composite", "generator", "below-7"])
+    def test_hand_built_group_refused(self, p, g, reason):
+        for build in (dh.DhParams, dh.make_params):
+            with pytest.raises(ValueError, match=reason):
+                build(p, g)
+
+    @given(p=MODULUS_12, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_no_invalid_group_is_built(self, p, data):
+        g = data.draw(st.integers(-3, p + 3))
+        try:
+            params = dh.DhParams(p, g)
+        except ValueError:
+            return
+        assert trial_prime(p) and 2 < g < p - 2
+        for secret in (1, p - 2, data.draw(st.integers(1, p - 2))):
+            assert dh.public_of(params, secret) == pow(g, secret, p)
+
 
 class TestKeypairs:
     def test_alice_public(self, classroom_params):
@@ -76,7 +106,9 @@ class TestKeypairs:
         rng = random.Random(seed)
         g = rng.randrange(2, p - 1)
         secret = {"one": 1, "top": p - 2, "random": rng.randrange(1, p - 1)}[pick]
-        assert dh.public_of(dh.DhParams(p, g), secret) == pow(g, secret, p)
+        # the kernel public_of runs; the group checks refuse g = 2 and p < 7
+        table = bigmod.fixed_base(g, p.bit_length(), p)
+        assert bigmod.comb_pow(table, secret) == pow(g, secret, p)
 
     def test_exchange_sized_group(self):
         params = dh.make_params(OAKLEY_1024, 5)
@@ -85,11 +117,15 @@ class TestKeypairs:
         for secret in secrets:
             assert dh.public_of(params, secret) == pow(5, secret, OAKLEY_1024)
 
-    def test_generator_above_modulus_is_reduced(self, classroom_params):
+    def test_generator_above_modulus_is_reduced(self):
+        # DhParams refuses g >= p; fixed_base, which public_of runs, reduces any base mod m
+        with pytest.raises(ValueError, match=r"generator must satisfy 2 < g < 21, got 28"):
+            dh.DhParams(23, 28)
+        table = bigmod.fixed_base(5, 5, 23)
         for g in (28, 5 + 23 * 10**6):
-            direct = dh.DhParams(23, g)
+            reduced = bigmod.fixed_base(g, 5, 23)
             for secret in range(1, 22):
-                assert dh.public_of(direct, secret) == dh.public_of(classroom_params, secret)
+                assert bigmod.comb_pow(reduced, secret) == bigmod.comb_pow(table, secret)
 
     def test_secret_range(self, classroom_params):
         with pytest.raises(ValueError):

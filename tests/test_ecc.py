@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from toycrypt import bigmod, ecc
 from toycrypt.ecc import INFINITY, EccPoint
+from test_dh import trial_prime
 
 
 def enumerate_affine_points(a, b, p):
@@ -75,6 +76,41 @@ class TestMakeCurve:
     def test_field_order_must_be_odd_prime(self, p):
         with pytest.raises(ValueError):
             ecc.make_curve(2, 3, p)
+
+    @pytest.mark.parametrize("a, b, p, reason", [
+        (0, 0, 97, r"^singular curve: 4a\^3 \+ 27b\^2 = 0 mod 97$"),
+        (2, 3, 91, "^field order must be an odd prime >= 5, got 91$"),
+    ], ids=["singular", "composite"])
+    def test_hand_built_curve_refused(self, a, b, p, reason):
+        for build in (ecc.EccCurve, ecc.make_curve):
+            with pytest.raises(ValueError, match=reason):
+                build(a, b, p)
+
+    def test_hand_built_curve_is_reduced(self):
+        assert ecc.EccCurve(-1, 3, 97) == ecc.make_curve(96, 3, 97) == ecc.EccCurve(96, 3 + 97, 97)
+        assert repr(ecc.EccCurve(-1, 3, 97)) == "EccCurve(a=96, b=3, p=97)"
+
+    @given(a=st.integers(-50, 150), b=st.integers(-50, 150), p=st.integers(-3, 200),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_no_invalid_curve_is_built(self, a, b, p, data):
+        try:
+            curve = ecc.EccCurve(a, b, p)
+        except ValueError:
+            return
+        assert trial_prime(p)
+        assert 0 <= curve.a < p and 0 <= curve.b < p
+        assert (4 * curve.a**3 + 27 * curve.b**2) % p != 0
+        # by Hasse's bound a curve over GF(p >= 5) has an affine point
+        point = next(EccPoint(x, y) for x in range(p) for y in range(p)
+                     if (y * y - x**3 - curve.a * x - curve.b) % p == 0)
+        ks = data.draw(st.lists(st.integers(0, 2 * p + 2), min_size=1, max_size=3))
+        multiples = [INFINITY]
+        for _ in range(max(ks)):
+            multiples.append(ecc.point_add(curve, multiples[-1], point))
+        # the first product runs double-and-add, the second builds the comb
+        for k in ks:
+            assert ecc.scalar_mul(curve, k, point) == multiples[k]
 
 
 class TestOnCurve:
@@ -293,6 +329,15 @@ class TestScalarMul:
     def test_negative_scalar_rejected(self, curve97, points97):
         with pytest.raises(ValueError):
             ecc.scalar_mul(curve97, -1, points97[0])
+
+    def test_non_int_scalar_refused(self, curve97):
+        # the point's first, second and third products take the double-and-add
+        # loop, the comb's build and the comb: each refuses 5.0 and takes True
+        point = EccPoint(3, 6)
+        for _ in range(3):
+            with pytest.raises(TypeError, match="^scalar must be an int, got float$"):
+                ecc.scalar_mul(curve97, 5.0, point)
+            assert ecc.scalar_mul(curve97, True, point) == point
 
 
 def count_jacobian_calls(monkeypatch):

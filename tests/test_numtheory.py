@@ -531,6 +531,30 @@ class TestBailliePSW:
         supply()
         assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=3)] * tested
 
+    def test_group_tested_when_built_and_never_in_use(self, monkeypatch):
+        verdicts = spy_verdicts(monkeypatch, "is_prime")
+        params = dh.make_params(2**89 - 1, 3)
+        curve = ecc.make_curve(7, 25 - 27 - 21, 2**127 - 1)  # through (3, 5)
+        assert verdicts == [PrimalityVerdict(PROBABLY_PRIME, rounds=3)] * 2
+        public = dh.public_of(params, 10)
+        assert dh.shared_secret(params, 11, public) == pow(3, 110, 2**89 - 1)
+        assert dh.brute_force_dlog(params, public, 10).exponent == 10
+        point = ecc.EccPoint(3, 5)
+        for k in (5, 6, 7):  # double-and-add, the comb's build, the comb
+            ecc.scalar_mul(curve, k, point)
+        assert len(verdicts) == 2
+
+    def test_group_above_the_maximum_refused_before_any_test(self, monkeypatch):
+        def no_test(*args):
+            raise AssertionError("tested a group prime for primality")
+
+        monkeypatch.setattr(numtheory, "is_prime", no_test)
+        # a Mersenne prime of 4423 bits, refused for its size alone
+        with pytest.raises(ValueError, match="^modulus has 4423 bits, above the limit of 2048$"):
+            dh.DhParams(2**4423 - 1, 3)
+        with pytest.raises(ValueError, match="^field order has 4423 bits, above the limit of 2048$"):
+            ecc.EccCurve(1, 1, 2**4423 - 1)
+
     # odd numbers, numbers below 2**16, and products of two primes that trial
     # division cannot split, which reach base 2 and the Lucas test
     @given(st.one_of(st.integers(0, 2**63 - 1).map(lambda k: 2 * k + 1),
@@ -922,6 +946,15 @@ class TestPrimeCountOracle:
     pytest.param(bigmod.Residue, (1.5, 7), "value", id="Residue"),
     pytest.param(dh.make_params, (23.0, 5), "modulus", id="make_params"),
     pytest.param(ecc.make_curve, (2, 3, 97.0), "field order", id="make_curve"),
+    pytest.param(rsa.RsaPublicKey, (323, 5.0), "e", id="RsaPublicKey-e"),
+    pytest.param(rsa.RsaPrivateKey, (323, 5.0, 17, 19), "d", id="RsaPrivateKey-d"),
+    pytest.param(rsa.RsaPrivateKey, (323, 5, 17.0, 19), "p", id="RsaPrivateKey-p"),
+    pytest.param(rsa.RsaPrivateKey, (323, 5, 17, 19.0), "q", id="RsaPrivateKey-q"),
+    pytest.param(dh.DhParams, (23, 5.0), "g", id="DhParams-g"),
+    pytest.param(ecc.make_curve, (2.5, 3, 97), "a", id="make_curve-a"),
+    pytest.param(ecc.EccCurve, (2, Fraction(3), 97), "b", id="EccCurve-b"),
+    pytest.param(ecc.EccPoint, (3.0, 6.0), "x", id="EccPoint-x"),
+    pytest.param(ecc.EccPoint, (3, 6.0), "y", id="EccPoint-y"),
 ])
 def test_non_int_refused(func, args, name):
     # each of these read a float or a Fraction as a number and answered
@@ -933,6 +966,8 @@ def test_non_int_refused(func, args, name):
 
 def test_bool_is_an_int():
     assert numtheory.is_prime(True).kind == COMPOSITE
+    assert ecc.EccCurve(True, False, 5) == ecc.EccCurve(1, 0, 5)
+    assert ecc.EccPoint(True, False) == ecc.EccPoint(1, 0)
     assert numtheory.key_count(True) == 0
     assert bigmod.gcd(True, 4) == 1
     assert bigmod.mod_pow(2, True, 7).value == 2
