@@ -127,6 +127,7 @@ def shared_secret(params: DhParams, my_secret: int, their_public: int) -> int:
 
 def brute_force_dlog(params: DhParams, target_public: int, cap: int) -> DlogResult:
     """Smallest k <= cap with g**k = target (mod p), by bigmod.scan; cap must be >= 0."""
+    bigmod.check_int(target_public, "target")
     if not 0 < target_public < params.p:
         raise ValueError(f"target must lie in (0, {params.p}), got {target_public}")
     k = bigmod.scan(params.g, target_public, cap, 1, lambda x, y, p=params.p: x * y % p)

@@ -101,6 +101,10 @@ class BlockStream:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
+        bigmod.check_int(self.width, "width")
+        bigmod.check_int(self.pad, "pad")
+        for b in self.blocks:
+            bigmod.check_int(b, "block")
         if self.width < 1:
             raise ValueError(f"block width must be >= 1, got {self.width}")
         if not 0 <= self.pad < self.width:

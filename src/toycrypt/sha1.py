@@ -12,7 +12,8 @@ runs it on independent equal-length messages, one per lane, and every
 lane stays below 2**64.  `_chained_rounds` is the kernel of a streaming
 hash (`Sha1`, and so `sha1`): one message, whose blocks chain.  It holds a
 and b as doubled words, the word in both 32-bit halves, so each rotation
-is one shift.  The bits above the low word are garbage, and harmless: only
+is one shift, and it runs five rounds per step on renamed registers, not
+rotated ones.  The bits above the low word are garbage, and harmless: only
 the exact doubled words are shifted right, every other step is bitwise or
 an addition whose carries only move upward, and a mask cuts them off.
 Every operand stays below 2**65.
@@ -107,16 +108,22 @@ def _rounds(state: tuple[int, ...], w, mask: int, ones: int) -> tuple[int, ...]:
 def _chained_rounds(state: tuple[int, ...], wk) -> tuple[int, ...]:
     """The 80 rounds of one SHA-1 compression of one message, on doubled words.
 
-    `a` and `b` are held doubled, as `aa = a * (2**32 + 1)`: the word in both
-    32-bit halves.  Then the low word of `aa >> 27` is rotl5(a) and that of
-    `bb >> 2` is rotl30(b), the next c, so each rotation is one shift, and
-    only the new a and the final sums are masked.  The bits above the low
-    word are garbage, and harmless: only aa and bb are shifted right, and
-    they are exact; every other step is bitwise or an addition, whose
-    carries only move upward, so the low 32 bits of every result are
-    exact.  aa and bb stay below 2**64, c, d and e below 2**62, wk below
-    2**33, and a sum of four terms below 2**65, so every operand is a small
-    int of at most three 30-bit digits.
+    The words in the roles of a and b are held doubled, as
+    `aa = a * (2**32 + 1)`: the word in both 32-bit halves.  Then the low
+    word of `aa >> 27` is rotl5(a) and that of `bb >> 2` is rotl30(b), the
+    next c, so each rotation is one shift, and only the new a and the final
+    sums are masked.  The bits above the low word are garbage, and harmless:
+    only aa and bb are shifted right, and they are exact; every other step
+    is bitwise or an addition, whose carries only move upward, so the low
+    32 bits of every result are exact.  aa and bb stay below 2**64, c, d
+    and e below 2**62, wk below 2**33, and a sum of four terms below 2**65,
+    so every operand is a small int of at most three 30-bit digits.
+
+    Five rounds are written out per step, and the registers trade roles
+    rather than move down one place: each round stores the new aa in the
+    register that held e and shifts the one that held bb in place, which
+    makes it c.  After five rounds every name holds its own role again; a
+    phase of 20 rounds is four steps.
 
     `wk[t]` is `w[t] + K_t`: the caller adds the round constants to the
     schedule, which a run of blocks does once for all of them, in lanes.
@@ -124,24 +131,32 @@ def _chained_rounds(state: tuple[int, ...], wk) -> tuple[int, ...]:
     """
     a, b, c, d, e = state
     mask, double = _MASK, _DOUBLE
-    aa, bb = a * double, b * double
-    for x in wk[:20]:
-        aa, bb, c, d, e = (
-            ((aa >> 27) + (d ^ (bb & (c ^ d))) + e + x) & mask
-        ) * double, aa, bb >> 2, c, d
-    for x in wk[20:40]:
-        aa, bb, c, d, e = (
-            ((aa >> 27) + (bb ^ c ^ d) + e + x) & mask
-        ) * double, aa, bb >> 2, c, d
-    for x in wk[40:60]:
-        aa, bb, c, d, e = (
-            ((aa >> 27) + ((bb & c) | (d & (bb | c))) + e + x) & mask
-        ) * double, aa, bb >> 2, c, d
-    for x in wk[60:]:
-        aa, bb, c, d, e = (
-            ((aa >> 27) + (bb ^ c ^ d) + e + x) & mask
-        ) * double, aa, bb >> 2, c, d
-    return tuple((s + v) & mask for s, v in zip(state, (aa, bb, c, d, e)))
+    a, b = a * double, b * double
+    for i in range(0, 20, 5):
+        e, b = (((a >> 27) + (d ^ (b & (c ^ d))) + e + wk[i]) & mask) * double, b >> 2
+        d, a = (((e >> 27) + (c ^ (a & (b ^ c))) + d + wk[i + 1]) & mask) * double, a >> 2
+        c, e = (((d >> 27) + (b ^ (e & (a ^ b))) + c + wk[i + 2]) & mask) * double, e >> 2
+        b, d = (((c >> 27) + (a ^ (d & (e ^ a))) + b + wk[i + 3]) & mask) * double, d >> 2
+        a, c = (((b >> 27) + (e ^ (c & (d ^ e))) + a + wk[i + 4]) & mask) * double, c >> 2
+    for i in range(20, 40, 5):
+        e, b = (((a >> 27) + (b ^ c ^ d) + e + wk[i]) & mask) * double, b >> 2
+        d, a = (((e >> 27) + (a ^ b ^ c) + d + wk[i + 1]) & mask) * double, a >> 2
+        c, e = (((d >> 27) + (e ^ a ^ b) + c + wk[i + 2]) & mask) * double, e >> 2
+        b, d = (((c >> 27) + (d ^ e ^ a) + b + wk[i + 3]) & mask) * double, d >> 2
+        a, c = (((b >> 27) + (c ^ d ^ e) + a + wk[i + 4]) & mask) * double, c >> 2
+    for i in range(40, 60, 5):
+        e, b = (((a >> 27) + ((b & c) | (d & (b | c))) + e + wk[i]) & mask) * double, b >> 2
+        d, a = (((e >> 27) + ((a & b) | (c & (a | b))) + d + wk[i + 1]) & mask) * double, a >> 2
+        c, e = (((d >> 27) + ((e & a) | (b & (e | a))) + c + wk[i + 2]) & mask) * double, e >> 2
+        b, d = (((c >> 27) + ((d & e) | (a & (d | e))) + b + wk[i + 3]) & mask) * double, d >> 2
+        a, c = (((b >> 27) + ((c & d) | (e & (c | d))) + a + wk[i + 4]) & mask) * double, c >> 2
+    for i in range(60, 80, 5):
+        e, b = (((a >> 27) + (b ^ c ^ d) + e + wk[i]) & mask) * double, b >> 2
+        d, a = (((e >> 27) + (a ^ b ^ c) + d + wk[i + 1]) & mask) * double, a >> 2
+        c, e = (((d >> 27) + (e ^ a ^ b) + c + wk[i + 2]) & mask) * double, e >> 2
+        b, d = (((c >> 27) + (d ^ e ^ a) + b + wk[i + 3]) & mask) * double, d >> 2
+        a, c = (((b >> 27) + (c ^ d ^ e) + a + wk[i + 4]) & mask) * double, c >> 2
+    return tuple((s + v) & mask for s, v in zip(state, (a, b, c, d, e)))
 
 
 def _lane_ones(count: int) -> int:

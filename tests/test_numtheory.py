@@ -955,11 +955,20 @@ class TestPrimeCountOracle:
     pytest.param(ecc.EccCurve, (2, Fraction(3), 97), "b", id="EccCurve-b"),
     pytest.param(ecc.EccPoint, (3.0, 6.0), "x", id="EccPoint-x"),
     pytest.param(ecc.EccPoint, (3, 6.0), "y", id="EccPoint-y"),
+    pytest.param(rsa.BlockStream, (1, 0, (5.0,)), "block", id="BlockStream-block"),
+    pytest.param(rsa.BlockStream, (1.0, 0, (5,)), "width", id="BlockStream-width"),
+    pytest.param(rsa.BlockStream, (2, 0.0, (5,)), "pad", id="BlockStream-pad"),
+    pytest.param(dh.brute_force_dlog, (dh.DhParams(23, 5), 8.0, 22), "target",
+                 id="brute_force_dlog-8.0"),
+    pytest.param(dh.brute_force_dlog, (dh.DhParams(23, 5), 8.5, 22), "target",
+                 id="brute_force_dlog-8.5"),
 ])
 def test_non_int_refused(func, args, name):
     # each of these read a float or a Fraction as a number and answered
     # wrongly, such as proven-prime for is_prime(7.5) and 1.5 for gcd(7.5, 3),
-    # or, for make_params and make_curve, raised AttributeError
+    # or, for make_params, make_curve and decode_message of a float block,
+    # raised AttributeError; brute_force_dlog found 8.0 and scanned its whole
+    # budget for 8.5
     with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
         func(*args)
 

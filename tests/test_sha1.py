@@ -147,6 +147,16 @@ class TestChainedRounds:
         wk = [x + k for x, k in zip(w, sha1._KT)]  # the caller adds K_t
         assert sha1._chained_rounds(state, wk) == sha1._rounds(state, w, sha1._MASK, 1)
 
+    @pytest.mark.parametrize("t", range(80))
+    def test_each_schedule_word_reaches_its_round(self, t):
+        # a zero schedule gives every round of a phase the same wk, K_t, so a
+        # round that reads another round's word fails only where one is flipped
+        w = [0] * 80
+        w[t] = 1 << (t % 32)
+        wk = [x + k for x, k in zip(w, sha1._KT)]
+        state = sha1._INITIAL_STATE
+        assert sha1._chained_rounds(state, wk) == sha1._rounds(state, w, sha1._MASK, 1)
+
     @given(message=st.tuples(st.sampled_from(RUN_EDGES), st.sampled_from(TAIL_EDGES))
            .flatmap(lambda edge: ff_tailed(64 * edge[0] + edge[1])))
     @example(message=b"\xff" * (64 * (RUN + 1)))
