@@ -4,18 +4,31 @@ dataclass(frozen=True) writes each class's methods as source text and
 execs them, and importing dataclasses loads inspect, ast and dis: work
 that every fresh CLI process would repeat.  record installs plain closures
 instead.  A record lists its fields as class annotations, in order, with
-any default as a class attribute; once the fields are set, __post_init__
-(if defined) validates them.  Instances keep a __dict__, so
-functools.cached_property works, and refuse assignment and deletion with
-AttributeError.
+any default as a class attribute.  Only record checks their types, once
+per field on each build, before __post_init__ checks ranges: a bool is an
+int, and a tuple's items are not checked.  Decoration looks each
+annotation's text up in _FORMS, the record's module, then builtins, and
+fails if it names no class.  Instances keep a __dict__, so
+functools.cached_property works, and refuse assignment and deletion.
 """
 
+import builtins
+import sys
 from operator import attrgetter
+
+_FORMS = {"int | None": (int, type(None)), "tuple[int, ...]": tuple,
+          "tuple[tuple[int, int], ...]": tuple}
 
 
 def record(cls):
     """Class decorator: cls becomes an immutable record of its annotated fields."""
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    annotations = cls.__annotations__  # its own, in or out of cls.__dict__ (3.14)
+    names = tuple(annotations)
+    scope = {**vars(builtins), **vars(sys.modules[cls.__module__]), **_FORMS}
+    kinds = tuple(scope.get(text) for text in annotations.values())
+    for text, kind in zip(annotations.values(), kinds):
+        if not (isinstance(kind, type) or text in _FORMS):
+            raise TypeError(f"record {cls.__name__}: the annotation {text!r} names no class")
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     count = len(names)
     post_init = getattr(cls, "__post_init__", None)
@@ -27,29 +40,29 @@ def record(cls):
     # the fields in the instance's shared-key storage, where reads are fastest
     set_field = object.__setattr__
 
-    def fill(self, given, kwargs):
-        # the fields after the first `given`, from kwargs or the defaults
-        if given > count:
-            raise TypeError(f"{cls.__name__}() takes {count} arguments but {given} were given")
-        used = 0
-        for name in names[given:]:
+    def fill(args, kwargs):
+        # every field's value: args, then the rest from kwargs or the defaults
+        rest = []
+        for name in names[len(args):]:
             if name in kwargs:
-                set_field(self, name, kwargs[name])
-                used += 1
+                rest.append(kwargs.pop(name))
             elif name in defaults:
-                set_field(self, name, defaults[name])
+                rest.append(defaults[name])
             else:
                 raise TypeError(f"{cls.__name__}() missing the field {name!r}")
-        if used != len(kwargs):
-            unexpected = sorted(kwargs.keys() - names[given:])
-            raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments {unexpected}")
+        if kwargs or len(args) > count:
+            raise TypeError(f"{cls.__name__}() takes each of its fields {names} once")
+        return args + tuple(rest)
 
     def __init__(self, *args, **kwargs):
-        for name, value in zip(names, args):
-            set_field(self, name, value)
         # the all-positional call, as in Residue(value, m), skips fill
         if kwargs or len(args) != count:
-            fill(self, len(args), kwargs)
+            args = fill(args, kwargs)
+        for name, kind, value in zip(names, kinds, args):
+            if not isinstance(value, kind):
+                want = "an int" if kind in (int, _FORMS["int | None"]) else annotations[name]
+                raise TypeError(f"{name} must be {want}, got {type(value).__name__}")
+            set_field(self, name, value)
         if post_init is not None:
             post_init(self)
 

@@ -80,7 +80,6 @@ MAX_GROUP_BITS = 2048
 
 def check_modulus_bits(m: int, what: str = "modulus", limit: int = MAX_MODULUS_BITS) -> None:
     """Refuse m above limit bits, before any work that grows with its size."""
-    check_int(m, what)
     if m.bit_length() > limit:
         raise ValueError(f"{what} has {m.bit_length()} bits, above the limit of {limit}")
 
@@ -94,7 +93,6 @@ class Residue:
 
     def __post_init__(self):
         _check_modulus(self.modulus)
-        check_int(self.value, "value")
         if not 0 <= self.value < self.modulus:
             raise ValueError(
                 f"residue {self.value} not normalized for modulus {self.modulus}"

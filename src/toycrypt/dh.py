@@ -48,7 +48,6 @@ class DhParams:
 
     def __post_init__(self):
         bigmod.check_modulus_bits(self.p, limit=bigmod.MAX_GROUP_BITS)
-        bigmod.check_int(self.g, "g")
         if self.p < 7:
             raise ValueError(
                 f"modulus {self.p} leaves no generator in the range (2, {self.p - 2}); need p >= 7")

@@ -49,9 +49,6 @@ class EccPoint:
     def __post_init__(self):
         if (self.x is None) != (self.y is None):
             raise ValueError("both coordinates must be set, or neither")
-        if self.x is not None:
-            bigmod.check_int(self.x, "x")
-            bigmod.check_int(self.y, "y")
 
     @property
     def is_infinity(self) -> bool:
@@ -85,8 +82,6 @@ class EccCurve:
     def __post_init__(self):
         p = self.p
         bigmod.check_modulus_bits(p, "field order", bigmod.MAX_GROUP_BITS)
-        bigmod.check_int(self.a, "a")
-        bigmod.check_int(self.b, "b")
         prime = f"field order must be an odd prime >= 5, got {p}"
         if p < 5:
             raise ValueError(prime)

@@ -40,7 +40,6 @@ class RsaPublicKey:
 
     def __post_init__(self):
         bigmod.check_modulus_bits(self.n)
-        bigmod.check_int(self.e, "e")
         if not 1 < self.e < self.n:
             raise ValueError(f"public exponent {self.e} out of range for modulus {self.n}")
 
@@ -62,8 +61,6 @@ class RsaPrivateKey:
 
     def __post_init__(self):
         bigmod.check_modulus_bits(self.n)
-        for name in ("d", "p", "q"):
-            bigmod.check_int(getattr(self, name), name)
         if self.p < 2 or self.q < 2 or self.p == self.q or self.n != self.p * self.q:
             raise ValueError(f"n = {self.n} is not p*q for distinct p = {self.p}, q = {self.q} > 1")
         if not 0 < self.d < self.n:
@@ -101,8 +98,6 @@ class BlockStream:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        bigmod.check_int(self.width, "width")
-        bigmod.check_int(self.pad, "pad")
         for b in self.blocks:
             bigmod.check_int(b, "block")
         if self.width < 1:

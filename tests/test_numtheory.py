@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toycrypt import bigmod, dh, ecc, numtheory, rsa
+from toycrypt import bigmod, dh, ecc, envelope, numtheory, rsa, sha1
 from toycrypt.numtheory import (
     COMPOSITE,
     PROBABLY_PRIME,
@@ -944,8 +944,8 @@ class TestPrimeCountOracle:
     pytest.param(bigmod.mod_pow, (2, 3, 7.0), "modulus", id="mod_pow-modulus"),
     pytest.param(bigmod.mod_reduce, (-7.5, 3), "a", id="mod_reduce"),
     pytest.param(bigmod.Residue, (1.5, 7), "value", id="Residue"),
-    pytest.param(dh.make_params, (23.0, 5), "modulus", id="make_params"),
-    pytest.param(ecc.make_curve, (2, 3, 97.0), "field order", id="make_curve"),
+    pytest.param(dh.make_params, (23.0, 5), "p", id="make_params"),
+    pytest.param(ecc.make_curve, (2, 3, 97.0), "p", id="make_curve"),
     pytest.param(rsa.RsaPublicKey, (323, 5.0), "e", id="RsaPublicKey-e"),
     pytest.param(rsa.RsaPrivateKey, (323, 5.0, 17, 19), "d", id="RsaPrivateKey-d"),
     pytest.param(rsa.RsaPrivateKey, (323, 5, 17.0, 19), "p", id="RsaPrivateKey-p"),
@@ -962,14 +962,22 @@ class TestPrimeCountOracle:
                  id="brute_force_dlog-8.0"),
     pytest.param(dh.brute_force_dlog, (dh.DhParams(23, 5), 8.5, 22), "target",
                  id="brute_force_dlog-8.5"),
+    pytest.param(dh.DhKeyPair, (1.5, 2.0), "secret", id="DhKeyPair"),
+    pytest.param(dh.DlogResult, (1.5, 2), "exponent", id="DlogResult"),
+    pytest.param(envelope.SignedMessage, ("x", 3), "text", id="SignedMessage"),
+    pytest.param(envelope.Envelope, (b"zz", b"body"), "wrapped_key", id="Envelope"),
+    pytest.param(sha1.Digest, ("x" * 20,), "data", id="Digest"),
 ])
 def test_non_int_refused(func, args, name):
     # each of these read a float or a Fraction as a number and answered
     # wrongly, such as proven-prime for is_prime(7.5) and 1.5 for gcd(7.5, 3),
     # or, for make_params, make_curve and decode_message of a float block,
     # raised AttributeError; brute_force_dlog found 8.0 and scanned its whole
-    # budget for 8.5
-    with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+    # budget for 8.5.  The records of the last five cases were built: verify
+    # of SignedMessage("x", 3) then failed on concatenating str to bytes, and
+    # open_envelope of Envelope(b"zz", body) with an AttributeError
+    wanted = {"text": "bytes", "wrapped_key": "BlockStream", "data": "bytes"}.get(name, "an int")
+    with pytest.raises(TypeError, match=f"^{name} must be {wanted}, got "):
         func(*args)
 
 
@@ -980,6 +988,8 @@ def test_bool_is_an_int():
     assert numtheory.key_count(True) == 0
     assert bigmod.gcd(True, 4) == 1
     assert bigmod.mod_pow(2, True, 7).value == 2
+    assert rsa.BlockStream(True, False, (True,)) == rsa.BlockStream(1, 0, (1,))
+    assert dh.DlogResult(False, True) == dh.DlogResult(0, 1)
 
 
 class TestKeyCount:

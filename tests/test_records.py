@@ -4,15 +4,20 @@ Every record class is built by toycrypt._record.record.  These tests pin
 the behaviour its callers rely on: positional and keyword construction
 with defaults, validation in __post_init__, == only within one class,
 hashing of the field tuple, field-wise reprs, refusal of assignment and
-deletion, and a __dict__ that functools.cached_property can fill.
+deletion, and a __dict__ that functools.cached_property can fill, and
+that record alone checks each field's type against its annotation.
 """
 
+from __future__ import annotations
+
 import inspect
+import re
 
 import pytest
 
 import toycrypt
 from toycrypt import bigmod, dh, ecc, envelope, numtheory, rsa, sha1
+from toycrypt._record import record
 
 STREAM = rsa.BlockStream(1, 0, (5,))
 
@@ -86,6 +91,61 @@ def test_wrong_arguments_raise_type_error(cls):
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+# a value of the wrong type for each field annotation; an object field takes anything
+WRONG = {
+    "int": 1.5,
+    "int | None": 1.5,
+    "str": b"composite",
+    "bytes": "text",
+    "BlockStream": b"zz",
+    "Callable": 1,
+    "tuple": [],
+    "tuple[int, ...]": [5, 6],
+    "tuple[tuple[int, int], ...]": [(2, 3)],
+}
+FIELDS = [(cls, name, text) for cls in RECORDS
+          for name, text in cls.__annotations__.items() if text != "object"]
+
+
+def rebuilt(cls, name, value):
+    return cls(**{**SAMPLES[cls], name: value})
+
+
+@pytest.mark.parametrize("cls, name, text", FIELDS,
+                         ids=[f"{cls.__name__}-{name}" for cls, name, _ in FIELDS])
+def test_wrong_field_type_refused_by_name(cls, name, text):
+    wrong = WRONG[text]
+    wanted = "an int" if text in ("int", "int | None") else text
+    with pytest.raises(TypeError, match=f"^{name} must be {re.escape(wanted)}, got "
+                                        f"{type(wrong).__name__}$"):
+        rebuilt(cls, name, wrong)
+    if text == "int | None":
+        # the type check passes None; EccPoint's __post_init__ still wants both or neither
+        try:
+            rebuilt(cls, name, None)
+        except ValueError:
+            assert cls is ecc.EccPoint
+    else:
+        with pytest.raises(TypeError, match=f"^{name} must be "):
+            rebuilt(cls, name, None)
+
+
+def test_annotation_naming_no_class_fails_at_decoration():
+    with pytest.raises(TypeError, match=r"^record Optional: the annotation 'float \| None' names"):
+        @record
+        class Optional:
+            x: float | None
+    with pytest.raises(TypeError, match="^record Unknown: the annotation 'Nowhere' names no class$"):
+        @record
+        class Unknown:
+            x: int
+            y: Nowhere  # noqa: F821 -- never evaluated: annotations stay text
+    with pytest.raises(TypeError, match="^record Module: the annotation 'pytest' names no class$"):
+        @record
+        class Module:
+            x: pytest
 
 
 def test_primality_verdict_defaults():
