@@ -4,12 +4,13 @@ dataclass(frozen=True) writes each class's methods as source text and
 execs them, and importing dataclasses loads inspect, ast and dis: work
 that every fresh CLI process would repeat.  record installs plain closures
 instead.  A record lists its fields as class annotations, in order, with
-any default as a class attribute.  Only record checks their types, once
-per field on each build, before __post_init__ checks ranges: a bool is an
-int, and a tuple's items are not checked.  Decoration looks each
-annotation's text up in _FORMS, the record's module, then builtins, and
-fails if it names no class.  Instances keep a __dict__, so
-functools.cached_property works, and refuse assignment and deletion.
+any default as a class attribute.  Only record checks their types, once per
+field on each build, before __post_init__ checks ranges: a bool is an int,
+an int field is refused by check_int, the package's one int rule, and a
+tuple's items are not checked.  Decoration looks each annotation's text up
+in _FORMS, the record's module, then builtins, and fails if it names no
+class.  Instances keep a __dict__, so functools.cached_property works, and
+refuse assignment and deletion.
 """
 
 import builtins
@@ -18,6 +19,14 @@ from operator import attrgetter
 
 _FORMS = {"int | None": (int, type(None)), "tuple[int, ...]": tuple,
           "tuple[tuple[int, int], ...]": tuple}
+
+
+def check_int(n: int, what: str) -> None:
+    """Refuse anything but an int (a bool is one) with TypeError naming it: a
+    float or a Fraction would pass every range check and give a wrong answer,
+    not an error, as gcd(7.5, 3) would read 1.5."""
+    if not isinstance(n, int):
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
 
 
 def record(cls):
@@ -60,8 +69,9 @@ def record(cls):
             args = fill(args, kwargs)
         for name, kind, value in zip(names, kinds, args):
             if not isinstance(value, kind):
-                want = "an int" if kind in (int, _FORMS["int | None"]) else annotations[name]
-                raise TypeError(f"{name} must be {want}, got {type(value).__name__}")
+                if kind in (int, _FORMS["int | None"]):
+                    check_int(value, name)
+                raise TypeError(f"{name} must be {annotations[name]}, got {type(value).__name__}")
             set_field(self, name, value)
         if post_init is not None:
             post_init(self)

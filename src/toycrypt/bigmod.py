@@ -21,7 +21,7 @@ import re
 import sys
 from collections.abc import Callable
 
-from ._record import record
+from ._record import check_int, record
 
 
 class InvalidModulusError(ValueError):
@@ -40,23 +40,14 @@ class NotInvertibleError(ValueError):
         self.gcd = gcd
 
 
-def check_int(n: int, what: str) -> None:
-    """Refuse anything but an int (a bool is one) with TypeError naming it.
-
-    A float or a Fraction would pass every range check here and give a
-    wrong answer, not an error: gcd(7.5, 3) would read 1.5.
-    """
-    if not isinstance(n, int):
-        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
-
-
 def _check_modulus(m: int) -> None:
     check_int(m, "modulus")
     if m < 2:
         raise InvalidModulusError(f"modulus must be >= 2, got {m}")
 
 
-def _check_natural(n: int, what: str) -> None:
+def check_natural(n: int, what: str) -> None:
+    """Refuse a non-int n with TypeError, then a negative one with ValueError, naming it."""
     check_int(n, what)
     if n < 0:
         raise ValueError(f"{what} must be non-negative, got {n}")
@@ -79,7 +70,8 @@ MAX_GROUP_BITS = 2048
 
 
 def check_modulus_bits(m: int, what: str = "modulus", limit: int = MAX_MODULUS_BITS) -> None:
-    """Refuse m above limit bits, before any work that grows with its size."""
+    """Refuse a non-int m, then one above limit bits, before any work that grows with its size."""
+    check_int(m, what)
     if m.bit_length() > limit:
         raise ValueError(f"{what} has {m.bit_length()} bits, above the limit of {limit}")
 
@@ -92,11 +84,9 @@ class Residue:
     modulus: int
 
     def __post_init__(self):
-        _check_modulus(self.modulus)
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"residue {self.value} not normalized for modulus {self.modulus}"
-            )
+        if self.modulus < 2 or not 0 <= self.value < self.modulus:
+            _check_modulus(self.modulus)  # InvalidModulusError for a modulus below 2
+            raise ValueError(f"residue {self.value} not normalized for modulus {self.modulus}")
 
     def __int__(self) -> int:
         return self.value
@@ -164,8 +154,8 @@ def mod_pow(base: int, exp: int, m: int) -> Residue:
     An exponent of 0 yields 1 for every m >= 2.
     """
     _check_modulus(m)
-    _check_natural(base, "base")
-    _check_natural(exp, "exponent")
+    check_natural(base, "base")
+    check_natural(exp, "exponent")
     b = base % m
     n = exp.bit_length()
     width = next((w for bits, w in _WINDOWS if n >= bits), 1)
@@ -214,6 +204,8 @@ def comb(base, exp_bits: int, block_count: int, one, square, multiply, finish=tu
     squarings give the powers base**(2**s); finish takes each block's h
     powers, then its 2**h entries, which 2**h - 1 products make.
     """
+    check_natural(exp_bits, "exponent bits")
+    check_int(block_count, "block count")
     row_bits = max(1, -(-exp_bits // _COMB_ROWS))
     width = -(-row_bits // block_count)
     row_bits = width * -(-row_bits // width)  # whole blocks, none empty
@@ -242,7 +234,11 @@ def comb_columns(exp: int, row_bits: int) -> list[int]:
     gathers bit q of every row, the top row's bit as its top bit: the index
     of column q into a Lim-Lee table.  One string pass transposes the rows.
     """
+    check_natural(exp, "exponent")
+    check_int(row_bits, "row bits")
     n = _COMB_ROWS * row_bits
+    if exp.bit_length() > n:
+        raise ValueError(f"exponent of {exp.bit_length()} bits exceeds the table's {n}")
     bits = f"{exp:0{n}b}"
     return [
         int("".join(column), 2)
@@ -260,12 +256,8 @@ def comb_pow(table: Comb, exp: int):
     products.  For a 1024-bit exponent and 8 blocks that is 15 squarings
     and at most 128 products.  comb_columns reads the columns.
     """
-    _check_natural(exp, "exponent")
-    n = comb_reach(table)
-    if exp.bit_length() > n:
-        raise ValueError(f"exponent of {exp.bit_length()} bits exceeds the table's {n}")
     width, blocks, square, multiply = table.width, table.blocks, table.square, table.multiply
-    columns = comb_columns(exp, width * len(blocks))
+    columns = comb_columns(exp, width * len(blocks))  # refuses exp wider than comb_reach(table)
     result = table.one
     for k in range(width - 1, -1, -1):
         for entries, i in zip(blocks, columns[k::width]):
@@ -279,7 +271,7 @@ def comb_pow(table: Comb, exp: int):
 def scan(base, target, cap: int, one, multiply) -> int | None:
     """Brute-force discrete log in any group: the smallest k in [1, cap] with
     base**k = target, one multiply(acc, base) per k from one; None after cap."""
-    _check_natural(cap, "cap")
+    check_natural(cap, "cap")
     acc = one
     for k in range(1, cap + 1):
         acc = multiply(acc, base)
@@ -297,15 +289,14 @@ def fixed_base(base: int, exp_bits: int, m: int) -> Comb:
     noise.  That is 2048 entries for 1024-bit exponents.
     """
     _check_modulus(m)
-    _check_natural(base, "base")
-    _check_natural(exp_bits, "exponent bits")
+    check_natural(base, "base")
     return comb(base % m, exp_bits, 8, 1, lambda x: x * x % m, lambda x, y: x * y % m)
 
 
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor by Euclid's algorithm. gcd(a, 0) = a."""
-    _check_natural(a, "a")
-    _check_natural(b, "b")
+    check_natural(a, "a")
+    check_natural(b, "b")
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     while b:
@@ -315,6 +306,8 @@ def gcd(a: int, b: int) -> int:
 
 def lcm(a: int, b: int) -> int:
     """Least common multiple; both arguments must be nonzero."""
+    check_natural(a, "a")
+    check_natural(b, "b")
     if a == 0 or b == 0:
         raise ValueError("lcm requires nonzero arguments")
     return a // gcd(a, b) * b
@@ -325,8 +318,8 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
     x and y are the minimal-magnitude Bezout coefficients and may be negative.
     """
-    _check_natural(a, "a")
-    _check_natural(b, "b")
+    check_natural(a, "a")
+    check_natural(b, "b")
     if a == 0 and b == 0:
         raise ValueError("extended_gcd(0, 0) is undefined")
     r0, r1 = a, b
@@ -342,7 +335,7 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def mod_inv(a: int, m: int) -> Residue:
     """Multiplicative inverse of a mod m; exists iff gcd(a, m) = 1."""
     _check_modulus(m)
-    _check_natural(a, "a")
+    check_natural(a, "a")
     g, x, _ = extended_gcd(a % m, m)
     if g != 1:
         raise NotInvertibleError(a, m, g)
@@ -351,7 +344,8 @@ def mod_inv(a: int, m: int) -> Residue:
 
 def mod_div(a: int, b: int, m: int) -> Residue:
     """a/b mod m, i.e. a * b**-1; b must be coprime to m."""
-    _check_natural(a, "a")
+    check_natural(a, "a")
+    check_natural(b, "b")
     inv = mod_inv(b, m)
     return Residue(a % m * inv.value % m, m)
 
@@ -363,8 +357,9 @@ def cancel_factor(a: int, b: int, k: int, n: int) -> int:
     The congruence a*k = b*k (mod n) must hold on entry.
     """
     _check_modulus(n)
-    _check_natural(a, "a")
-    _check_natural(b, "b")
+    check_natural(a, "a")
+    check_natural(b, "b")
+    check_int(k, "factor")
     if k < 1:
         raise ValueError(f"factor must be positive, got {k}")
     if (a - b) * k % n != 0:
@@ -396,7 +391,7 @@ def parse_natural(text: str) -> int:
 
 def render_natural(n: int, hexadecimal: bool = False) -> str:
     """Canonical text form: decimal, within parse_natural's limit, or lowercase 0x hex."""
-    _check_natural(n, "n")
+    check_natural(n, "n")
     try:
         return f"0x{n:x}" if hexadecimal else str(n)
     except ValueError:  # only Python's limit on decimal conversion

@@ -88,6 +88,7 @@ def make_params(p: int, g: int) -> DhParams:
 def _check_secret(params: DhParams, secret: int) -> None:
     # x**0 = 1 and, by Fermat, x**(p-1) = 1 for every x in (0, p): either
     # exponent gives a public value or an agreed secret anyone can guess
+    bigmod.check_int(secret, "secret")
     if not 1 <= secret <= params.p - 2:
         raise ValueError(f"secret must lie in [1, {params.p - 2}], got {secret}")
 
@@ -112,6 +113,7 @@ def shared_secret(params: DhParams, my_secret: int, their_public: int) -> int:
     would make the agreed secret 1 whatever the peer sent.
     """
     _check_secret(params, my_secret)
+    bigmod.check_int(their_public, "peer value")
     if not 0 < their_public < params.p:
         raise ValueError(f"peer value must lie in (0, {params.p}), got {their_public}")
     if their_public == 1 or their_public == params.p - 1:

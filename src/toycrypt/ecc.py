@@ -198,9 +198,7 @@ def scalar_mul(curve: EccCurve, k: int, point: EccPoint) -> EccPoint:
     takes the double-and-add loop.  A point multiplied once, such as a
     peer's public point, never pays for a table.  0P is infinity.
     """
-    bigmod.check_int(k, "scalar")
-    if k < 0:
-        raise ValueError(f"scalar must be non-negative, got {k}")
+    bigmod.check_natural(k, "scalar")
     _require_on_curve(curve, point, "point")
     if point.is_infinity:
         return INFINITY

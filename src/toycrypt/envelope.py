@@ -72,8 +72,7 @@ def keystream(session_key: bytes, length: int) -> bytes:
     """
     if len(session_key) != SESSION_KEY_BYTES:
         raise ValueError(f"session key must be {SESSION_KEY_BYTES} bytes, got {len(session_key)}")
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    bigmod.check_natural(length, "length")
     blocks = range(-(-length // DIGEST_BYTES))
     return digests(session_key + counter.to_bytes(8, "big") for counter in blocks)[:length]
 

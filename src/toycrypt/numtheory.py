@@ -58,6 +58,13 @@ class Factorization:
 
     factors: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        for pair in self.factors:
+            kinds = tuple(map(type, pair)) if isinstance(pair, tuple) else (type(pair),)
+            if len(kinds) != 2 or not all(issubclass(kind, int) for kind in kinds):
+                names = ", ".join(kind.__name__ for kind in kinds)
+                raise TypeError(f"factors must be pairs of ints, got ({names})")
+
     def value(self) -> int:
         n = 1
         for p, e in self.factors:
@@ -99,6 +106,7 @@ class PrimalityVerdict:
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes strictly below limit, by the sieve of Eratosthenes."""
+    bigmod.check_int(limit, "sieve limit")
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_LIMIT_CAP:
@@ -158,6 +166,8 @@ def fermat_probable_prime(n: int, base: int) -> bool:
     A True answer does not prove primality; plenty of composites (341 = 11*31
     to base 2, for instance) pass.  False proves compositeness.
     """
+    bigmod.check_int(n, "n")
+    bigmod.check_int(base, "base")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if not 2 <= base <= n - 2:
@@ -231,6 +241,8 @@ def jacobi(a: int, n: int) -> int:
     the new n.  For a prime n it is the Legendre symbol: 1 for a nonzero
     square mod n, -1 for a non-square.
     """
+    bigmod.check_int(a, "a")
+    bigmod.check_int(n, "n")
     if n < 1 or n % 2 == 0:
         raise ValueError(f"the Jacobi symbol needs an odd n >= 1, got {n}")
     a %= n
@@ -376,8 +388,7 @@ def factor_trial(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> Factorizatio
     bigmod.check_int(n, "n")
     if n < 2:
         raise ValueError(f"cannot factor {n}")
-    if divisor_cap < 0:
-        raise ValueError(f"divisor cap must be non-negative, got {divisor_cap}")
+    bigmod.check_natural(divisor_cap, "divisor cap")
     factors: list[tuple[int, int]] = []
     m = n
     d = 2
@@ -411,6 +422,7 @@ def totient(n: int, divisor_cap: int = DEFAULT_DIVISOR_CAP) -> int:
     divisor beyond divisor_cap would be needed.
     """
     bigmod.check_int(n, "n")
+    bigmod.check_natural(divisor_cap, "divisor cap")  # also for n = 1, which uses none
     if n < 1:
         raise ValueError(f"totient undefined for {n}")
     if n == 1:
@@ -448,6 +460,7 @@ def random_prime(bits: int, rng=None) -> int:
     of keygen_random) divides it by the small primes and runs nothing more.
     bits above bigmod.MAX_MODULUS_BITS are refused before anything is drawn.
     """
+    bigmod.check_int(bits, "bits")
     if not 4 <= bits <= bigmod.MAX_MODULUS_BITS:
         raise ValueError(f"need 4 to {bigmod.MAX_MODULUS_BITS} bits, got {bits}")
     rng = rng or random.SystemRandom()

@@ -99,15 +99,13 @@ class BlockStream:
 
     def __post_init__(self):
         for b in self.blocks:
-            bigmod.check_int(b, "block")
+            bigmod.check_natural(b, "block")
         if self.width < 1:
             raise ValueError(f"block width must be >= 1, got {self.width}")
         if not 0 <= self.pad < self.width:
             raise ValueError(f"pad {self.pad} out of range for width {self.width}")
         if self.pad and not self.blocks:
             raise ValueError("padding recorded but no blocks present")
-        if any(b < 0 for b in self.blocks):
-            raise ValueError("blocks must be non-negative")
 
 
 def _key_pair(p: int, q: int, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
@@ -161,6 +159,7 @@ def keygen_random(
 
 def public_op(x: int, pub: RsaPublicKey) -> int:
     """Raw x**e mod N for 0 <= x < N: encryption and signature verification."""
+    bigmod.check_int(x, "block")
     if not 0 <= x < pub.n:
         raise ValueError(f"block {x} not in [0, modulus {pub.n})")
     return bigmod.mod_pow(x, pub.e, pub.n).value
@@ -173,6 +172,7 @@ def private_op(x: int, priv: RsaPrivateKey) -> int:
     and x**dQ mod q, two exponentiations of half the size, joined by
     Garner's formula m2 + ((m1 - m2) * qInv mod p) * q.
     """
+    bigmod.check_int(x, "block")
     if not 0 <= x < priv.n:
         raise ValueError(f"block {x} not in [0, modulus {priv.n})")
     dp, dq, q_inv = priv.crt
@@ -187,6 +187,7 @@ decrypt_block = private_op
 
 def block_width(n: int) -> int:
     """Plaintext bytes per block: the largest width with 256**w <= 2**(bits-1)."""
+    bigmod.check_int(n, "modulus")
     if n < MIN_MODULUS:
         raise ValueError(f"modulus {n} too small to carry even one byte")
     return (n.bit_length() - 1) // 8

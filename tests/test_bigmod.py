@@ -296,6 +296,15 @@ class TestComb:
         with pytest.raises(ValueError, match="exceeds"):
             bigmod.comb_pow(table, 1 << reach)
 
+    # each answered: a 1-bit-row table, and columns [1, 0, 1, 0] for -5
+    @pytest.mark.parametrize("func, args, message", [
+        (bigmod.comb, (3, -1, 1, 0, lambda x: 2 * x, operator.add), "exponent bits"),
+        (bigmod.comb_columns, (-5, 4), "exponent"),
+    ])
+    def test_negative_refused_by_name(self, func, args, message):
+        with pytest.raises(ValueError, match=f"^{message} must be non-negative, got -"):
+            func(*args)
+
 
 class TestScan:
     # the additive group of the integers: base**k is k * g, so the one k with
@@ -408,6 +417,10 @@ class TestModDiv:
     @pytest.mark.parametrize("a,m", [(0, 7), (5, 7), (123, 11)])
     def test_neutral_divisor(self, a, m):
         assert bigmod.mod_div(a, 1, m).value == a % m
+
+    def test_negative_divisor_named(self):
+        with pytest.raises(ValueError, match="^b must be non-negative, got -3$"):
+            bigmod.mod_div(2, -3, 7)
 
     def test_non_coprime_divisor_rejected(self):
         assert bigmod.gcd(4, 9) == 1  # that pair is fine

@@ -967,16 +967,60 @@ class TestPrimeCountOracle:
     pytest.param(envelope.SignedMessage, ("x", 3), "text", id="SignedMessage"),
     pytest.param(envelope.Envelope, (b"zz", b"body"), "wrapped_key", id="Envelope"),
     pytest.param(sha1.Digest, ("x" * 20,), "data", id="Digest"),
+    pytest.param(numtheory.sieve_primes, (10.5,), "sieve limit", id="sieve_primes"),
+    pytest.param(numtheory.random_prime, (10.5,), "bits", id="random_prime"),
+    pytest.param(numtheory.jacobi, (1.5, 7), "a", id="jacobi-a"),
+    pytest.param(numtheory.jacobi, (2, 7.0), "n", id="jacobi-n"),
+    pytest.param(numtheory.fermat_probable_prime, (7.0, 2), "n", id="fermat_probable_prime"),
+    pytest.param(numtheory.fermat_probable_prime, (11, 9.5), "base",
+                 id="fermat_probable_prime-base"),
+    pytest.param(numtheory.factor_trial, (12, 2.5), "divisor cap", id="factor_trial-divisor_cap"),
+    pytest.param(numtheory.totient, (12, 2.5), "divisor cap", id="totient-divisor_cap"),
+    pytest.param(numtheory.totient, (1, 2.5), "divisor cap", id="totient-1-divisor_cap"),
+    pytest.param(Factorization, (((2.5, 1), (3, 1.5)),), "factors", id="Factorization"),
+    pytest.param(Factorization, ((12,),), "factors", id="Factorization-bare-int"),
+    pytest.param(bigmod.mod_div, (2, 3.0, 7), "b", id="mod_div-b"),
+    pytest.param(bigmod.lcm, (0.0, 6), "a", id="lcm-zero-float"),
+    pytest.param(bigmod.comb_pow, (bigmod.fixed_base(2, 8, 23), 3.0), "exponent", id="comb_pow"),
+    pytest.param(bigmod.cancel_factor, (3, 3, 1.5, 7), "factor", id="cancel_factor-k"),
+    pytest.param(bigmod.check_modulus_bits, (1.5,), "modulus", id="check_modulus_bits"),
+    pytest.param(bigmod.comb, (5, 2.5, 8, 1, lambda x: x * x, lambda x, y: x * y),
+                 "exponent bits", id="comb-exp_bits"),
+    pytest.param(bigmod.comb, (5, 8, 2.0, 1, lambda x: x * x, lambda x, y: x * y),
+                 "block count", id="comb-block_count"),
+    pytest.param(bigmod.comb_columns, (5.5, 4), "exponent", id="comb_columns-exp"),
+    pytest.param(bigmod.comb_columns, (5, 4.0), "row bits", id="comb_columns-row_bits"),
+    pytest.param(rsa.block_width, (323.0,), "modulus", id="block_width"),
+    pytest.param(rsa.encode_message, (b"x", 323.0), "modulus", id="encode_message"),
+    pytest.param(rsa.decode_message, (rsa.BlockStream(1, 0, (5,)), 323.0), "modulus",
+                 id="decode_message"),
+    pytest.param(rsa.public_op, (3.0, rsa.RsaPublicKey(323, 5)), "block", id="public_op"),
+    pytest.param(rsa.private_op, (3.0, rsa.RsaPrivateKey(323, 173, 17, 19)), "block",
+                 id="private_op"),
+    pytest.param(dh.public_of, (dh.DhParams(23, 5), 3.0), "secret", id="public_of"),
+    pytest.param(dh.shared_secret, (dh.DhParams(23, 5), 3.0, 5), "secret",
+                 id="shared_secret-secret"),
+    pytest.param(dh.shared_secret, (dh.DhParams(23, 5), 3, 5.0), "peer value",
+                 id="shared_secret-peer"),
+    pytest.param(envelope.keystream, (bytes(envelope.SESSION_KEY_BYTES), 3.0), "length",
+                 id="keystream"),
 ])
 def test_non_int_refused(func, args, name):
     # each of these read a float or a Fraction as a number and answered
     # wrongly, such as proven-prime for is_prime(7.5) and 1.5 for gcd(7.5, 3),
     # or, for make_params, make_curve and decode_message of a float block,
     # raised AttributeError; brute_force_dlog found 8.0 and scanned its whole
-    # budget for 8.5.  The records of the last five cases were built: verify
+    # budget for 8.5.  The records from DhKeyPair to Digest were built: verify
     # of SignedMessage("x", 3) then failed on concatenating str to bytes, and
-    # open_envelope of Envelope(b"zz", body) with an AttributeError
-    wanted = {"text": "bytes", "wrapped_key": "BlockStream", "data": "bytes"}.get(name, "an int")
+    # open_envelope of Envelope(b"zz", body) with an AttributeError.  Of the
+    # cases from sieve_primes on, some answered (factor_trial and totient with
+    # a float cap, comb with float exp_bits, a Factorization of floats), some
+    # raised Python's own TypeError or AttributeError, naming no argument, some
+    # named the wrong one, such as a for mod_div's b or base for a block, and
+    # some failed a range check first (fermat_probable_prime's base, lcm's 0.0).
+    # comb_pow's exponent is now refused by comb_columns, under the same name
+    wanted = {"text": "bytes", "wrapped_key": "BlockStream", "data": "bytes",
+              "factors": "pairs of ints"}.get(name, "an int")
     with pytest.raises(TypeError, match=f"^{name} must be {wanted}, got "):
         func(*args)
 

@@ -417,6 +417,10 @@ class TestMessageFraming:
             rsa.decode_message(stream, 1 << 20)
         assert rsa.decode_message(BlockStream(width=2, pad=1, blocks=(0x4100,)), 1 << 20) == b"A"
 
+    def test_negative_block_refused_by_name_before_a_bad_width(self):
+        with pytest.raises(ValueError, match=r"^block must be non-negative, got -1$"):
+            BlockStream(width=0, pad=0, blocks=(5, -1))
+
     def test_width_mismatch_rejected(self):
         stream = rsa.encode_message(b"abc", 1 << 32)
         with pytest.raises(ValueError):
